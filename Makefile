@@ -81,9 +81,12 @@ bench-all:
 # report 0 allocs/op. TestMatchMissZeroAlloc(+Instrumented) pin it with
 # testing.AllocsPerRun; the benchmark pass re-measures with -benchmem and
 # fails on any "N allocs/op" line with N > 0. hotalloc (make lint) is the
-# static half of the same contract.
+# static half of the same contract. Beside it, the back half's allocation
+# budgets: one OCR pass over a full-page capture stays under 256 KB, and a
+# spell-check miss allocates nothing.
 bench-check:
 	$(GO) test -run '^TestMatchMissZeroAlloc' -count=1 ./internal/squat
+	$(GO) test -run '^(TestRecognizeAllocBudget|TestSpellcheckZeroAlloc)$$' -count=1 ./internal/ocr
 	@out=$$($(GO) test -run '^$$' -bench '^BenchmarkMatchMiss' -benchmem ./internal/squat); \
 	echo "$$out"; \
 	if echo "$$out" | awk '/allocs\/op/ && $$(NF-1) + 0 > 0 { bad = 1 } END { exit !bad }'; then \
@@ -109,13 +112,15 @@ fuzz-smoke:
 	$(GO) test -fuzz '^FuzzScoreBytes$$' -fuzztime 30s ./internal/domlm/
 	$(GO) test -fuzz '^FuzzModelDecode$$' -fuzztime 30s ./internal/domlm/
 	$(GO) test -fuzz '^FuzzOpenBytes$$' -fuzztime 30s ./internal/snapfmt/
+	$(GO) test -fuzz '^FuzzRecognizeParity$$' -fuzztime 30s ./internal/ocr/
 
 # Per-package coverage with a floor: the detection spine (dnsx store +
-# codec, squat matcher, core pipeline, deltascan cache) and the squatvet
-# analysis driver + call graph must each keep at least COVER_FLOOR%
-# statement coverage; internal/analysis itself is held to the higher
-# COVER_FLOOR_ANALYSIS so the analyzer suite cannot silently decay.
-COVER_PKGS = ./internal/dnsx ./internal/squat ./internal/core ./internal/deltascan ./internal/analysis ./internal/analysis/callgraph ./internal/domlm
+# codec, squat matcher, core pipeline, deltascan cache), the back half's
+# OCR engine and feature extractor, and the squatvet analysis driver +
+# call graph must each keep at least COVER_FLOOR% statement coverage;
+# internal/analysis itself is held to the higher COVER_FLOOR_ANALYSIS so
+# the analyzer suite cannot silently decay.
+COVER_PKGS = ./internal/dnsx ./internal/squat ./internal/core ./internal/deltascan ./internal/analysis ./internal/analysis/callgraph ./internal/domlm ./internal/ocr ./internal/features
 COVER_FLOOR = 60
 COVER_FLOOR_ANALYSIS = 85.5
 

@@ -134,20 +134,26 @@ type Classifier struct {
 	Eval ml.Evaluation
 }
 
-// extractVectors embeds every ground-truth sample on the scoring pool
-// (feature extraction renders OCR over each screenshot, the training-side
-// compute bottleneck) and returns the design matrix and label vector.
-// Per-index slots keep the output identical to a serial extraction.
-func (p *Pipeline) extractVectors(ex *features.Extractor, samples []LabeledSample) (X [][]float64, y []int) {
-	X = make([][]float64, len(samples))
-	y = make([]int, len(samples))
-	p.scoreParallel(len(samples), func(i int) {
-		X[i] = ex.Vector(samples[i].Sample)
-		if samples[i].Phishing {
+// fitExtractor builds the feature extractor on the ground-truth corpus and
+// returns it with the corpus's design matrix and label vector. Each sample
+// is read once, on the scoring pool (OCR over every screenshot is the
+// training-side compute bottleneck): the same token lists build the
+// vocabulary and are embedded. Per-index slots keep the output identical
+// to a serial extraction.
+func (p *Pipeline) fitExtractor(gt *GroundTruth, opts features.Options) (ex *features.Extractor, X [][]float64, y []int) {
+	if p.LM != nil {
+		opts.UseDomLM = true
+	}
+	corpus := make([]features.Sample, len(gt.Samples))
+	y = make([]int, len(gt.Samples))
+	for i, s := range gt.Samples {
+		corpus[i] = s.Sample
+		if s.Phishing {
 			y[i] = 1
 		}
-	})
-	return X, y
+	}
+	ex, X = features.Fit(opts, corpus, p.World.Brands.Names(), 3, p.scoreParallel)
+	return ex, X, y
 }
 
 // forestFactory builds the production random forest, trained across the
@@ -165,16 +171,7 @@ func (p *Pipeline) forestFactory() func() ml.Classifier {
 func (p *Pipeline) TrainClassifier(gt *GroundTruth, opts features.Options) *Classifier {
 	_, done := p.stageSpan(context.Background(), "train")
 	defer done(nil)
-	if p.LM != nil {
-		opts.UseDomLM = true
-	}
-	corpus := make([]features.Sample, len(gt.Samples))
-	for i, s := range gt.Samples {
-		corpus[i] = s.Sample
-	}
-	ex := features.NewExtractor(opts, corpus, p.World.Brands.Names(), 3)
-
-	X, y := p.extractVectors(ex, gt.Samples)
+	ex, X, y := p.fitExtractor(gt, opts)
 	factory := p.forestFactory()
 	eval := ml.CrossValidate(factory, X, y, 10, p.Cfg.Seed)
 	final := factory()
@@ -185,15 +182,7 @@ func (p *Pipeline) TrainClassifier(gt *GroundTruth, opts features.Options) *Clas
 // EvaluateModels cross-validates all three model families on the ground
 // truth (the full Table 7 / Figure 10).
 func (p *Pipeline) EvaluateModels(gt *GroundTruth, opts features.Options) map[string]ml.Evaluation {
-	if p.LM != nil {
-		opts.UseDomLM = true
-	}
-	corpus := make([]features.Sample, len(gt.Samples))
-	for i, s := range gt.Samples {
-		corpus[i] = s.Sample
-	}
-	ex := features.NewExtractor(opts, corpus, p.World.Brands.Names(), 3)
-	X, y := p.extractVectors(ex, gt.Samples)
+	_, X, y := p.fitExtractor(gt, opts)
 	out := map[string]ml.Evaluation{}
 	out["NaiveBayes"] = ml.CrossValidate(func() ml.Classifier { return &ml.NaiveBayes{} }, X, y, 10, p.Cfg.Seed)
 	out["KNN"] = ml.CrossValidate(func() ml.Classifier { return &ml.KNN{K: 5} }, X, y, 10, p.Cfg.Seed)

@@ -91,6 +91,38 @@ type Sample struct {
 // keywords of the training corpus with the given brand names (the paper's
 // 987-dimension embedding).
 func NewExtractor(opts Options, corpus []Sample, brandNames []string, minCount int) *Extractor {
+	e := newExtractor(opts, brandNames)
+	tokenLists := make([][]string, len(corpus))
+	for i, s := range corpus {
+		tokenLists[i] = e.Tokens(s)
+	}
+	e.buildVocab(tokenLists, brandNames, minCount)
+	return e
+}
+
+// Fit is NewExtractor plus the embedding of the corpus itself, reading
+// every sample — the OCR of its screenshot above all — once: the token
+// lists that build the vocabulary are the ones embedded. The extractor and
+// X[i] equal NewExtractor(...) and its Vector(corpus[i]). each must call
+// fn(i) for every i in [0, n), concurrently if it likes, and return once
+// all calls have.
+func Fit(opts Options, corpus []Sample, brandNames []string, minCount int, each func(n int, fn func(i int))) (*Extractor, [][]float64) {
+	e := newExtractor(opts, brandNames)
+	tokenLists := make([][]string, len(corpus))
+	extras := make([][]float64, len(corpus))
+	each(len(corpus), func(i int) {
+		tokenLists[i], extras[i] = e.read(corpus[i])
+	})
+	e.buildVocab(tokenLists, brandNames, minCount)
+	X := make([][]float64, len(corpus))
+	for i := range corpus {
+		X[i] = e.Vocab.Embed(tokenLists[i], extras[i])
+	}
+	return e, X
+}
+
+// newExtractor builds an extractor that lacks only its vocabulary.
+func newExtractor(opts Options, brandNames []string) *Extractor {
 	e := &Extractor{Opts: opts, brandSet: make(map[string]bool, len(brandNames))}
 	for _, b := range brandNames {
 		e.brandSet[strings.ToLower(b)] = true
@@ -98,22 +130,32 @@ func NewExtractor(opts Options, corpus []Sample, brandNames []string, minCount i
 	if opts.Spellcheck {
 		e.speller = ocr.NewSpellchecker(dictionary)
 	}
-	var tokenLists [][]string
-	for _, s := range corpus {
-		tokenLists = append(tokenLists, e.Tokens(s))
-	}
+	return e
+}
+
+func (e *Extractor) buildVocab(tokenLists [][]string, brandNames []string, minCount int) {
 	if minCount <= 0 {
 		minCount = 3
 	}
 	e.Vocab = textproc.BuildVocabulary(tokenLists, minCount, brandNames)
-	return e
+}
+
+// read parses and recognises one page once and returns both of its
+// feature halves, the keyword stream and the numeric extras.
+func (e *Extractor) read(s Sample) (tokens []string, extras []float64) {
+	page := htmlx.Extract(s.HTML)
+	tokens = e.tokensOf(page, s)
+	return tokens, e.extrasOf(page, s, tokens)
 }
 
 // Tokens extracts the keyword stream of one page under the configured
 // feature families.
 func (e *Extractor) Tokens(s Sample) []string {
+	return e.tokensOf(htmlx.Extract(s.HTML), s)
+}
+
+func (e *Extractor) tokensOf(page *htmlx.Page, s Sample) []string {
 	var toks []string
-	page := htmlx.Extract(s.HTML)
 
 	if e.Opts.UseOCR && s.Shot != nil {
 		words := e.engine.RecognizeWords(s.Shot)
@@ -154,7 +196,10 @@ func (e *Extractor) Tokens(s Sample) []string {
 // Extras computes the numeric features of one page. tokens is the keyword
 // stream of the page (brand-token counting spans both HTML and OCR text).
 func (e *Extractor) Extras(s Sample, tokens []string) []float64 {
-	page := htmlx.Extract(s.HTML)
+	return e.extrasOf(htmlx.Extract(s.HTML), s, tokens)
+}
+
+func (e *Extractor) extrasOf(page *htmlx.Page, s Sample, tokens []string) []float64 {
 	inputs := 0
 	for _, f := range page.Forms {
 		inputs += len(f.Inputs)
@@ -185,10 +230,9 @@ func (e *Extractor) Extras(s Sample, tokens []string) []float64 {
 }
 
 // Vector embeds one page as a feature vector (keyword frequencies plus
-// extras). The extractor must have been built with NewExtractor.
+// extras). The extractor must have been built with NewExtractor or Fit.
 func (e *Extractor) Vector(s Sample) []float64 {
-	tokens := e.Tokens(s)
-	return e.Vocab.Embed(tokens, e.Extras(s, tokens))
+	return e.Vocab.Embed(e.read(s))
 }
 
 // Dim returns the feature-vector dimensionality.

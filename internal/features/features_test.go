@@ -1,7 +1,9 @@
 package features
 
 import (
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"squatphi/internal/render"
@@ -153,6 +155,48 @@ func TestNilShotSafe(t *testing.T) {
 	v := e.Vector(Sample{HTML: phishHTML})
 	if len(v) != e.Dim() {
 		t.Fatal("nil-shot vector wrong dim")
+	}
+}
+
+// TestFitMatchesNewExtractor: Fit is NewExtractor plus Vector over the
+// corpus — same vocabulary, same vectors — whatever runs the per-sample
+// pass, and it visits each sample once.
+func TestFitMatchesNewExtractor(t *testing.T) {
+	corpus := []Sample{
+		sampleOf(phishHTML, "Paypal"), sampleOf(benignHTML, ""),
+		sampleOf(phishHTML, "Facebook"), {HTML: benignHTML}, sampleOf(benignHTML, "Paypal"),
+	}
+	corpus[2].LMScore = 0.75
+	brands := []string{"paypal", "facebook"}
+	for _, opts := range []Options{AllFeatures(), {UseLexical: true}, {UseOCR: true, UseDomLM: true}} {
+		want := NewExtractor(opts, corpus, brands, 2)
+		var mu sync.Mutex
+		visits := make([]int, len(corpus))
+		got, X := Fit(opts, corpus, brands, 2, func(n int, fn func(i int)) {
+			var wg sync.WaitGroup
+			for i := n - 1; i >= 0; i-- { // concurrent and out of order
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					mu.Lock()
+					visits[i]++
+					mu.Unlock()
+					fn(i)
+				}(i)
+			}
+			wg.Wait()
+		})
+		if !reflect.DeepEqual(got.Vocab.Words(), want.Vocab.Words()) {
+			t.Fatalf("%+v: vocabulary %v, NewExtractor built %v", opts, got.Vocab.Words(), want.Vocab.Words())
+		}
+		for i, s := range corpus {
+			if visits[i] != 1 {
+				t.Errorf("%+v: sample %d read %d times", opts, i, visits[i])
+			}
+			if !reflect.DeepEqual(X[i], want.Vector(s)) || !reflect.DeepEqual(X[i], got.Vector(s)) {
+				t.Errorf("%+v: X[%d] differs from Vector", opts, i)
+			}
+		}
 	}
 }
 

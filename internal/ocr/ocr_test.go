@@ -1,6 +1,7 @@
 package ocr
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -210,11 +211,91 @@ func TestBoundedEditDistance(t *testing.T) {
 	}
 }
 
-func BenchmarkRecognizeScreenshot(b *testing.B) {
+// loginScreenshot is the page BenchmarkRecognizeScreenshot and the
+// allocation budget share: a full 480x800 capture of a login form.
+func loginScreenshot() *render.Raster {
 	html := `<html><head><title>PAYPAL LOGIN</title></head><body>
 		<form><input placeholder="EMAIL"><input type=password placeholder="PASSWORD">
 		<input type=submit value="LOG IN"></form></body></html>`
-	ra := render.Screenshot(html, render.Options{})
+	return render.Screenshot(html, render.Options{})
+}
+
+// TestRecognizeAllocBudget bounds the garbage of one Recognize call on a
+// full-page capture (make bench-check runs it). The packed engine holds
+// the page in four bit planes of 50 KB; the bool-per-pixel engine before
+// it allocated 1.55 MB per call.
+func TestRecognizeAllocBudget(t *testing.T) {
+	const budget = 256 << 10
+	const runs = 20
+	ra := loginScreenshot()
+	var e Engine
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		_ = e.Recognize(ra)
+	}
+	runtime.ReadMemStats(&after)
+	if got := (after.TotalAlloc - before.TotalAlloc) / runs; got > budget {
+		t.Errorf("Recognize allocates %d B per %dx%d page, budget %d", got, ra.W, ra.H, budget)
+	}
+}
+
+// TestSpellcheckZeroAlloc: a word outside the dictionary scans its length
+// buckets without allocating, whether or not a correction is found.
+func TestSpellcheckZeroAlloc(t *testing.T) {
+	sc := NewSpellchecker([]string{"password", "email", "login", "account", "secure", "verify"})
+	for _, w := range []string{"passwod", "zzzzzzzz", "lgoin", "x"} {
+		if n := testing.AllocsPerRun(100, func() { _ = sc.Correct(w) }); n != 0 {
+			t.Errorf("Correct(%q) allocates %v times per call, want 0", w, n)
+		}
+	}
+}
+
+// TestSpellcheckMatchesLinearScan pins the bucketed lookup to the rule it
+// implements: over the whole dictionary in priority order, the nearest
+// word within the bound wins and the earlier word wins ties.
+func TestSpellcheckMatchesLinearScan(t *testing.T) {
+	dict := []string{
+		"password", "email", "login", "log", "sign", "account", "username", "cab", "car",
+		"verify", "secure", "security", "card", "cart", "care", "suspended", "internationalisation",
+	}
+	sc := NewSpellchecker(dict)
+	linear := func(w string) string {
+		maxDist := 1
+		if len(w) >= 6 {
+			maxDist = 2
+		}
+		best, bestDist := w, maxDist+1
+		for _, cand := range dict {
+			if d := editDistance(w, cand); d < bestDist {
+				best, bestDist = cand, d
+			}
+		}
+		return best
+	}
+	rng := simrand.New(7)
+	const alphabet = "abcdefghijklmnopqrstuvwxyz0"
+	for i := 0; i < 4000; i++ {
+		w := []byte(dict[rng.Intn(len(dict))])
+		for edits := rng.Intn(4); edits > 0 && len(w) > 0; edits-- {
+			at := rng.Intn(len(w))
+			switch rng.Intn(3) {
+			case 0:
+				w[at] = alphabet[rng.Intn(len(alphabet))]
+			case 1:
+				w = append(w[:at], w[at+1:]...)
+			default:
+				w = append(w[:at], append([]byte{alphabet[rng.Intn(len(alphabet))]}, w[at:]...)...)
+			}
+		}
+		if got, want := sc.Correct(string(w)), linear(string(w)); got != want {
+			t.Fatalf("Correct(%q) = %q, linear scan %q", w, got, want)
+		}
+	}
+}
+
+func BenchmarkRecognizeScreenshot(b *testing.B) {
+	ra := loginScreenshot()
 	var e Engine
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -225,6 +306,7 @@ func BenchmarkRecognizeScreenshot(b *testing.B) {
 
 func BenchmarkSpellcheck(b *testing.B) {
 	sc := NewSpellchecker([]string{"password", "email", "login", "account", "secure", "verify", "facebook", "paypal", "google", "microsoft"})
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		_ = sc.Correct("passwod")
 	}

@@ -9,7 +9,14 @@ import "strings"
 // hits and unknown far-away words pass through unchanged.
 type Spellchecker struct {
 	words map[string]int // word -> priority (lower = preferred)
-	order []string
+	// byLen[n] holds the dictionary words of n letters, so a lookup visits
+	// only the lengths its edit bound can reach.
+	byLen [][]candidate
+}
+
+type candidate struct {
+	word string
+	prio int
 }
 
 // NewSpellchecker builds a checker; earlier dictionary words win ties.
@@ -17,10 +24,14 @@ func NewSpellchecker(dictionary []string) *Spellchecker {
 	s := &Spellchecker{words: make(map[string]int, len(dictionary))}
 	for i, w := range dictionary {
 		w = strings.ToLower(w)
-		if _, dup := s.words[w]; !dup {
-			s.words[w] = i
-			s.order = append(s.order, w)
+		if _, dup := s.words[w]; dup {
+			continue
 		}
+		s.words[w] = i
+		for len(s.byLen) <= len(w) {
+			s.byLen = append(s.byLen, nil)
+		}
+		s.byLen[len(w)] = append(s.byLen[len(w)], candidate{w, i})
 	}
 	return s
 }
@@ -38,16 +49,15 @@ func (s *Spellchecker) Correct(word string) string {
 	best := ""
 	bestDist := maxDist + 1
 	bestPrio := int(^uint(0) >> 1)
-	for _, cand := range s.order {
-		if abs(len(cand)-len(w)) > maxDist {
-			continue
-		}
-		d := boundedEditDistance(w, cand, maxDist)
-		if d < 0 {
-			continue
-		}
-		if d < bestDist || d == bestDist && s.words[cand] < bestPrio {
-			best, bestDist, bestPrio = cand, d, s.words[cand]
+	for n := max(len(w)-maxDist, 0); n <= len(w)+maxDist && n < len(s.byLen); n++ {
+		for _, cand := range s.byLen[n] {
+			d := boundedEditDistance(w, cand.word, maxDist)
+			if d < 0 {
+				continue
+			}
+			if d < bestDist || d == bestDist && cand.prio < bestPrio {
+				best, bestDist, bestPrio = cand.word, d, cand.prio
+			}
 		}
 	}
 	if best != "" {
@@ -65,15 +75,25 @@ func (s *Spellchecker) CorrectAll(words []string) []string {
 	return out
 }
 
+// editRowLen is the stack row size of boundedEditDistance: enough for any
+// dictionary word (the longest has 9 letters) with room to spare.
+const editRowLen = 16
+
 // boundedEditDistance returns the Levenshtein distance between a and b, or
 // -1 if it exceeds bound. The band optimisation keeps the scan cheap for
-// dictionary-wide lookups.
+// dictionary-wide lookups, and the two DP rows live on the stack unless b
+// is longer than any dictionary word.
 func boundedEditDistance(a, b string, bound int) int {
 	if abs(len(a)-len(b)) > bound {
 		return -1
 	}
-	prev := make([]int, len(b)+1)
-	cur := make([]int, len(b)+1)
+	n := len(b) + 1
+	var rows [2][editRowLen]int
+	prev, cur := rows[0][:], rows[1][:]
+	if n > editRowLen {
+		prev, cur = make([]int, n), make([]int, n)
+	}
+	prev, cur = prev[:n], cur[:n]
 	for j := range prev {
 		prev[j] = j
 	}
