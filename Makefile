@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short race chaos bench bench-all bench-check vet fmt fmt-check lint lint-list fuzz fuzz-smoke cover provenance-check serve-smoke verify paperbench pipeline clean
+.PHONY: all build test test-short race race-short chaos bench bench-all bench-check vet fmt fmt-check lint lint-list fuzz fuzz-smoke cover provenance-check serve-smoke verify paperbench pipeline clean
 
 all: build vet fmt-check lint test
 
@@ -55,6 +55,14 @@ race: chaos
 	$(GO) vet ./...
 	$(GO) test -race -timeout 45m ./...
 
+# Time-bounded race pass for the gate every PR runs: the packages whose
+# shared structures scan and serve workers read concurrently (the matcher's
+# label index and gate, the scan pools, the deltascan caches, the squatd
+# shards), short mode, one run. `race` above is the full, slow one.
+race-short:
+	$(GO) test -race -short -count=1 -timeout 10m \
+		./internal/squat ./internal/core ./internal/deltascan ./internal/serve
+
 # Deterministic chaos suite: drives the crawler, DNS prober, and whois
 # client through seeded fault injection (internal/faultx) under the race
 # detector. Fault plans are pure functions of (seed, key, attempt), so the
@@ -78,16 +86,18 @@ bench-all:
 	$(GO) test -bench=. -benchmem ./...
 
 # Zero-allocation gate for the scan hot loop: the matcher miss path must
-# report 0 allocs/op. TestMatchMissZeroAlloc(+Instrumented) pin it with
-# testing.AllocsPerRun; the benchmark pass re-measures with -benchmem and
-# fails on any "N allocs/op" line with N > 0. hotalloc (make lint) is the
-# static half of the same contract. Beside it, the back half's allocation
-# budgets: one OCR pass over a full-page capture stays under 256 KB, and a
-# spell-check miss allocates nothing.
+# report 0 allocs/op. TestMatchMissZeroAlloc(+Instrumented|LM) pin it with
+# testing.AllocsPerRun; the benchmark pass re-measures with -benchmem —
+# the five-brand BenchmarkMatchMiss* and, in the root package, what
+# scan-zone runs: BenchmarkMatchMissUniverse, 850 brands over an arena of
+# noise records — and fails on any "N allocs/op" line with N > 0. hotpath
+# (make lint) is the static half of the same contract. Beside it, the back
+# half's allocation budgets: one OCR pass over a full-page capture stays
+# under 256 KB, and a spell-check miss allocates nothing.
 bench-check:
 	$(GO) test -run '^TestMatchMissZeroAlloc' -count=1 ./internal/squat
 	$(GO) test -run '^(TestRecognizeAllocBudget|TestSpellcheckZeroAlloc)$$' -count=1 ./internal/ocr
-	@out=$$($(GO) test -run '^$$' -bench '^BenchmarkMatchMiss' -benchmem ./internal/squat); \
+	@out=$$($(GO) test -run '^$$' -bench '^BenchmarkMatchMiss' -benchmem ./internal/squat .); \
 	echo "$$out"; \
 	if echo "$$out" | awk '/allocs\/op/ && $$(NF-1) + 0 > 0 { bad = 1 } END { exit !bad }'; then \
 		echo "bench-check: miss path allocates (>0 allocs/op)"; exit 1; fi
@@ -109,6 +119,7 @@ fuzz-smoke:
 	$(GO) test -fuzz '^FuzzFold$$' -fuzztime 30s ./internal/confusables/
 	$(GO) test -fuzz '^FuzzSkeletonParity$$' -fuzztime 30s ./internal/confusables/
 	$(GO) test -fuzz '^FuzzMatchBytesParity$$' -fuzztime 30s ./internal/squat/
+	$(GO) test -fuzz '^FuzzMatchVsReference$$' -fuzztime 30s ./internal/squat/
 	$(GO) test -fuzz '^FuzzScoreBytes$$' -fuzztime 30s ./internal/domlm/
 	$(GO) test -fuzz '^FuzzModelDecode$$' -fuzztime 30s ./internal/domlm/
 	$(GO) test -fuzz '^FuzzOpenBytes$$' -fuzztime 30s ./internal/snapfmt/
@@ -153,10 +164,10 @@ provenance-check:
 	$(GO) test -run '^TestGoldenProvenance$$' -count=1 .
 
 # Full verification chain: build, vet, formatting, static analysis,
-# tests (including the golden end-to-end pipeline), the zero-alloc scan
-# gate, coverage floors, the provenance golden, the serving-path smoke,
-# and the fuzz smoke campaign.
-verify: build vet fmt-check lint test bench-check cover provenance-check serve-smoke fuzz-smoke
+# tests (including the golden end-to-end pipeline), the short race pass,
+# the zero-alloc scan gate, coverage floors, the provenance golden, the
+# serving-path smoke, and the fuzz smoke campaign.
+verify: build vet fmt-check lint test race-short bench-check cover provenance-check serve-smoke fuzz-smoke
 
 # Regenerate every paper table and figure.
 paperbench:

@@ -15,9 +15,11 @@ import (
 	"sync"
 	"testing"
 
+	"squatphi/internal/brands"
 	"squatphi/internal/confusables"
 	"squatphi/internal/core"
 	"squatphi/internal/crawler"
+	"squatphi/internal/dnsx"
 	"squatphi/internal/experiments"
 	"squatphi/internal/features"
 	"squatphi/internal/imghash"
@@ -311,6 +313,32 @@ func BenchmarkMatcherThroughput(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(len(domains)), "records/op")
+}
+
+// BenchmarkMatchMissUniverse is the miss path as scan-zone runs it: the
+// full brand universe (850 brands, a 489K-key label index) against noise
+// records served from one flat arena, the way snapfmt hands them over. The
+// five-brand BenchmarkMatchMiss in internal/squat never leaves L1; this one
+// is the number a scan pays. make bench-check gates its allocs/op at 0.
+func BenchmarkMatchMissUniverse(b *testing.B) {
+	m := squat.NewMatcher(brands.Select(brands.DefaultConfig()).SquatBrands())
+	var arena []byte
+	var ends []int
+	var s squat.Scratch
+	dnsx.StreamSnapshot(dnsx.SnapshotSpec{NoiseRecords: 1 << 18, Seed: 1}, func(domain string, _ [4]byte) bool {
+		if _, hit := m.MatchBytes([]byte(domain), &s); !hit {
+			arena = append(arena, domain...)
+			ends = append(ends, len(arena))
+		}
+		return true
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i, lo := 0, 0; i < b.N; i++ {
+		hi := ends[i%len(ends)]
+		m.MatchBytes(arena[lo:hi:hi], &s)
+		lo = hi % len(arena)
+	}
 }
 
 // --- parallel-spine benchmarks (scan, scoring, forest training) ---

@@ -10,16 +10,6 @@ type ahoCorasick struct {
 	fail   []int32      // failure links
 	output [][]int32    // pattern indices terminating at each state
 	pats   []string
-
-	// lead is bestMatch's bigram prefilter: lead[a] has bit b set when
-	// some pattern starts with bytes a,b. Any occurrence of a pattern
-	// necessarily contains that pattern's leading bigram, so a text none
-	// of whose adjacent byte pairs is in the set cannot contain any
-	// pattern — the 8KB table (cache-resident, unlike the transition
-	// rows) rejects it without walking the automaton. noPrefilter
-	// disables the check when a pattern shorter than two bytes exists.
-	lead        [256][4]uint64
-	noPrefilter bool
 }
 
 func newAhoCorasick(patterns []string) *ahoCorasick {
@@ -35,11 +25,6 @@ func newAhoCorasick(patterns []string) *ahoCorasick {
 			s = ac.next[s][c]
 		}
 		ac.output[s] = append(ac.output[s], int32(pi))
-		if len(p) < 2 {
-			ac.noPrefilter = true
-		} else {
-			ac.lead[p[0]][p[1]>>6] |= 1 << (p[1] & 63)
-		}
 	}
 	ac.build()
 	return ac
@@ -102,18 +87,6 @@ func (ac *ahoCorasick) match(text string, fn func(pat int32, end int) bool) {
 //
 //squat:hot
 func (ac *ahoCorasick) bestMatch(text []byte) int32 {
-	if !ac.noPrefilter {
-		hit := false
-		for i := 1; i < len(text); i++ {
-			if ac.lead[text[i-1]][text[i]>>6]&(1<<(text[i]&63)) != 0 {
-				hit = true
-				break
-			}
-		}
-		if !hit {
-			return -1
-		}
-	}
 	s := int32(0)
 	best := int32(-1)
 	for i := 0; i < len(text); i++ {

@@ -32,12 +32,16 @@ func generatedProbe(t *testing.T, m *Matcher, model *domlm.Model, thr float64) s
 	t.Helper()
 	r := simrand.New(1234).Split("probe")
 	base := NewMatcher(m.Brands()) // same rules, no LM attached
+	isBrand := map[string]bool{}
+	for _, b := range m.Brands() {
+		isBrand[b.Name] = true
+	}
 	for i := 0; i < 5000; i++ {
 		label := model.SampleLabel(r)
 		if len(label) < domlm.MinLabelLen || model.ScoreLabel(label) < thr {
 			continue
 		}
-		if _, isBrand := base.byName[label]; isBrand {
+		if isBrand[label] {
 			continue // sampled a brand name verbatim: that's the original site
 		}
 		d := label + ".com"

@@ -20,21 +20,13 @@ import (
 type Matcher struct {
 	brands []Brand
 
-	// byName maps a brand's registrable label to its index in brands.
-	byName map[string]int
-	// bySkeleton maps the confusable skeleton of each brand name to its
-	// index; an observed label whose skeleton hits this map (and whose raw
-	// label differs from the brand) is a homograph.
-	bySkeleton map[string]int
-	// edits maps every generated bits/typo label to (brand index, type).
-	edits map[string]editEntry
-	// fast folds byName, bySkeleton and edits into one combined map for
-	// labels that are their own skeleton — the hot-loop common case, which
-	// then costs a single lookup instead of three. fastLens is the bitmask
-	// of key lengths present, letting labels of unindexed lengths skip the
-	// lookup entirely. See classifyBytes.
-	fast     map[string]fastEntry
-	fastLens uint64
+	// fast is the one label index: every brand name, brand-name skeleton
+	// and generated bits/typo label maps to a fastEntry answering the first
+	// three rules. gate is the Bloom filter over exactly fast's keys that
+	// lookup consults first, so the ≥99.6 % of scanned labels that are in
+	// neither cost a hash and one cache line instead of a map probe.
+	fast map[string]fastEntry
+	gate []uint64
 	// ac finds brand names inside hyphenated labels for combo detection.
 	ac *ahoCorasick
 
@@ -104,25 +96,26 @@ func (m *Matcher) InstrumentMetrics(reg *obs.Registry) {
 // hash — see the scanbench provenance entry for the measured overhead.
 func (m *Matcher) InstrumentTrace(col *trace.Collector) { m.trace = col }
 
-type editEntry struct {
-	brand int
-	typ   Type
-}
-
 // NewMatcher indexes the given brands for bulk classification.
 func NewMatcher(brands []Brand) *Matcher {
-	m := &Matcher{
-		brands:     brands,
-		byName:     make(map[string]int, len(brands)),
-		bySkeleton: make(map[string]int, len(brands)),
-		edits:      make(map[string]editEntry),
+	// A name of n bytes has at most 80n+37 distinct bits/typo labels;
+	// presizing to that bound spares the map every growth rehash.
+	hint := 0
+	for _, b := range brands {
+		hint += 80*len(b.Name) + 40
 	}
+	m := &Matcher{brands: brands, fast: make(map[string]fastEntry, hint)}
 	gen := NewGenerator()
 	names := make([]string, len(brands))
 	for i, b := range brands {
 		names[i] = b.Name
-		m.byName[b.Name] = i
-		m.bySkeleton[confusables.Skeleton(b.Name)] = i
+		e := m.entry(b.Name)
+		e.name = int32(i)
+		m.fast[b.Name] = e
+		skel := confusables.Skeleton(b.Name)
+		e = m.entry(skel)
+		e.skel = int32(i)
+		m.fast[skel] = e
 	}
 	for i, b := range brands {
 		for _, c := range gen.BitFlips(b) {
@@ -135,7 +128,7 @@ func NewMatcher(brands []Brand) *Matcher {
 		}
 	}
 	m.ac = newAhoCorasick(names)
-	m.buildFast()
+	edits, skeletons := m.buildGate()
 
 	// Brand-universe hash: FNV-1a over the ordered brand domains. The brand
 	// order is part of the universe on purpose — combo matching prefers the
@@ -158,8 +151,8 @@ func NewMatcher(brands []Brand) *Matcher {
 	// skeleton fold shows up in the index sizes; rule-logic changes must
 	// bump matchRulesVersion.
 	fp := bh ^ matchRulesVersion*0x9e3779b97f4a7c15
-	fp ^= uint64(len(m.edits)) * 0xbf58476d1ce4e5b9
-	fp ^= uint64(len(m.bySkeleton)) * 0x94d049bb133111eb
+	fp ^= uint64(edits) * 0xbf58476d1ce4e5b9
+	fp ^= uint64(skeletons) * 0x94d049bb133111eb
 	m.fp = fp
 	return m
 }
@@ -203,17 +196,25 @@ func (m *Matcher) AttachLM(model *domlm.Model, threshold float64) {
 // threshold (nil, 0 when none is attached).
 func (m *Matcher) LM() (*domlm.Model, float64) { return m.lm, m.lmThreshold }
 
+// entry returns the index entry of label, or the empty entry to fill in.
+func (m *Matcher) entry(label string) fastEntry {
+	if e, ok := m.fast[label]; ok {
+		return e
+	}
+	return noEntry
+}
+
 // addEdit records a generated label unless it collides with a real brand
 // name (e.g. the omission typo of "apples" would be "apple") or an existing
-// entry of an earlier-precedence type.
+// edit of an earlier-precedence type; equal types keep the first brand.
+// Every brand name is indexed before the first edit, so e.name decides.
 func (m *Matcher) addEdit(label string, brand int, typ Type) {
-	if _, isBrand := m.byName[label]; isBrand {
+	e := m.entry(label)
+	if e.name >= 0 || (e.edit >= 0 && e.editType <= typ) {
 		return
 	}
-	if prev, ok := m.edits[label]; ok && prev.typ <= typ {
-		return
-	}
-	m.edits[label] = editEntry{brand: brand, typ: typ}
+	e.edit, e.editType = int32(brand), typ
+	m.fast[label] = e
 }
 
 // Brands returns the indexed brand set.

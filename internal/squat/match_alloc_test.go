@@ -4,65 +4,20 @@ import (
 	"strings"
 	"testing"
 
-	"squatphi/internal/confusables"
 	"squatphi/internal/obs"
-	"squatphi/internal/punycode"
 )
 
-// classifyReference is the pre-optimization string classify, verbatim: it
-// re-splits (and re-lowercases) per rule and allocates freely. The byte
-// path must agree with it on every normalized domain.
-func classifyReference(m *Matcher, domain string) (Candidate, bool) {
-	label, tld := SplitETLD(domain)
-	if label == "" {
-		return Candidate{}, false
-	}
-	if bi, ok := m.byName[label]; ok {
-		if m.brands[bi].TLD == tld {
-			return Candidate{}, false
-		}
-		return referenceCandidate(m, domain, WrongTLD, bi), true
-	}
-	uni := label
-	if punycode.IsACE(label) {
-		uni, _ = SplitETLD(punycode.ToUnicode(domain))
-	}
-	if bi, ok := m.bySkeleton[confusables.Skeleton(uni)]; ok {
-		return referenceCandidate(m, domain, Homograph, bi), true
-	}
-	if e, ok := m.edits[label]; ok {
-		return referenceCandidate(m, domain, e.typ, e.brand), true
-	}
-	if strings.Contains(label, "-") {
-		found := -1
-		m.ac.match(label, func(pat int32, end int) bool {
-			if found == -1 || len(m.brands[pat].Name) > len(m.brands[found].Name) {
-				found = int(pat)
-			}
-			return true
-		})
-		if found >= 0 {
-			return referenceCandidate(m, domain, Combo, found), true
-		}
-	}
-	return Candidate{}, false
+var parityBrands = []Brand{
+	NewBrand("paypal.com"),
+	NewBrand("facebook.com"),
+	NewBrand("google.com"),
+	NewBrand("citibank.com"),
+	NewBrand("bbc.co.uk"),
+	NewBrand("amazon.com"),
+	NewBrand("cloud.io"), // skeleton("cloud") = "doud": non-self-skeleton brand
 }
 
-func referenceCandidate(m *Matcher, domain string, t Type, brand int) Candidate {
-	return Candidate{Domain: strings.ToLower(strings.TrimSuffix(domain, ".")), Type: t, Brand: m.brands[brand]}
-}
-
-func parityMatcher() *Matcher {
-	return NewMatcher([]Brand{
-		NewBrand("paypal.com"),
-		NewBrand("facebook.com"),
-		NewBrand("google.com"),
-		NewBrand("citibank.com"),
-		NewBrand("bbc.co.uk"),
-		NewBrand("amazon.com"),
-		NewBrand("cloud.io"), // skeleton("cloud") = "doud": non-self-skeleton brand
-	})
-}
+func parityMatcher() *Matcher { return NewMatcher(parityBrands) }
 
 // matchParityCorpus hits every branch of classifyBytes: clean fast-path
 // labels (miss, exact, wrongTLD, homograph via skeleton-keyed brand, edit
@@ -111,12 +66,12 @@ func trimExtraDots(raw string) string {
 // the reference classify on normalized inputs (normalization happens once
 // at scan entry now — the sanctioned behavior change of this refactor).
 func TestMatchBytesParity(t *testing.T) {
-	m := parityMatcher()
+	m, ref := parityMatcher(), newRefMatcher(parityBrands)
 	var s Scratch
 	for _, raw := range matchParityCorpus {
 		raw := trimExtraDots(raw)
 		norm := strings.ToLower(strings.TrimSuffix(raw, "."))
-		wantC, wantOK := classifyReference(m, norm)
+		wantC, wantOK := ref.classify(norm)
 
 		gotC, gotOK := m.MatchString(raw, &s)
 		if gotOK != wantOK || gotC != wantC {
@@ -138,11 +93,11 @@ func FuzzMatchBytesParity(f *testing.F) {
 	for _, s := range matchParityCorpus {
 		f.Add(s)
 	}
-	m := parityMatcher()
+	m, ref := parityMatcher(), newRefMatcher(parityBrands)
 	f.Fuzz(func(t *testing.T, raw string) {
 		raw = trimExtraDots(raw)
 		norm := strings.ToLower(strings.TrimSuffix(raw, "."))
-		wantC, wantOK := classifyReference(m, norm)
+		wantC, wantOK := ref.classify(norm)
 		var s Scratch
 		gotC, gotOK := m.MatchBytes([]byte(raw), &s)
 		if gotOK != wantOK || gotC != wantC {
@@ -217,7 +172,7 @@ func BenchmarkMatchMiss(b *testing.B) {
 }
 
 // BenchmarkMatchMissClean isolates the dominant shape — a clean ASCII
-// label that is its own skeleton — which resolves in one fast-map lookup.
+// label that is its own skeleton — which resolves at the gate.
 func BenchmarkMatchMissClean(b *testing.B) {
 	m := parityMatcher()
 	var s Scratch
@@ -243,10 +198,10 @@ func BenchmarkMatchHit(b *testing.B) {
 // BenchmarkMatchReference measures the pre-optimization string classify
 // for the speedup comparison in DESIGN.md §5.
 func BenchmarkMatchReference(b *testing.B) {
-	m := parityMatcher()
+	ref := newRefMatcher(parityBrands)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		classifyReference(m, "somedomain.net")
+		ref.classify("somedomain.net")
 	}
 }

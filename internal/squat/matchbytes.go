@@ -2,6 +2,8 @@ package squat
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math/bits"
 	"sync"
 	"unicode"
 	"unicode/utf8"
@@ -31,61 +33,109 @@ type Scratch struct {
 // caller to thread a Scratch.
 var scratchPool = sync.Pool{New: func() any { return new(Scratch) }}
 
-// fastEntry folds the three label indexes — exact brand name, brand
-// skeleton, bits/typo edit table — into one map entry. For a label that
-// is already its own skeleton (the overwhelming majority of a DNS
-// snapshot), a single lookup in the fast map answers the first three
-// classification rules in precedence order; only hyphenated labels go on
-// to the combo automaton.
+// fastEntry is one entry of the label index: which brand the label is the
+// exact name of, the skeleton of, and a generated bits/typo edit of (-1
+// where none). One lookup answers the first three classification rules in
+// precedence order; only hyphenated labels go on to the combo automaton.
 type fastEntry struct {
-	name     int32 // brand index for an exact-name match, -1 if none
-	skel     int32 // brand index for a skeleton match, -1 if none
-	edit     int32 // brand index for an edit-table match, -1 if none
+	name     int32
+	skel     int32
+	edit     int32
 	editType Type
 }
 
-// lenBit maps a label length to its bit in the fastLens mask (lengths
-// beyond 63 share the top bit).
+var noEntry = fastEntry{name: -1, skel: -1, edit: -1}
+
+// The gate is a split-block Bloom filter: a key sets three bits inside the
+// one 64-bit word its hash selects, so a membership test reads a single
+// word. gateBitsPerKey, rounded up to a power-of-two word count, keeps the
+// false-positive rate near 1 % (0.76 % measured) and the whole filter — 1 MB
+// at the paper's 850 brands, 489K keys — inside L2.
+const gateBitsPerKey = 16
+
+// labelHash hashes a label to 64 bits: multiply-fold over 8-byte words,
+// the last word read overlapping so no byte loop remains. It only has to
+// spread index keys over the gate; nothing persistent depends on it.
 //
 //squat:hot
-func lenBit(n int) uint64 {
-	if n > 63 {
-		n = 63
+func labelHash(b []byte) uint64 {
+	n := len(b)
+	h := uint64(n) * 0x9e3779b97f4a7c15
+	var t uint64
+	switch {
+	case n >= 8:
+		for i := 0; i+8 < n; i += 8 {
+			h = foldMul(h ^ binary.LittleEndian.Uint64(b[i:]))
+		}
+		t = binary.LittleEndian.Uint64(b[n-8:])
+	case n >= 4:
+		t = uint64(binary.LittleEndian.Uint32(b))<<32 | uint64(binary.LittleEndian.Uint32(b[n-4:]))
+	case n > 0:
+		t = uint64(b[0])<<16 | uint64(b[n>>1])<<8 | uint64(b[n-1])
 	}
-	return 1 << uint(n)
+	return foldMul(h ^ t)
 }
 
-// buildFast derives the combined fast map from the three per-rule indexes.
-// Keys that can never be reached through the fast path (e.g. edit labels
-// containing digit substitutions, which classify as "dirty") are harmless:
-// dirty labels consult the per-rule maps directly.
-func (m *Matcher) buildFast() {
-	m.fast = make(map[string]fastEntry, len(m.byName)+len(m.bySkeleton)+len(m.edits))
-	get := func(k string) fastEntry {
-		if e, ok := m.fast[k]; ok {
+// foldMul is labelHash's mixing step: the two halves of a 128-bit product.
+//
+//squat:hot
+func foldMul(x uint64) uint64 {
+	hi, lo := bits.Mul64(x, 0xbf58476d1ce4e5b9)
+	return hi ^ lo
+}
+
+// gateProbe maps a label hash to its word of a gate of the given length (a
+// power of two) and the mask of the three bits the label owns there.
+//
+//squat:hot
+func gateProbe(h uint64, words int) (word uint64, mask uint64) {
+	return h >> 32 & uint64(words-1), 1<<(h&63) | 1<<(h>>6&63) | 1<<(h>>12&63)
+}
+
+// buildGate sizes and fills the gate from exactly the keys of fast — the
+// reason it cannot turn a hit into a miss — and returns the two index
+// sizes Fingerprint folds in: labels carrying an edit, distinct skeletons.
+func (m *Matcher) buildGate() (edits, skeletons int) {
+	words := 1
+	for words*64 < len(m.fast)*gateBitsPerKey {
+		words <<= 1
+	}
+	m.gate = make([]uint64, words)
+	var buf []byte
+	for k, e := range m.fast {
+		buf = append(buf[:0], k...)
+		word, mask := gateProbe(labelHash(buf), words)
+		m.gate[word] |= mask
+		if e.edit >= 0 {
+			edits++
+		}
+		if e.skel >= 0 {
+			skeletons++
+		}
+	}
+	return edits, skeletons
+}
+
+// mayHold reports whether the gate admits label: always for a key of fast,
+// about one time in a hundred for any other label.
+//
+//squat:hot
+func (m *Matcher) mayHold(label []byte) bool {
+	word, mask := gateProbe(labelHash(label), len(m.gate))
+	return m.gate[word]&mask == mask
+}
+
+// lookup answers the label index for label, noEntry when it holds none.
+// The map is probed only when the gate says the label may be a key.
+//
+//squat:hot
+func (m *Matcher) lookup(label []byte) fastEntry {
+	if m.mayHold(label) {
+		if e, ok := m.fast[string(label)]; ok {
 			return e
 		}
-		return fastEntry{name: -1, skel: -1, edit: -1}
 	}
-	for k, i := range m.byName {
-		e := get(k)
-		e.name = int32(i)
-		m.fast[k] = e
-	}
-	for k, i := range m.bySkeleton {
-		e := get(k)
-		e.skel = int32(i)
-		m.fast[k] = e
-	}
-	for k, ee := range m.edits {
-		e := get(k)
-		e.edit = int32(ee.brand)
-		e.editType = ee.typ
-		m.fast[k] = e
-	}
-	for k := range m.fast {
-		m.fastLens |= lenBit(len(k))
-	}
+	return noEntry
 }
 
 // byteClass drives prescan: one table load classifies a raw input byte as
@@ -138,8 +188,8 @@ func init() {
 // confusable skeleton, and where are its last two '.' separators (-1 when
 // absent; valid only when needNorm is false, since normalization shifts
 // positions). The clean answer is conservative over the whole domain — a
-// fold byte in the subdomain or TLD sends a clean label down the dirty
-// path, which computes the same verdict, just slower.
+// fold byte in the subdomain or TLD makes classifyBytes derive a clean
+// label's skeleton anyway, which computes the same verdict, just slower.
 //
 //squat:hot
 func prescan[T string | []byte](domain T) (needNorm, clean bool, d1, d2 int) {
@@ -277,8 +327,8 @@ func (m *Matcher) MatchBytes(domain []byte, s *Scratch) (Candidate, bool) {
 // classifyBytes applies the five squatting rules in precedence order over
 // a normalized domain. norm must be lowercase without a trailing dot;
 // clean reports that the whole of norm is ASCII that is its own skeleton
-// (a conservative prescan result — false only costs the slower dirty
-// path, never a different verdict); d1, d2 are the positions of the last
+// (a conservative prescan result — false only costs deriving the skeleton
+// and a second lookup, never a different verdict); d1, d2 are the positions of the last
 // two '.' bytes of norm (-1 when absent), carried over from prescan so
 // the eTLD split costs no second pass. The returned Candidate copies norm
 // at hit time only.
@@ -290,68 +340,45 @@ func (m *Matcher) classifyBytes(norm []byte, clean bool, d1, d2 int, s *Scratch)
 		return Candidate{}, false
 	}
 
-	if clean && !isACELabel(label) {
-		// Fast path: the label is plain ASCII and its own skeleton, so one
-		// combined lookup answers exact-name, homograph and edit-table in
-		// precedence order without computing anything. Labels whose length
-		// no fast-map key has (checked against a 2ns bitmask) skip even
-		// that lookup.
-		if m.fastLens&lenBit(len(label)) != 0 {
-			if e, ok := m.fast[string(label)]; ok {
-				switch {
-				case e.name >= 0:
-					if eqBytesString(tld, m.brands[e.name].TLD) {
-						return Candidate{}, false // the original site
-					}
-					return m.hit(norm, WrongTLD, int(e.name))
-				case e.skel >= 0:
-					return m.hit(norm, Homograph, int(e.skel))
-				default:
-					return m.hit(norm, e.editType, int(e.edit))
-				}
-			}
-		}
-		return m.comboOrLM(norm, label, s)
-	}
-
-	// Dirty path: the label carries case-folds, confusable bytes, pair
-	// sequences or an ACE prefix; walk the rules one by one.
-	if bi, ok := m.byName[string(label)]; ok {
-		if eqBytesString(tld, m.brands[bi].TLD) {
+	// One gated lookup answers exact-name and edit-table, and homograph
+	// too when the label is its own skeleton; otherwise the skeleton is
+	// derived (into scratch, or through the IDN decode) and looked up.
+	e := m.lookup(label)
+	if e.name >= 0 {
+		if eqBytesString(tld, m.brands[e.name].TLD) {
 			return Candidate{}, false // the original site
 		}
-		return m.hit(norm, WrongTLD, bi)
+		return m.hit(norm, WrongTLD, int(e.name))
 	}
+	skel := e.skel
 	if isACELabel(label) {
-		if c, ok := m.aceHomograph(norm); ok {
-			return c, ok
-		}
-	} else {
+		skel = m.aceSkeleton(norm, s)
+	} else if !clean {
 		s.skel = confusables.AppendSkeleton(s.skel[:0], label)
-		if bi, ok := m.bySkeleton[string(s.skel)]; ok {
-			return m.hit(norm, Homograph, bi)
-		}
+		skel = m.lookup(s.skel).skel
 	}
-	if e, ok := m.edits[string(label)]; ok {
-		return m.hit(norm, e.typ, e.brand)
+	if skel >= 0 {
+		return m.hit(norm, Homograph, int(skel))
+	}
+	if e.edit >= 0 {
+		return m.hit(norm, e.editType, int(e.edit))
 	}
 	return m.comboOrLM(norm, label, s)
 }
 
-// aceHomograph applies the IDN homograph rule to an ACE (xn--) label:
-// decode and re-split through the string path. ACE labels are
-// ~per-million events in a real snapshot, so this is a deliberate hot-path
-// boundary — the punycode/skeleton string machinery behind it allocates,
-// and that cost is off the 0-allocs/op miss budget by construction
-// (TestMatchMissZeroAlloc and make bench-check gate it dynamically).
+// aceSkeleton applies the IDN homograph rule to an ACE (xn--) label:
+// decode and re-split through the string path, then ask the index whose
+// skeleton that is (-1 for nobody's). ACE labels are ~per-million events
+// in a real snapshot, so this is a deliberate hot-path boundary — the
+// punycode/skeleton string machinery behind it allocates, and that cost is
+// off the 0-allocs/op miss budget by construction (TestMatchMissZeroAlloc
+// and make bench-check gate it dynamically).
 //
 //squat:cold
-func (m *Matcher) aceHomograph(norm []byte) (Candidate, bool) {
+func (m *Matcher) aceSkeleton(norm []byte, s *Scratch) int32 {
 	uni, _ := SplitETLD(punycode.ToUnicode(string(norm)))
-	if bi, ok := m.bySkeleton[confusables.Skeleton(uni)]; ok {
-		return m.hit(norm, Homograph, bi)
-	}
-	return Candidate{}, false
+	s.skel = append(s.skel[:0], confusables.Skeleton(uni)...)
+	return m.lookup(s.skel).skel
 }
 
 // combo applies the final rule: a hyphenated label containing a brand
@@ -368,10 +395,9 @@ func (m *Matcher) combo(norm, label []byte) (Candidate, bool) {
 	return Candidate{}, false
 }
 
-// comboOrLM is the shared tail of both classification paths: the combo
-// rule, then — when a brand-language model is attached — the Generated
-// promotion for labels the five rule-based types all missed. The model
-// scores into the worker's scratch, so the (overwhelmingly common) miss
+// comboOrLM is the tail of classification: the combo rule, then — when a
+// brand-language model is attached — the Generated promotion for labels
+// the five rule-based types all missed. The model scores into the worker's scratch, so the (overwhelmingly common) miss
 // outcome stays at zero allocations (BenchmarkMatchMissLM and the
 // bench-check gate pin this).
 //
