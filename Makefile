@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short race race-short chaos bench bench-all bench-check vet fmt fmt-check lint lint-list fuzz fuzz-smoke cover provenance-check serve-smoke verify paperbench pipeline clean
+.PHONY: all build test test-short race race-short chaos bench bench-all bench-check bench-selftest vet fmt fmt-check lint lint-list fuzz fuzz-smoke cover provenance-check serve-smoke verify paperbench pipeline clean
 
 all: build vet fmt-check lint test
 
@@ -57,11 +57,14 @@ race: chaos
 
 # Time-bounded race pass for the gate every PR runs: the packages whose
 # shared structures scan and serve workers read concurrently (the matcher's
-# label index and gate, the scan pools, the deltascan caches, the squatd
-# shards), short mode, one run. `race` above is the full, slow one.
+# label index and gate, the model's scoring table, the scan pools, the
+# deltascan caches, the squatd shards, the sharded store, the metrics
+# registry and span collector, the crawler pool), short mode, one run.
+# `race` above is the full, slow one.
 race-short:
 	$(GO) test -race -short -count=1 -timeout 10m \
-		./internal/squat ./internal/core ./internal/deltascan ./internal/serve
+		./internal/squat ./internal/core ./internal/deltascan ./internal/serve \
+		./internal/domlm ./internal/obs/... ./internal/dnsx ./internal/crawler
 
 # Deterministic chaos suite: drives the crawler, DNS prober, and whois
 # client through seeded fault injection (internal/faultx) under the race
@@ -86,9 +89,10 @@ bench-all:
 	$(GO) test -bench=. -benchmem ./...
 
 # Zero-allocation gate for the scan hot loop: the matcher miss path must
-# report 0 allocs/op. TestMatchMissZeroAlloc(+Instrumented|LM) pin it with
-# testing.AllocsPerRun; the benchmark pass re-measures with -benchmem —
-# the five-brand BenchmarkMatchMiss* and, in the root package, what
+# report 0 allocs/op. TestMatchMissZeroAlloc(+Instrumented|LM|ACE) pin it
+# with testing.AllocsPerRun; the benchmark pass re-measures with -benchmem —
+# the five-brand BenchmarkMatchMiss* (LM attached and benign xn-- records
+# included) and, in the root package, what
 # scan-zone runs: BenchmarkMatchMissUniverse, 850 brands over an arena of
 # noise records — and fails on any "N allocs/op" line with N > 0. hotpath
 # (make lint) is the static half of the same contract. Beside it, the back
@@ -102,6 +106,12 @@ bench-check:
 	if echo "$$out" | awk '/allocs\/op/ && $$(NF-1) + 0 > 0 { bad = 1 } END { exit !bad }'; then \
 		echo "bench-check: miss path allocates (>0 allocs/op)"; exit 1; fi
 	@echo "bench-check: miss path at 0 allocs/op"
+
+# The benchmark is its own module (benchmark/go.mod), so the root
+# `go test ./...` neither builds nor tests it: a signature change that
+# breaks its build would otherwise surface only in an acceptance run.
+bench-selftest:
+	cd benchmark && $(GO) test ./...
 
 # Short fuzz campaigns on the parser-facing packages. Each invocation
 # anchors a single target (go test allows only one -fuzz match per run).
@@ -120,7 +130,9 @@ fuzz-smoke:
 	$(GO) test -fuzz '^FuzzSkeletonParity$$' -fuzztime 30s ./internal/confusables/
 	$(GO) test -fuzz '^FuzzMatchBytesParity$$' -fuzztime 30s ./internal/squat/
 	$(GO) test -fuzz '^FuzzMatchVsReference$$' -fuzztime 30s ./internal/squat/
+	$(GO) test -fuzz '^FuzzACESkeletonParity$$' -fuzztime 30s ./internal/squat/
 	$(GO) test -fuzz '^FuzzScoreBytes$$' -fuzztime 30s ./internal/domlm/
+	$(GO) test -fuzz '^FuzzGateVsReference$$' -fuzztime 30s ./internal/domlm/
 	$(GO) test -fuzz '^FuzzModelDecode$$' -fuzztime 30s ./internal/domlm/
 	$(GO) test -fuzz '^FuzzOpenBytes$$' -fuzztime 30s ./internal/snapfmt/
 	$(GO) test -fuzz '^FuzzRecognizeParity$$' -fuzztime 30s ./internal/ocr/
@@ -164,10 +176,10 @@ provenance-check:
 	$(GO) test -run '^TestGoldenProvenance$$' -count=1 .
 
 # Full verification chain: build, vet, formatting, static analysis,
-# tests (including the golden end-to-end pipeline), the short race pass,
-# the zero-alloc scan gate, coverage floors, the provenance golden, the
-# serving-path smoke, and the fuzz smoke campaign.
-verify: build vet fmt-check lint test race-short bench-check cover provenance-check serve-smoke fuzz-smoke
+# tests (including the golden end-to-end pipeline), the benchmark module's
+# own tests, the short race pass, the zero-alloc scan gate, coverage floors,
+# the provenance golden, the serving-path smoke, and the fuzz smoke campaign.
+verify: build vet fmt-check lint test bench-selftest race-short bench-check cover provenance-check serve-smoke fuzz-smoke
 
 # Regenerate every paper table and figure.
 paperbench:

@@ -23,10 +23,7 @@
 // cached verdicts.
 package domlm
 
-import (
-	"math"
-	"sync"
-)
+import "math"
 
 // Symbol space. DNS labels are lowercase letters, digits and hyphens;
 // anything else (a byte of a UTF-8 sequence, '_', ...) maps to one OOV
@@ -150,30 +147,32 @@ type Model struct {
 	// counts[k-1][ctx*numEmit+emit]. Dense arrays make serialization
 	// canonical with no sorting step.
 	counts [][]uint32
-	// probs mirrors counts with the add-k-smoothed conditional
-	// probabilities P_k(emit|ctx), precomputed so scoring never divides.
+	// probs mirrors counts below the top order with the add-k-smoothed
+	// conditional probabilities P_k(emit|ctx). Only sampling and the table
+	// build read it; the top order's term is derived from counts on demand
+	// (its dense array would be 20 MB at order 4).
 	probs [][]float64
 	// lambda holds the interpolation weights per order (fixed scheme:
 	// doubling weight per order, normalized).
 	lambda []float64
+	// logp and rowOf are the scoring table: logp[rowOf[ctx]+emit] is log2 of
+	// the interpolated probability of emit after the top-order context ctx.
+	// Every lower-order context is a suffix of ctx, so the whole interpolation
+	// is a function of (ctx, emit). A context training never saw has the
+	// constant top-order term addK/(addK*numEmit), so its row depends only on
+	// its order-(Order-1) suffix and is shared with every other unseen context
+	// ending in that suffix: one row per suffix, then one per seen context.
+	logp  []float64
+	rowOf []uint32
 	// fp is the model fingerprint: an FNV-1a hash over the canonical
 	// serialization (version, order, smoothing, brand-set hash, counts).
 	fp uint64
 }
 
-// Scratch holds the reusable buffers of one scoring worker. The zero
-// value is ready to use; a Scratch must not be shared between concurrent
-// goroutines. After a few calls the symbol buffer reaches steady-state
-// capacity and ScoreBytes performs zero allocations (see
-// TestScoreBytesZeroAlloc and the bench-check gate).
-type Scratch struct {
-	syms []uint8
-}
-
-// scratchPool backs the scratch-less convenience entry points (Score,
-// ScoreLabel) so they stay allocation-light without forcing every caller
-// to thread a Scratch.
-var scratchPool = sync.Pool{New: func() any { return new(Scratch) }}
+// Scratch is the per-worker argument of the byte scoring entry points.
+// Scoring reads the label in place and keeps no buffer, so it has no
+// fields; the type remains because callers declare and pass one.
+type Scratch struct{}
 
 // Config returns the model's (normalized) configuration.
 func (m *Model) Config() Config { return m.cfg }
@@ -187,8 +186,26 @@ func (m *Model) BrandCount() int { return m.brandCount }
 // every input identically.
 func (m *Model) Fingerprint() uint64 { return m.fp }
 
-// buildDerived computes probs and lambda from counts. Shared by Train
-// and Decode so a decoded model scores byte-for-byte like the trainer's.
+// smoothed is the add-k conditional probability of a cell with count c in a
+// context whose smoothed total is denom. One expression for every order so
+// the table, the sampler and the reference scorer agree to the bit.
+func smoothed(c uint32, addK, denom float64) float64 {
+	return (float64(c) + addK) / denom
+}
+
+// ctxDenom returns the smoothed total of the context whose numEmit cells
+// are cs, and whether training saw the context at all.
+func ctxDenom(cs []uint32, addK float64) (denom float64, seen bool) {
+	var tot uint64
+	for _, c := range cs {
+		tot += uint64(c)
+	}
+	return float64(tot) + addK*numEmit, tot != 0
+}
+
+// buildDerived computes lambda, the lower-order probs and the scoring
+// table from counts. Shared by Train and Decode so a decoded model scores
+// byte-for-byte like the trainer's. Nothing here is serialized.
 func (m *Model) buildDerived() {
 	order := m.cfg.Order
 	m.lambda = make([]float64, order)
@@ -200,22 +217,55 @@ func (m *Model) buildDerived() {
 	for k := range m.lambda {
 		m.lambda[k] /= total
 	}
-	m.probs = make([][]float64, order)
 	addK := m.cfg.AddK
-	for k := 1; k <= order; k++ {
+	m.probs = make([][]float64, order-1)
+	for k := 1; k < order; k++ {
 		cs := m.counts[k-1]
 		ps := make([]float64, len(cs))
 		for ctx := 0; ctx < len(cs); ctx += numEmit {
-			var tot uint64
+			denom, _ := ctxDenom(cs[ctx:ctx+numEmit], addK)
 			for e := 0; e < numEmit; e++ {
-				tot += uint64(cs[ctx+e])
-			}
-			denom := float64(tot) + addK*numEmit
-			for e := 0; e < numEmit; e++ {
-				ps[ctx+e] = (float64(cs[ctx+e]) + addK) / denom
+				ps[ctx+e] = smoothed(cs[ctx+e], addK, denom)
 			}
 		}
 		m.probs[k-1] = ps
+	}
+
+	top := m.counts[order-1]
+	suffixes := ctxSize(order - 1)
+	denoms := make([]float64, ctxSize(order))
+	rows := suffixes
+	for ctx := range denoms {
+		denom, seen := ctxDenom(top[ctx*numEmit:(ctx+1)*numEmit], addK)
+		if seen {
+			denoms[ctx] = denom
+			rows++
+		}
+	}
+	m.logp = make([]float64, 0, rows*numEmit)
+	m.rowOf = make([]uint32, len(denoms))
+	var zero [numEmit]uint32
+	unseenDenom, _ := ctxDenom(zero[:], addK)
+	appendRow := func(ctx int, cells []uint32, denom float64) {
+		for e := 0; e < numEmit; e++ {
+			p := 0.0
+			for k := 1; k < order; k++ {
+				p += m.lambda[k-1] * m.probs[k-1][ctx%ctxSize(k)*numEmit+e]
+			}
+			p += m.lambda[order-1] * smoothed(cells[e], addK, denom)
+			m.logp = append(m.logp, math.Log2(p))
+		}
+	}
+	for suffix := 0; suffix < suffixes; suffix++ {
+		appendRow(suffix, zero[:], unseenDenom)
+	}
+	for ctx, denom := range denoms {
+		if denom == 0 {
+			m.rowOf[ctx] = uint32(ctx%suffixes) * numEmit
+			continue
+		}
+		m.rowOf[ctx] = uint32(len(m.logp))
+		appendRow(ctx, top[ctx*numEmit:(ctx+1)*numEmit], denom)
 	}
 }
 
@@ -234,60 +284,112 @@ func startCtx(k int) uint32 {
 // order k forward by one symbol.
 var ctxMod = [maxOrder]uint32{1, 1, symBase, symBase * symBase}
 
-// scoreLabel walks one label's symbols through the interpolated chain.
+// walk sums the bits of one label — its bytes, then the end marker —
+// under the interpolated chain: per symbol one context, one table load and
+// one subtract, straight off the label. It returns as soon as the running
+// sum exceeds limit: no table entry is positive (each P_k is at most 1 and
+// the lambdas sum to exactly 1 in float64, so p <= 1 — TestTableNonPositive),
+// and adding a non-negative term never lowers a float64 sum, so the total
+// could only be larger. With limit +Inf it always returns the full sum.
 // Generic over both byte views so the string and []byte entry points
-// share one implementation (and the fuzz parity target can hold them to
-// bit-identical results).
+// share it.
 //
 //squat:hot
-func scoreLabel[T string | []byte](m *Model, label T, s *Scratch) float64 {
-	if len(label) > maxLabelSz {
-		label = label[:maxLabelSz]
-	}
-	s.syms = s.syms[:0]
-	for i := 0; i < len(label); i++ {
-		s.syms = append(s.syms, symTable[label[i]])
-	}
-	s.syms = append(s.syms, symEnd)
-
-	order := m.cfg.Order
-	var ctx [maxOrder]uint32
-	for k := 1; k <= order; k++ {
-		ctx[k-1] = startCtx(k)
-	}
+func walk[T string | []byte](m *Model, label T, limit float64) float64 {
+	logp, rowOf := m.logp, m.rowOf
+	ctx := startCtx(m.cfg.Order)
+	mod := ctxMod[m.cfg.Order-1]
 	bits := 0.0
-	for _, sym := range s.syms {
-		p := 0.0
-		for k := 1; k <= order; k++ {
-			p += m.lambda[k-1] * m.probs[k-1][int(ctx[k-1])*numEmit+int(sym)]
+	for i := 0; i < len(label); i++ {
+		sym := uint32(symTable[label[i]])
+		bits -= logp[rowOf[ctx]+sym]
+		if bits > limit {
+			return bits
 		}
-		bits -= math.Log2(p)
-		for k := 2; k <= order; k++ {
-			ctx[k-1] = (ctx[k-1]%ctxMod[k-1])*symBase + uint32(sym)
-		}
+		ctx = ctx%mod*symBase + sym
 	}
-	avg := bits / float64(len(s.syms))
-	// Logistic over the per-symbol bit advantage vs the uniform background.
+	return bits - logp[rowOf[ctx]+symEnd]
+}
+
+// clip bounds a label to the bytes scoring considers.
+//
+//squat:hot
+func clip[T string | []byte](label T) T {
+	if len(label) > maxLabelSz {
+		return label[:maxLabelSz]
+	}
+	return label
+}
+
+// logistic maps a label's total bits over n symbols to its score: the
+// per-symbol bit advantage over the uniform background, squashed to [0, 1].
+//
+//squat:hot
+func logistic(bits float64, n int) float64 {
+	avg := bits / float64(n)
 	return 1 / (1 + math.Exp2(scoreSharpness*(avg-bgBits)))
 }
 
-// ScoreLabelBytes scores one registrable label (raw bytes, any case; no
-// dot splitting) for brand-likeness in [0, 1]. This is the scan hot
-// path: the matcher calls it for every miss when a model is attached, so
-// it allocates nothing once the scratch buffer has warmed up.
+// scoreLabel scores one label: the full walk, then the logistic.
 //
 //squat:hot
-func (m *Model) ScoreLabelBytes(label []byte, s *Scratch) float64 {
-	return scoreLabel(m, label, s)
+func scoreLabel[T string | []byte](m *Model, label T) float64 {
+	label = clip(label)
+	return logistic(walk(m, label, math.Inf(1)), len(label)+1)
 }
 
-// ScoreLabel is ScoreLabelBytes for string labels, borrowing pooled
-// scratch — the convenience entry for callers off the scan hot path.
+// ScoreLabelBytes scores one registrable label (raw bytes, any case; no
+// dot splitting) for brand-likeness in [0, 1] without allocating.
+//
+//squat:hot
+func (m *Model) ScoreLabelBytes(label []byte, _ *Scratch) float64 {
+	return scoreLabel(m, label)
+}
+
+// ScoreLabel is ScoreLabelBytes for string labels.
 func (m *Model) ScoreLabel(label string) float64 {
-	s := scratchPool.Get().(*Scratch)
-	sc := scoreLabel(m, label, s)
-	scratchPool.Put(s)
-	return sc
+	return scoreLabel(m, label)
+}
+
+// gateSlack is the per-symbol margin, in bits, Gate adds to its cut before
+// giving up on a label. The cut is exact only in real arithmetic; a label
+// abandoned this far above it scores below the threshold by a relative
+// 2^gateSlack-1 ≈ 7e-7, nine orders of magnitude more than the rounding of
+// the few float64 operations between the sum and the score.
+const gateSlack = 1e-6
+
+// Gate answers "does this label score at or above a fixed threshold"
+// without always finishing the walk. It is a value: build it once per
+// (model, threshold) and share it freely.
+type Gate struct {
+	m         *Model
+	threshold float64
+	// perSym is the abandon point in bits per symbol: score >= threshold
+	// iff bits/n <= bgBits + log2((1-threshold)/threshold)/scoreSharpness,
+	// plus gateSlack. It is NaN — never exceeded, so the walk always
+	// finishes — for a threshold outside [0, 1].
+	perSym float64
+}
+
+// Gate returns the threshold test score(label) >= threshold as a Gate.
+func (m *Model) Gate(threshold float64) Gate {
+	perSym := bgBits + math.Log2((1-threshold)/threshold)/scoreSharpness + gateSlack
+	return Gate{m: m, threshold: threshold, perSym: perSym}
+}
+
+// Pass reports ScoreLabelBytes(label) >= threshold, to the bit: a walk
+// that is not abandoned ends in exactly that comparison.
+//
+//squat:hot
+func (g Gate) Pass(label []byte) bool {
+	label = clip(label)
+	n := len(label) + 1
+	limit := g.perSym * float64(n)
+	bits := walk(g.m, label, limit)
+	if bits > limit {
+		return false
+	}
+	return logistic(bits, n) >= g.threshold
 }
 
 // labelOf extracts the registrable label of a raw domain with the
@@ -338,6 +440,6 @@ func (m *Model) Score(domain string) float64 {
 // Score(string(b)) bit-for-bit (FuzzScoreBytes pins this).
 //
 //squat:hot
-func (m *Model) ScoreBytes(domain []byte, s *Scratch) float64 {
-	return scoreLabel(m, labelOf(domain), s)
+func (m *Model) ScoreBytes(domain []byte, _ *Scratch) float64 {
+	return scoreLabel(m, labelOf(domain))
 }

@@ -106,6 +106,19 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 			t.Fatalf("decoded model scores %q as %v, trainer scored %v", l, b, a)
 		}
 	}
+
+	// The scoring table is not in the file: Decode rebuilds it from the
+	// counts. At paper scale, every order, it must come out the same table —
+	// the same score bits and the same gate answers over the property corpus.
+	for _, p := range universePairs() {
+		dec, err := Decode(p.m.Encode())
+		if err != nil {
+			t.Fatal(err)
+		}
+		forEachPropertyLabel(propertyCorpusSize()/10, func(_ int, label []byte) {
+			checkLabel(t, pair{dec, p.ref}, label, fixedThresholds)
+		})
+	}
 }
 
 func TestDecodeRejectsCorruptInput(t *testing.T) {
@@ -211,10 +224,11 @@ func TestScoreBytesZeroAlloc(t *testing.T) {
 }
 
 // TestConcurrentScoring exercises the shared-model contract under the
-// race detector: one model, many workers with private scratch, identical
-// scores everywhere.
+// race detector: one model and one gate, many workers, identical scores
+// and gate answers everywhere.
 func TestConcurrentScoring(t *testing.T) {
 	m := Train(corpus, DefaultConfig())
+	g := m.Gate(DefaultThreshold)
 	inputs := make([]string, 200)
 	r := simrand.New(5).Split("conc")
 	for i := range inputs {
@@ -231,6 +245,10 @@ func TestConcurrentScoring(t *testing.T) {
 			for i, in := range inputs {
 				if got := m.ScoreBytes([]byte(in), &s); got != want[i] {
 					done <- fmt.Errorf("worker scored %q as %v, serial %v", in, got, want[i])
+					return
+				}
+				if label := labelOf([]byte(in)); g.Pass(label) != (want[i] >= DefaultThreshold) {
+					done <- fmt.Errorf("worker's gate disagrees with the serial score %v of %q", want[i], in)
 					return
 				}
 			}

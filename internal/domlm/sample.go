@@ -22,8 +22,14 @@ func (m *Model) SampleLabel(r *simrand.RNG) string {
 	for k := 1; k <= order; k++ {
 		ctx[k-1] = startCtx(k)
 	}
+	addK := m.cfg.AddK
+	top := m.counts[order-1]
 	buf := make([]byte, 0, sampleMaxLen)
 	for {
+		// The top order has no probs array: its term comes from the counts,
+		// with the context's denominator computed once per step.
+		cells := top[int(ctx[order-1])*numEmit:][:numEmit]
+		denom, _ := ctxDenom(cells, addK)
 		// Interpolated emission distribution for the current context,
 		// restricted to the symbols a label may continue with here.
 		var p [numEmit]float64
@@ -37,9 +43,10 @@ func (m *Model) SampleLabel(r *simrand.RNG) string {
 				continue
 			}
 			v := 0.0
-			for k := 1; k <= order; k++ {
+			for k := 1; k < order; k++ {
 				v += m.lambda[k-1] * m.probs[k-1][int(ctx[k-1])*numEmit+e]
 			}
+			v += m.lambda[order-1] * smoothed(cells[e], addK, denom)
 			p[e] = v
 			total += v
 		}

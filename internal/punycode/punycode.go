@@ -35,6 +35,8 @@ var ErrInvalid = errors.New("punycode: invalid input")
 var ErrOverflow = errors.New("punycode: overflow")
 
 // adapt is the bias adaptation function of RFC 3492 §6.1.
+//
+//squat:hot
 func adapt(delta, numPoints int, firstTime bool) int {
 	if firstTime {
 		delta /= damp
@@ -62,6 +64,8 @@ func encodeDigit(d int) byte {
 }
 
 // decodeDigit converts a basic code point to its digit value, or -1.
+//
+//squat:hot
 func decodeDigit(c byte) int {
 	switch {
 	case '0' <= c && c <= '9':
@@ -143,32 +147,52 @@ func Encode(s string) (string, error) {
 
 // Decode converts a punycode string (without "xn--" prefix) back to Unicode.
 func Decode(s string) (string, error) {
-	var output []rune
-	pos := 0
-	if i := strings.LastIndexByte(s, delimiter); i >= 0 {
-		for _, c := range s[:i] {
-			if c >= 0x80 {
-				return "", ErrInvalid
-			}
-			output = append(output, c)
-		}
-		pos = i + 1
+	out, err := AppendDecode(nil, s)
+	if err != nil {
+		return "", err
 	}
+	return string(out), nil
+}
+
+// AppendDecode is the bootstring decoder: it appends the code points of
+// the punycode label s (without "xn--" prefix) to dst and returns the
+// extended slice, allocating only to grow dst. On error the returned slice
+// is dst with its contents beyond the original length unspecified. Generic
+// over both byte views so the string API and byte-slice scan paths share
+// one decoder.
+//
+//squat:hot
+func AppendDecode[T string | []byte](dst []rune, s T) ([]rune, error) {
+	base0 := len(dst)
+	// Everything before the last delimiter is basic code points (a byte of
+	// a multi-byte or invalid sequence is >= 0x80 either way); without one,
+	// last ends at -1 and decoding starts at the first byte.
+	last := len(s) - 1
+	for last >= 0 && s[last] != delimiter {
+		last--
+	}
+	for j := 0; j < last; j++ {
+		if s[j] >= 0x80 {
+			return dst, ErrInvalid
+		}
+		dst = append(dst, rune(s[j]))
+	}
+	pos := last + 1
 
 	n, i, bias := initialN, 0, initialBias
 	for pos < len(s) {
 		oldi, w := i, 1
 		for k := base; ; k += base {
 			if pos >= len(s) {
-				return "", ErrInvalid
+				return dst, ErrInvalid
 			}
 			d := decodeDigit(s[pos])
 			pos++
 			if d < 0 {
-				return "", ErrInvalid
+				return dst, ErrInvalid
 			}
 			if d > (1<<31-1-i)/w {
-				return "", ErrOverflow
+				return dst, ErrOverflow
 			}
 			i += d * w
 			t := k - bias
@@ -181,25 +205,26 @@ func Decode(s string) (string, error) {
 				break
 			}
 			if w > (1<<31-1)/(base-t) {
-				return "", ErrOverflow
+				return dst, ErrOverflow
 			}
 			w *= base - t
 		}
-		bias = adapt(i-oldi, len(output)+1, oldi == 0)
-		if i/(len(output)+1) > 1<<31-1-n {
-			return "", ErrOverflow
+		out := len(dst) - base0 + 1
+		bias = adapt(i-oldi, out, oldi == 0)
+		if i/out > 1<<31-1-n {
+			return dst, ErrOverflow
 		}
-		n += i / (len(output) + 1)
-		i %= len(output) + 1
+		n += i / out
+		i %= out
 		if n > utf8.MaxRune || !utf8.ValidRune(rune(n)) {
-			return "", ErrInvalid
+			return dst, ErrInvalid
 		}
-		output = append(output, 0)
-		copy(output[i+1:], output[i:])
-		output[i] = rune(n)
+		dst = append(dst, 0)
+		copy(dst[base0+i+1:], dst[base0+i:])
+		dst[base0+i] = rune(n)
 		i++
 	}
-	return string(output), nil
+	return dst, nil
 }
 
 // acePrefix is the IDNA ASCII-compatible-encoding prefix.

@@ -79,6 +79,25 @@ func TestAttachLMFingerprint(t *testing.T) {
 	if m4.Fingerprint() == m1.Fingerprint() {
 		t.Error("retraining the model did not change the fingerprint")
 	}
+
+	// The fingerprint is a function of what is attached, not of the calls
+	// that got there: a deltascan cache written without the model must not
+	// read as valid because the model was attached an even number of times.
+	m1.AttachLM(model, 0)
+	if m1.Fingerprint() != m2.Fingerprint() {
+		t.Error("attaching the same model twice changed the fingerprint (it toggled back to no-LM before the fix)")
+	}
+	m3.AttachLM(retrained, 0)
+	if m3.Fingerprint() != m4.Fingerprint() {
+		t.Error("attach A then B differs from a fresh matcher with B attached")
+	}
+	m4.AttachLM(nil, 0.5)
+	if lm, thr := m4.LM(); m4.Fingerprint() != base || lm != nil || thr != 0 {
+		t.Errorf("attach then detach: fingerprint %#x, LM() = (%v, %v); want the fresh matcher's %#x and no model", m4.Fingerprint(), lm, thr, base)
+	}
+	if _, ok := m4.Match("example.com"); ok {
+		t.Error("detached matcher matched a plain miss")
+	}
 }
 
 func TestMatchGenerated(t *testing.T) {
@@ -173,6 +192,50 @@ func TestMatchMissZeroAllocLM(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Errorf("LM-attached MatchBytes miss path allocated %.1f times per run, want 0", n)
+	}
+}
+
+// aceMissCorpus holds benign xn-- records: labels that decode (to Latin
+// with a diacritic, to CJK, under a two-label suffix) or fail to, and
+// match no brand either way.
+var aceMissCorpus = [][]byte{
+	[]byte("xn--bcher-kva.com"),
+	[]byte("xn--fiq228c.com"),
+	[]byte("www.xn--mnchen-3ya.co.uk"),
+	[]byte("xn--invalid!!.net"),
+}
+
+// TestMatchMissZeroAllocACE extends the contract to the IDN path, which
+// used to decode and re-split through strings (~11 allocations a record):
+// a benign xn-- record costs none, model attached.
+func TestMatchMissZeroAllocACE(t *testing.T) {
+	m := parityMatcher()
+	m.AttachLM(lmModel(), 0)
+	var s Scratch
+	for _, d := range aceMissCorpus {
+		if c, ok := m.MatchBytes(d, &s); ok {
+			t.Fatalf("ACE miss corpus entry %q matched %+v", d, c)
+		}
+	}
+	if n := testing.AllocsPerRun(200, func() {
+		for _, d := range aceMissCorpus {
+			m.MatchBytes(d, &s)
+		}
+	}); n != 0 {
+		t.Errorf("MatchBytes allocated %.1f times per run over %d benign xn-- records, want 0", n, len(aceMissCorpus))
+	}
+}
+
+// BenchmarkMatchMissACE measures the benign-IDN miss; its name puts it
+// under the bench-check allocation gate.
+func BenchmarkMatchMissACE(b *testing.B) {
+	m := parityMatcher()
+	m.AttachLM(lmModel(), 0)
+	var s Scratch
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.MatchBytes(aceMissCorpus[i%len(aceMissCorpus)], &s)
 	}
 }
 

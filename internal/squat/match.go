@@ -40,13 +40,17 @@ type Matcher struct {
 
 	// lm is the attached brand-language model (nil until AttachLM). When
 	// present, labels that miss all five rule-based types are scored for
-	// brand-likeness and promoted to Generated at lmThreshold.
+	// brand-likeness and promoted to Generated at lmThreshold; lmGate is
+	// that comparison with its cut precomputed.
 	lm          *domlm.Model
 	lmThreshold float64
+	lmGate      domlm.Gate
 
-	// brandHash and fp are computed once at construction; see BrandHash
-	// and Fingerprint.
+	// brandHash and rulesFP are computed once at construction; fp is
+	// rulesFP with the attached model folded in. See BrandHash and
+	// Fingerprint.
 	brandHash uint64
+	rulesFP   uint64
 	fp        uint64
 }
 
@@ -153,7 +157,7 @@ func NewMatcher(brands []Brand) *Matcher {
 	fp := bh ^ matchRulesVersion*0x9e3779b97f4a7c15
 	fp ^= uint64(edits) * 0xbf58476d1ce4e5b9
 	fp ^= uint64(skeletons) * 0x94d049bb133111eb
-	m.fp = fp
+	m.rulesFP, m.fp = fp, fp
 	return m
 }
 
@@ -171,25 +175,28 @@ func (m *Matcher) Fingerprint() uint64 { return m.fp }
 
 // AttachLM attaches a brand-language model: labels missing all five
 // rule-based types are scored for brand-likeness and classified Generated
-// at or above threshold (<= 0 means domlm.DefaultThreshold). Call before
-// sharing the matcher across goroutines — like the instrumentation hooks,
-// attachment is construction-time configuration, not runtime state.
+// at or above threshold (<= 0 means domlm.DefaultThreshold); a nil model
+// detaches. Call before sharing the matcher across goroutines — like the
+// instrumentation hooks, attachment is construction-time configuration,
+// not runtime state.
 //
-// The model fingerprint and the threshold bits are folded into the
-// matcher fingerprint, so attaching a model — or attaching a retrained
-// or re-thresholded one — changes Fingerprint exactly like a brand-set
-// change does: deltascan verdict caches degrade to a full re-scan
-// instead of serving verdicts computed under a different model.
+// Fingerprint is a function of (rules, model, threshold): attaching a
+// model — or a retrained or re-thresholded one — changes it exactly like a
+// brand-set change does, so deltascan verdict caches degrade to a full
+// re-scan instead of serving verdicts computed under a different model,
+// and attaching replaces whatever was attached before rather than
+// folding on top of it.
 func (m *Matcher) AttachLM(model *domlm.Model, threshold float64) {
+	m.lm, m.lmThreshold, m.lmGate, m.fp = nil, 0, domlm.Gate{}, m.rulesFP
+	if model == nil {
+		return
+	}
 	if threshold <= 0 {
 		threshold = domlm.DefaultThreshold
 	}
-	m.lm = model
-	m.lmThreshold = threshold
-	if model != nil {
-		m.fp ^= model.Fingerprint() * 0x2545f4914f6cdd1d
-		m.fp ^= math.Float64bits(threshold) * 0x9e3779b97f4a7c15
-	}
+	m.lm, m.lmThreshold, m.lmGate = model, threshold, model.Gate(threshold)
+	m.fp ^= model.Fingerprint() * 0x2545f4914f6cdd1d
+	m.fp ^= math.Float64bits(threshold) * 0x9e3779b97f4a7c15
 }
 
 // LM returns the attached brand-language model and its promotion

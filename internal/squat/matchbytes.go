@@ -16,16 +16,18 @@ import (
 
 // Scratch holds the reusable buffers of one matcher worker. The
 // allocation-free match path (MatchString, MatchBytes) normalizes the
-// observed domain and derives its confusable skeleton into these buffers
-// instead of allocating per record; after a few records the buffers reach
-// steady-state capacity and the miss path performs zero allocations.
+// observed domain, decodes an xn-- record and derives the confusable
+// skeleton into these buffers instead of allocating per record; after a
+// few records the buffers reach steady-state capacity and the miss path
+// performs zero allocations.
 //
 // A Scratch must not be shared between concurrent goroutines. The zero
 // value is ready to use.
 type Scratch struct {
-	norm []byte // normalized domain: lowercase, no trailing dot
-	skel []byte // confusable skeleton of the registrable label
-	lm   domlm.Scratch
+	norm  []byte // normalized domain: lowercase, no trailing dot
+	skel  []byte // confusable skeleton of the registrable label
+	uni   []byte // IDN-decoded domain of an ACE record
+	runes []rune // code points of the ACE label being decoded
 }
 
 // scratchPool backs the scratch-less convenience entry points (Match,
@@ -363,22 +365,60 @@ func (m *Matcher) classifyBytes(norm []byte, clean bool, d1, d2 int, s *Scratch)
 	if e.edit >= 0 {
 		return m.hit(norm, e.editType, int(e.edit))
 	}
-	return m.comboOrLM(norm, label, s)
+	return m.comboOrLM(norm, label)
 }
 
-// aceSkeleton applies the IDN homograph rule to an ACE (xn--) label:
-// decode and re-split through the string path, then ask the index whose
-// skeleton that is (-1 for nobody's). ACE labels are ~per-million events
-// in a real snapshot, so this is a deliberate hot-path boundary — the
-// punycode/skeleton string machinery behind it allocates, and that cost is
-// off the 0-allocs/op miss budget by construction (TestMatchMissZeroAlloc
-// and make bench-check gate it dynamically).
+// aceSkeleton applies the IDN homograph rule to a record whose registrable
+// label is ACE (xn--): decode the whole domain, split it again, and ask
+// the index whose skeleton the decoded label is (-1 for nobody's). It is
+// SplitETLD(punycode.ToUnicode(norm)) and confusables.Skeleton on bytes in
+// scratch — a hard mix is several percent xn-- records, and they are on
+// the 0-allocs/op budget like every other miss. The split is redone on
+// the decoded domain, not carried over from norm, because decoding any
+// label can change it: paypal.xn--co-.uk is paypal.co.uk, a two-label
+// suffix, and a Kelvin sign decoded beside an "r" lowers to the "kr" of
+// co.kr.
 //
-//squat:cold
+//squat:hot
 func (m *Matcher) aceSkeleton(norm []byte, s *Scratch) int32 {
-	uni, _ := SplitETLD(punycode.ToUnicode(string(norm)))
-	s.skel = append(s.skel[:0], confusables.Skeleton(uni)...)
+	s.uni = s.uni[:0]
+	for rest := norm; ; {
+		dot := bytes.IndexByte(rest, '.')
+		if dot < 0 {
+			s.appendUnicodeLabel(rest)
+			break
+		}
+		s.appendUnicodeLabel(rest[:dot])
+		s.uni = append(s.uni, '.')
+		rest = rest[dot+1:]
+	}
+	uni := s.uni
+	if n := len(uni); n > 0 && uni[n-1] == '.' {
+		uni = uni[:n-1]
+	}
+	d1, d2 := lastTwoDots(uni)
+	label, _ := splitETLDAt(uni, d1, d2)
+	s.skel = confusables.AppendSkeleton(s.skel[:0], label)
 	return m.lookup(s.skel).skel
+}
+
+// appendUnicodeLabel appends one label of a lowercase domain to s.uni the
+// way SplitETLD sees it after punycode.ToUnicode: valid punycode behind an
+// xn-- prefix as its code points, lowered (a decoded Kelvin sign is a "k");
+// any other label unchanged.
+//
+//squat:hot
+func (s *Scratch) appendUnicodeLabel(label []byte) {
+	if isACELabel(label) {
+		var err error
+		if s.runes, err = punycode.AppendDecode(s.runes[:0], label[len("xn--"):]); err == nil {
+			for _, r := range s.runes {
+				s.uni = utf8.AppendRune(s.uni, unicode.ToLower(r))
+			}
+			return
+		}
+	}
+	s.uni = append(s.uni, label...)
 }
 
 // combo applies the final rule: a hyphenated label containing a brand
@@ -397,19 +437,18 @@ func (m *Matcher) combo(norm, label []byte) (Candidate, bool) {
 
 // comboOrLM is the tail of classification: the combo rule, then — when a
 // brand-language model is attached — the Generated promotion for labels
-// the five rule-based types all missed. The model scores into the worker's scratch, so the (overwhelmingly common) miss
-// outcome stays at zero allocations (BenchmarkMatchMissLM and the
-// bench-check gate pin this).
+// the five rule-based types all missed. The gate reads the label in place
+// and gives up on it as soon as it cannot reach the threshold, so the
+// (overwhelmingly common) miss outcome stays cheap and at zero allocations
+// (BenchmarkMatchMissLM and the bench-check gate pin the latter).
 //
 //squat:hot
-func (m *Matcher) comboOrLM(norm, label []byte, s *Scratch) (Candidate, bool) {
+func (m *Matcher) comboOrLM(norm, label []byte) (Candidate, bool) {
 	if c, ok := m.combo(norm, label); ok {
 		return c, ok
 	}
-	if m.lm != nil && len(label) >= domlm.MinLabelLen {
-		if m.lm.ScoreLabelBytes(label, &s.lm) >= m.lmThreshold {
-			return m.lmHit(norm)
-		}
+	if m.lm != nil && len(label) >= domlm.MinLabelLen && m.lmGate.Pass(label) {
+		return m.lmHit(norm)
 	}
 	return Candidate{}, false
 }

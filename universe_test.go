@@ -1,10 +1,14 @@
 package squatphi
 
 import (
+	"os"
+	"strings"
 	"testing"
 
 	"squatphi/internal/brands"
 	"squatphi/internal/confusables"
+	"squatphi/internal/domlm"
+	"squatphi/internal/simrand"
 	"squatphi/internal/squat"
 )
 
@@ -53,5 +57,37 @@ func TestUniverseIndex(t *testing.T) {
 	}
 	if keys < 400_000 {
 		t.Errorf("checked %d keys for %d brands, want the paper-scale universe (≈489K distinct)", keys, len(sb))
+	}
+}
+
+// universeModelFingerprint is Model.Fingerprint() of the default model over
+// the paper's brand universe (commit 1803f1b). The benchmark's env block
+// carries it and the matcher folds it into its own: the scoring table is
+// derived state, so no change to how scores are computed may move it.
+const universeModelFingerprint = 0x509bcf71f529e5e4
+
+// TestUniverseModel pins the default model from outside: its fingerprint,
+// and the first 1,000 labels SampleLabel draws from a fixed seed, recorded
+// from the commit that still kept the top order's probabilities in a dense
+// array (testdata/domlm_sample_labels.txt). The benchmark plants sampled
+// labels, so a sampler off by one ulp changes its input digest.
+func TestUniverseModel(t *testing.T) {
+	m := domlm.Train(brands.Select(brands.DefaultConfig()).Names(), domlm.DefaultConfig())
+	if got := m.Fingerprint(); got != universeModelFingerprint {
+		t.Errorf("Fingerprint() = %#x, want %#x", got, uint64(universeModelFingerprint))
+	}
+	b, err := os.ReadFile("testdata/domlm_sample_labels.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := strings.Fields(string(b))
+	if len(want) != 1000 {
+		t.Fatalf("testdata/domlm_sample_labels.txt holds %d labels, want 1000", len(want))
+	}
+	r := simrand.New(1).Split("sample-pin")
+	for i, w := range want {
+		if got := m.SampleLabel(r); got != w {
+			t.Fatalf("sample %d = %q, recorded %q", i, got, w)
+		}
 	}
 }
