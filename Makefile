@@ -97,10 +97,14 @@ bench-all:
 # noise records — and fails on any "N allocs/op" line with N > 0. hotpath
 # (make lint) is the static half of the same contract. Beside it, the back
 # half's allocation budgets: one OCR pass over a full-page capture stays
-# under 256 KB, and a spell-check miss allocates nothing.
+# under 256 KB, and a spell-check miss allocates nothing. And the restart
+# path's: loading a benchmark-shaped deltascan spill (233K records, 2,048
+# shards) allocates at most 0.25 objects per cached entry, so a per-entry
+# string or decoded value cannot come back unnoticed.
 bench-check:
 	$(GO) test -run '^TestMatchMissZeroAlloc' -count=1 ./internal/squat
 	$(GO) test -run '^(TestRecognizeAllocBudget|TestSpellcheckZeroAlloc)$$' -count=1 ./internal/ocr
+	$(GO) test -run '^TestLoadAllocBudget$$' -count=1 -v ./internal/deltascan
 	@out=$$($(GO) test -run '^$$' -bench '^BenchmarkMatchMiss' -benchmem ./internal/squat .); \
 	echo "$$out"; \
 	if echo "$$out" | awk '/allocs\/op/ && $$(NF-1) + 0 > 0 { bad = 1 } END { exit !bad }'; then \
@@ -135,15 +139,17 @@ fuzz-smoke:
 	$(GO) test -fuzz '^FuzzGateVsReference$$' -fuzztime 30s ./internal/domlm/
 	$(GO) test -fuzz '^FuzzModelDecode$$' -fuzztime 30s ./internal/domlm/
 	$(GO) test -fuzz '^FuzzOpenBytes$$' -fuzztime 30s ./internal/snapfmt/
+	$(GO) test -fuzz '^FuzzLoad$$' -fuzztime 30s ./internal/deltascan/
 	$(GO) test -fuzz '^FuzzRecognizeParity$$' -fuzztime 30s ./internal/ocr/
 
 # Per-package coverage with a floor: the detection spine (dnsx store +
-# codec, squat matcher, core pipeline, deltascan cache), the back half's
+# codec, squat matcher, core pipeline, deltascan cache and the recfile
+# framing its spill is written in), the back half's
 # OCR engine and feature extractor, and the squatvet analysis driver +
 # call graph must each keep at least COVER_FLOOR% statement coverage;
 # internal/analysis itself is held to the higher COVER_FLOOR_ANALYSIS so
 # the analyzer suite cannot silently decay.
-COVER_PKGS = ./internal/dnsx ./internal/squat ./internal/core ./internal/deltascan ./internal/analysis ./internal/analysis/callgraph ./internal/domlm ./internal/ocr ./internal/features
+COVER_PKGS = ./internal/dnsx ./internal/squat ./internal/core ./internal/deltascan ./internal/recfile ./internal/analysis ./internal/analysis/callgraph ./internal/domlm ./internal/ocr ./internal/features
 COVER_FLOOR = 60
 COVER_FLOOR_ANALYSIS = 85.5
 
@@ -165,7 +171,7 @@ cover:
 serve-smoke:
 	@tmp=$$(mktemp -d); \
 	$(GO) run ./cmd/squatd -gen 20000 -addr 127.0.0.1:0 \
-		-state $$tmp/squatd.spill.gz -metrics $$tmp/metrics.json \
+		-state $$tmp/squatd.spill -metrics $$tmp/metrics.json \
 		-smoke paypal.com facebook.com; rc=$$?; \
 	rm -rf $$tmp; exit $$rc
 

@@ -29,7 +29,7 @@
 //
 // Usage:
 //
-//	squatd -gen 100000 -addr :8787 -state squatd.spill.gz paypal.com facebook.com
+//	squatd -gen 100000 -addr :8787 -state squatd.spill paypal.com facebook.com
 //	squatd -snap snapshot.snap -addr :8787 paypal.com
 package main
 

@@ -6,16 +6,19 @@
 //
 // Two mechanisms make re-scans cheap:
 //
-//   - Shard skipping. dnsx.Store maintains a rolling content checksum per
-//     FNV shard (a commutative sum of per-record hashes, independent of
-//     insertion order). A shard whose checksum equals the previous epoch's
-//     is skipped wholesale — its candidate list from last epoch is reused
-//     verbatim.
+//   - Shard skipping. dnsx.Store maintains a rolling name checksum per
+//     FNV shard (a commutative sum of per-name hashes, independent of
+//     insertion order and of what the names resolve to). Matching depends
+//     only on the domain name, so a shard whose name checksum equals the
+//     previous epoch's is skipped wholesale — its candidate list from last
+//     epoch is reused verbatim, and IP-only churn skips every shard.
 //   - A content-addressed match cache. Within rescanned shards, per-domain
-//     match verdicts are cached across epochs, so a shard that changed by
-//     one record re-matches one record; every other record is a map hit.
-//     Matching depends only on the domain name, so IP-only churn always
-//     hits the cache.
+//     match verdicts are cached across epochs, so a shard that gained one
+//     name re-matches one record; every other record is a map hit.
+//
+// The output is merged incrementally too: an epoch that rescanned a
+// minority of shards replaces just their entries in the last sorted
+// result, in one linear pass, instead of re-sorting the whole answer.
 //
 // The cache is versioned by the matcher's Fingerprint (brand-universe hash
 // plus rule/index fingerprint, squat.Matcher.Fingerprint): scanning with a
@@ -31,7 +34,8 @@ package deltascan
 
 import (
 	"runtime"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -51,18 +55,14 @@ type verdict struct {
 	epoch int
 }
 
-// shardState is the engine's memory of one store shard: the checksum the
-// shard had when last scanned, the candidates it produced, and the
+// shardState is the engine's memory of one store shard: the name checksum
+// the shard had when last scanned, the candidates it produced, and the
 // per-domain verdict cache. Shard states are only ever touched by the one
 // worker that owns the shard during a scan, so they need no locks.
 type shardState struct {
 	csum  uint64
-	valid bool
 	cands []squat.Candidate
 	cache map[string]verdict
-	// seen is the record count of the shard at its last rescan; it drives
-	// cache pruning (stale entries for long-gone domains).
-	seen int
 }
 
 // Stats describes one Scan call.
@@ -113,12 +113,23 @@ type metrics struct {
 // safe to retain.
 type Engine struct {
 	mu     sync.Mutex
-	fp     uint64
-	haveFP bool
+	fp     uint64 // of the matcher that produced shards; meaningless while shards is nil
 	shards []*shardState
-	epoch  int
-	last   Stats
-	met    *metrics
+	// out is the previous Scan's sorted result, each candidate tagged with
+	// the shard it was walked in; nil when there is none to build on (a
+	// full-scan reset, a Load, or simply no candidates).
+	out   []shardCandidate
+	epoch int
+	last  Stats
+	met   *metrics
+}
+
+// shardCandidate is one entry of the retained output. The shard is
+// carried, not recomputed: the store shards by its own normalised name, a
+// Candidate carries the matcher's, and "a.com.." loses one dot to each.
+type shardCandidate struct {
+	squat.Candidate
+	shard int
 }
 
 // NewEngine returns an empty engine; its first Scan is a full scan.
@@ -168,8 +179,7 @@ type Provenance struct {
 	// Epoch is the engine's current epoch (Scan calls absorbed).
 	Epoch int
 	// ComputedEpoch is the epoch whose Scan actually ran the matcher for
-	// this domain. 0 means the verdict predates epoch stamping (state
-	// loaded from a spill written before the epoch field existed).
+	// this domain.
 	ComputedEpoch int
 	// Cached reports that the latest scan answered this domain without
 	// re-running the matcher — a verdict-cache hit inside a rescanned
@@ -179,30 +189,21 @@ type Provenance struct {
 	Matched bool
 }
 
-// Provenance looks a domain up across all shard verdict caches. The
-// second result is false when the engine has never matched the domain
-// (not yet scanned, or the record left the snapshot and was pruned).
+// Provenance looks a domain up in the verdict cache of the one shard that
+// can hold it: the cache is keyed by the store's normalised name in the
+// store's own shard. The second result is false when the engine has never
+// matched the domain (not yet scanned, or the record left the snapshot and
+// was pruned).
 func (e *Engine) Provenance(domain string) (Provenance, bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	for _, sh := range e.shards {
-		if v, ok := sh.cache[domain]; ok {
-			return Provenance{
-				Epoch:         e.epoch,
-				ComputedEpoch: v.epoch,
-				Cached:        v.epoch < e.epoch,
-				Matched:       v.ok,
-			}, true
+	if len(e.shards) > 0 {
+		d := dnsx.Normalize(domain)
+		if v, ok := e.shards[dnsx.ShardIndex(d, len(e.shards))].cache[d]; ok {
+			return Provenance{Epoch: e.epoch, ComputedEpoch: v.epoch, Cached: v.epoch < e.epoch, Matched: v.ok}, true
 		}
 	}
 	return Provenance{Epoch: e.epoch}, false
-}
-
-// Reset discards all epoch state; the next Scan is a full scan.
-func (e *Engine) Reset() {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.shards, e.haveFP, e.fp = nil, false, 0
 }
 
 // Scan matches every record of store against m, reusing the previous
@@ -221,22 +222,23 @@ func (e *Engine) Scan(store *dnsx.Store, m *squat.Matcher, workers int) []squat.
 	st := Stats{Epoch: e.epoch + 1}
 	fp := m.Fingerprint()
 	n := store.NumShards()
-	if e.shards == nil || !e.haveFP || e.fp != fp || len(e.shards) != n {
+	if e.shards == nil || e.fp != fp || len(e.shards) != n {
 		st.FullScan = true
 		st.Invalidated = e.shards != nil
 		e.shards = make([]*shardState, n)
 		for i := range e.shards {
 			e.shards[i] = &shardState{cache: make(map[string]verdict)}
 		}
-		e.fp, e.haveFP = fp, true
+		e.fp, e.out = fp, nil
 	}
 
 	// Partition shards into skips and rescans by comparing the store's
-	// rolling checksums against the previous epoch's.
+	// rolling name checksums against the previous epoch's: a verdict is a
+	// pure function of the name, so a re-point changes nothing here.
 	rescan := make([]int, 0, n)
 	for i := 0; i < n; i++ {
-		cs := store.ShardChecksum(i)
-		if e.shards[i].valid && e.shards[i].csum == cs {
+		cs := store.ShardNameChecksum(i)
+		if !st.FullScan && e.shards[i].csum == cs {
 			st.ShardsSkipped++
 			st.CandidatesReused += len(e.shards[i].cands)
 			continue
@@ -247,61 +249,36 @@ func (e *Engine) Scan(store *dnsx.Store, m *squat.Matcher, workers int) []squat.
 	st.ShardsRescanned = len(rescan)
 
 	// Rescan changed shards on a worker pool. Each shard is owned by
-	// exactly one worker, so shard states are mutated without locks; the
-	// per-worker counters are merged below.
+	// exactly one worker, so shard states are mutated without locks.
 	if len(rescan) > 0 {
-		if workers > len(rescan) {
-			workers = len(rescan)
-		}
-		counters := make([][3]int, workers) // walked, hits, misses
-		prunes := make([]int, workers)
-		var next atomic.Int64
+		var next, walked, hits, prunes atomic.Int64
 		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
+		for w := min(workers, len(rescan)); w > 0; w-- {
 			wg.Add(1)
-			go func(w int) {
+			go func() {
 				defer wg.Done()
-				for {
-					ri := int(next.Add(1)) - 1
-					if ri >= len(rescan) {
-						return
-					}
-					walked, hits, pruned := e.shards[rescan[ri]].rescan(store, rescan[ri], m, st.Epoch)
-					counters[w][0] += walked
-					counters[w][1] += hits
-					counters[w][2] += walked - hits
+				for ri := int(next.Add(1)) - 1; ri < len(rescan); ri = int(next.Add(1)) - 1 {
+					nw, nh, pruned := e.shards[rescan[ri]].rescan(store, rescan[ri], m, st.Epoch)
+					walked.Add(int64(nw))
+					hits.Add(int64(nh))
 					if pruned {
-						prunes[w]++
+						prunes.Add(1)
 					}
 				}
-			}(w)
+			}()
 		}
 		wg.Wait()
-		for w := range counters {
-			st.RecordsWalked += counters[w][0]
-			st.CacheHits += counters[w][1]
-			st.CacheMisses += counters[w][2]
-		}
-		for _, p := range prunes {
-			if e.met != nil {
-				e.met.cachePrunes.Add(int64(p))
-			}
+		st.RecordsWalked, st.CacheHits = int(walked.Load()), int(hits.Load())
+		st.CacheMisses = st.RecordsWalked - st.CacheHits
+		if e.met != nil {
+			e.met.cachePrunes.Add(prunes.Load())
 		}
 	}
 
-	// Merge: concatenate per-shard candidate lists and sort by domain.
-	// Candidate domains are unique across shards, so the order is total
-	// and identical to the serial full scan's — including nil (not empty)
-	// output when nothing matched, like core.ScanStore.
-	var out []squat.Candidate
-	for _, sh := range e.shards {
-		out = append(out, sh.cands...)
-	}
-	sortCandidates(out)
+	out := e.merge(rescan)
 
 	st.Duration = sw.Elapsed()
-	e.epoch++
-	e.last = st
+	e.epoch, e.last = st.Epoch, st
 	e.report(st)
 	return out
 }
@@ -354,7 +331,7 @@ func (sh *shardState) rescan(store *dnsx.Store, shard int, m *squat.Matcher, epo
 		}
 		return true
 	})
-	sh.cands, sh.seen, sh.valid = cands, walked, true
+	sh.cands = cands
 
 	// The cache accumulates verdicts for domains that have since left the
 	// snapshot. Once stale entries dominate (and the shard is non-trivial),
@@ -373,8 +350,55 @@ func (sh *shardState) rescan(store *dnsx.Store, shard int, m *squat.Matcher, epo
 	return walked, hits, pruned
 }
 
-// sortCandidates sorts by domain (unique within a store) — the output
-// order contract shared with core.ScanStore.
-func sortCandidates(cs []squat.Candidate) {
-	sort.Slice(cs, func(i, j int) bool { return cs[i].Domain < cs[j].Domain })
+// merge brings the retained output in step with the shards just rescanned
+// and returns a copy of it. Invariant: e.out is every shard's cands,
+// tagged with their shard, sorted by domain. The rescanned shards' fresh
+// candidates are gathered and sorted, then one linear pass over the
+// previous output drops what those shards used to own and merges the fresh
+// ones in. With no previous output (a full scan, a first scan after Load)
+// or most shards rescanned, every shard counts as fresh and the pass has
+// nothing to walk: the rebuild is the same code with an empty left side.
+//
+// Candidate domains are unique within a store, so the order is total and
+// equal to core.ScanStore's — nil, not empty, when nothing matched. The
+// result is a fresh slice the caller may keep or mutate.
+func (e *Engine) merge(rescan []int) []squat.Candidate {
+	rebuild := e.out == nil || 2*len(rescan) > len(e.shards)
+	if rebuild || len(rescan) > 0 {
+		stale := make([]bool, len(e.shards))
+		for _, i := range rescan {
+			stale[i] = true
+		}
+		var fresh []shardCandidate
+		for i, sh := range e.shards {
+			if rebuild || stale[i] {
+				for _, c := range sh.cands {
+					fresh = append(fresh, shardCandidate{c, i})
+				}
+			}
+		}
+		slices.SortFunc(fresh, func(a, b shardCandidate) int { return strings.Compare(a.Domain, b.Domain) })
+		if !rebuild {
+			next := make([]shardCandidate, 0, len(e.out)+len(fresh))
+			for _, p := range e.out {
+				if stale[p.shard] {
+					continue
+				}
+				for len(fresh) > 0 && fresh[0].Domain < p.Domain {
+					next, fresh = append(next, fresh[0]), fresh[1:]
+				}
+				next = append(next, p)
+			}
+			fresh = append(next, fresh...)
+		}
+		e.out = fresh
+	}
+	if len(e.out) == 0 {
+		return nil
+	}
+	out := make([]squat.Candidate, len(e.out))
+	for i := range e.out {
+		out[i] = e.out[i].Candidate
+	}
+	return out
 }

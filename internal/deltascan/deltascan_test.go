@@ -3,6 +3,7 @@ package deltascan
 import (
 	"bytes"
 	"reflect"
+	"sort"
 	"testing"
 
 	"squatphi/internal/dnsx"
@@ -24,6 +25,12 @@ func fullScan(store *dnsx.Store, m *squat.Matcher) []squat.Candidate {
 	})
 	sortCandidates(out)
 	return out
+}
+
+// sortCandidates sorts by domain (unique within a store) — the output
+// order contract shared with core.ScanStore.
+func sortCandidates(cs []squat.Candidate) {
+	sort.Slice(cs, func(i, j int) bool { return cs[i].Domain < cs[j].Domain })
 }
 
 func testMatcher() *squat.Matcher {
@@ -153,15 +160,15 @@ func TestSingleRecordChangeRescansOneShard(t *testing.T) {
 	}
 }
 
-func TestIPOnlyChurnHitsCacheEverywhere(t *testing.T) {
+func TestIPOnlyChurnSkipsEveryShard(t *testing.T) {
 	rng := simrand.New(11)
 	model := seedModel(rng, 300)
 	m := testMatcher()
 	e := NewEngine()
-	e.Scan(buildStore(model, rng.Split("a")), m, 1)
+	first := e.Scan(buildStore(model, rng.Split("a")), m, 1)
 
-	// Re-point every record: matching depends only on the name, so every
-	// walked record must be a cache hit.
+	// Re-point every record: matching depends only on the name, so no
+	// shard is rescanned and no record walked.
 	for d := range model {
 		ip := model[d]
 		ip[3] ^= 0xff
@@ -170,11 +177,140 @@ func TestIPOnlyChurnHitsCacheEverywhere(t *testing.T) {
 	s2 := buildStore(model, rng.Split("b"))
 	got := e.Scan(s2, m, 1)
 	st := e.LastStats()
-	if st.CacheMisses != 0 || st.CacheHits != s2.Len() {
-		t.Fatalf("IP churn stats = %+v, want all %d walks to hit", st, s2.Len())
+	if st.ShardsSkipped != s2.NumShards() || st.RecordsWalked != 0 || st.CandidatesReused != len(first) {
+		t.Fatalf("IP churn stats = %+v, want every shard skipped and all %d candidates reused", st, len(first))
 	}
 	if !reflect.DeepEqual(got, fullScan(s2, m)) {
 		t.Fatal("IP-churn scan diverged from full scan")
+	}
+}
+
+// TestRepointPlusNewNameRescansOnce: a shard that gets both a re-point
+// and a new name is rescanned (once), every old name is a cache hit, and
+// the shards that only saw re-points are still skipped.
+func TestRepointPlusNewNameRescansOnce(t *testing.T) {
+	rng := simrand.New(12)
+	model := seedModel(rng, 300)
+	m := testMatcher()
+	e := NewEngine()
+	s1 := buildStore(model, rng.Split("a"))
+	e.Scan(s1, m, 2)
+
+	const fresh = "paypal-fresh.com"
+	shard := s1.ShardOf(fresh)
+	inShard := 0
+	for d := range model {
+		ip := model[d]
+		ip[0] ^= 0x0f
+		model[d] = ip
+		if s1.ShardOf(d) == shard {
+			inShard++
+		}
+	}
+	model[fresh] = [4]byte{7, 7, 7, 7}
+	s2 := buildStore(model, rng.Split("b"))
+	got := e.Scan(s2, m, 2)
+	st := e.LastStats()
+	if st.ShardsRescanned != 1 || st.RecordsWalked != inShard+1 || st.CacheHits != inShard || st.CacheMisses != 1 {
+		t.Fatalf("stats = %+v, want one shard rescanned with %d hits and 1 miss", st, inShard)
+	}
+	if !reflect.DeepEqual(got, fullScan(s2, m)) {
+		t.Fatal("scan diverged from full scan")
+	}
+}
+
+// TestNoCandidatesIsNil: like core.ScanStore, the engine answers nil, not
+// an empty slice, when nothing matches — on the rebuild path, the
+// no-change path and the incremental path, and when the last candidate
+// leaves.
+func TestNoCandidatesIsNil(t *testing.T) {
+	rng := simrand.New(14)
+	m := testMatcher()
+	model := map[string][4]byte{}
+	for len(model) < 200 {
+		model[rng.Letters(10)+".com"] = [4]byte{1, 1, 1, 1}
+	}
+	e := NewEngine()
+	check := func(when string) {
+		t.Helper()
+		if got := e.Scan(buildStore(model, rng.Split(when)), m, 2); got != nil {
+			t.Fatalf("%s: got %d candidates (%v), want nil", when, len(got), got)
+		}
+	}
+	check("cold")
+	check("unchanged")
+	model[rng.Letters(10)+".com"] = [4]byte{2, 2, 2, 2}
+	check("one noise name added")
+	model["paypa1.com"] = [4]byte{3, 3, 3, 3}
+	if got := e.Scan(buildStore(model, rng.Split("squat")), m, 2); len(got) != 1 {
+		t.Fatalf("planted squat: got %v", got)
+	}
+	delete(model, "paypa1.com")
+	check("last candidate removed")
+}
+
+// TestCandidateKeepsItsWalkShard: the store shards "paypa1.com.." under
+// the name it normalised once ("paypa1.com."), the matcher's candidate
+// carries the name normalised twice ("paypa1.com"), and the two hash to
+// different shards. The merge must drop and re-add that candidate by the
+// shard it was walked in, and the spill must carry both names.
+func TestCandidateKeepsItsWalkShard(t *testing.T) {
+	rng := simrand.New(15)
+	m := testMatcher()
+	model := seedModel(rng, 300)
+	delete(model, "paypa1.com")
+	e := NewEngine()
+	build := func(split string) *dnsx.Store {
+		s := buildStore(model, rng.Split(split))
+		s.Add("paypa1.com..", [4]byte{4, 4, 4, 4})
+		return s
+	}
+	s1 := build("a")
+	if a, b := s1.ShardOf("paypa1.com.."), s1.ShardOf("paypa1.com"); a == b {
+		t.Fatalf("test premise: both names land in shard %d", a)
+	}
+	e.Scan(s1, m, 2)
+
+	// A new name in the walk shard of the odd record: the linear merge has
+	// to drop its old candidate exactly once.
+	for {
+		d := rng.Letters(10) + ".com"
+		if s1.ShardOf(d) == s1.ShardOf("paypa1.com..") {
+			model[d] = [4]byte{5, 5, 5, 5}
+			break
+		}
+	}
+	s2 := build("b")
+	if got := e.Scan(s2, m, 2); !reflect.DeepEqual(got, fullScan(s2, m)) {
+		t.Fatal("incremental merge diverged from full scan")
+	}
+	if st := e.LastStats(); st.ShardsRescanned != 1 {
+		t.Fatalf("stats = %+v, want one shard rescanned", st)
+	}
+
+	var buf bytes.Buffer
+	if err := e.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := Load(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Another new name in that shard: the reloaded engine answers the odd
+	// record from its cache, and must answer with the matcher's name.
+	for {
+		d := rng.Letters(10) + ".com"
+		if _, dup := model[d]; !dup && s1.ShardOf(d) == s1.ShardOf("paypa1.com..") {
+			model[d] = [4]byte{6, 6, 6, 6}
+			break
+		}
+	}
+	s3 := build("c")
+	if got := loaded.Scan(s3, m, 2); !reflect.DeepEqual(got, fullScan(s3, m)) {
+		t.Fatal("reloaded engine diverged from full scan")
+	}
+	if st := loaded.LastStats(); st.FullScan || st.CacheMisses != 1 {
+		t.Fatalf("reloaded stats = %+v, want an incremental scan with one miss", st)
 	}
 }
 
@@ -343,7 +479,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 }
 
 func TestLoadRejectsGarbage(t *testing.T) {
-	if _, err := Load(bytes.NewReader([]byte("not gzip"))); err == nil {
+	if _, err := Load(bytes.NewReader([]byte("not a spill"))); err == nil {
 		t.Fatal("Load accepted raw garbage")
 	}
 }
@@ -367,13 +503,8 @@ func TestCachePruneDropsStaleEntries(t *testing.T) {
 			break
 		}
 	}
-	// Nudge one IP so at least the affected shards rescan (others skip and
-	// keep their caches — pruning only runs on rescanned shards).
-	for d := range small {
-		ip := small[d]
-		ip[2] ^= 0x55
-		small[d] = ip
-	}
+	// Every shard lost names, so every shard rescans — pruning only runs
+	// on rescanned shards.
 	e.Scan(buildStore(small, rng.Split("b")), m, 2)
 
 	entries := 0

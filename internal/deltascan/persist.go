@@ -1,215 +1,223 @@
 package deltascan
 
 import (
-	"bufio"
-	"compress/gzip"
-	"encoding/json"
+	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"os"
-	"sort"
+	"slices"
 
 	"squatphi/internal/fsx"
+	"squatphi/internal/recfile"
 	"squatphi/internal/squat"
 )
 
-// persistVersion versions the on-disk spill layout.
-const persistVersion = 1
+// persistVersion versions the spill layout. It is the last byte of the
+// magic, so any other version (or the gzip+JSONL stream version 1 was) is
+// refused as recfile.ErrUnsupported. No older version has a reader: the
+// state is a cache, and Recover's full scan rebuilds it for less than a
+// version-1 load cost.
+const persistVersion = 2
 
-// header is the first JSONL line of a spill: enough to decide on load
-// whether the state is usable at all.
-type header struct {
-	Kind        string `json:"kind"` // "deltascan-cache"
-	Version     int    `json:"version"`
-	Fingerprint uint64 `json:"fingerprint"`
-	Epoch       int    `json:"epoch"`
-	Shards      int    `json:"shards"`
-}
+var spillMagic = [8]byte{'S', 'Q', 'S', 'P', 'I', 'L', 'L', persistVersion}
 
-// shardLine carries one shard's epoch state: its checksum and candidate
-// list. Cache verdicts follow as separate entry lines so a huge cache
-// streams instead of building one giant JSON value.
-type shardLine struct {
-	Kind  string      `json:"kind"` // "shard"
-	Shard int         `json:"shard"`
-	Csum  uint64      `json:"csum"`
-	Valid bool        `json:"valid"`
-	Seen  int         `json:"seen"`
-	Cands []candidate `json:"cands,omitempty"`
-}
+// maxSpillShards bounds the shard count a spill may declare.
+const maxSpillShards = 1 << 20
 
-// entryLine is one cached verdict. Epoch is the provenance stamp of the
-// verdict's computing scan; omitempty keeps it backward compatible —
-// spills written before the field existed load with epoch 0, which
-// Provenance documents as "predates epoch stamping".
-type entryLine struct {
-	Kind   string `json:"kind"` // "entry"
-	Shard  int    `json:"shard"`
-	Domain string `json:"domain"`
-	Match  bool   `json:"match"`
-	Type   int    `json:"type,omitempty"`
-	Brand  string `json:"brand,omitempty"`
-	TLD    string `json:"tld,omitempty"`
-	Epoch  int    `json:"epoch,omitempty"`
-}
-
-// candidate is the serialised form of squat.Candidate.
-type candidate struct {
-	Domain string `json:"domain"`
-	Type   int    `json:"type"`
-	Brand  string `json:"brand"`
-	TLD    string `json:"tld"`
-}
-
-func toWire(c squat.Candidate) candidate {
-	return candidate{Domain: c.Domain, Type: int(c.Type), Brand: c.Brand.Name, TLD: c.Brand.TLD}
-}
-
-func fromWire(c candidate) squat.Candidate {
-	return squat.Candidate{Domain: c.Domain, Type: squat.Type(c.Type), Brand: squat.Brand{Name: c.Brand, TLD: c.TLD}}
-}
-
-// Save spills the engine's full epoch state — fingerprint, per-shard
-// checksums and candidate lists, and the verdict cache — as a gzipped
-// JSON-lines stream (the crawlstore archive idiom). A later process can
-// Load it and continue incrementally from the same epoch, provided the
-// matcher fingerprint still matches; otherwise the loaded engine degrades
-// to a full scan on first use, exactly like an in-memory config change.
+// The spill is a recfile: one header block, then one block per shard in
+// index order. Every integer is a uvarint, every string uvarint-length-
+// prefixed.
 //
-// The byte stream is canonical: shards in index order, candidate lists in
-// their (deterministic) scan order, and cache entries sorted by domain.
-// Two Saves of identical engine state produce identical bytes, so spill
-// artifacts can be content-compared, deduplicated, and checked into golden
-// tests like every other deterministic output of the scan spine.
+//	header  fingerprint · epoch · shard count
+//	shard   shard index · name checksum
+//	        · candidate count · candidates in scan order, each
+//	          domain, type, brand name, TLD
+//	        · entry count · cache entries sorted by domain, each
+//	          domain, epoch stamp, matched (0 or 1), and if matched the
+//	          candidate (whose domain is the matcher's spelling of the
+//	          name, not always the entry's own)
+
+func appendString(b []byte, s string) []byte {
+	return append(binary.AppendUvarint(b, uint64(len(s))), s...)
+}
+
+func appendCandidate(b []byte, c squat.Candidate) []byte {
+	b = binary.AppendUvarint(appendString(b, c.Domain), uint64(c.Type))
+	return appendString(appendString(b, c.Brand.Name), c.Brand.TLD)
+}
+
+// Save spills the engine's full epoch state in the format above. A later
+// process can Load it and continue incrementally from the same epoch,
+// provided the matcher fingerprint still matches; otherwise the loaded
+// engine degrades to a full scan on first use, exactly like an in-memory
+// config change.
+//
+// The byte stream is canonical — shards in index order, candidate lists
+// in their (deterministic) scan order, cache entries sorted by domain —
+// so two Saves of identical state produce identical bytes and spills can
+// be content-compared, deduplicated and pinned in golden tests.
 func (e *Engine) Save(w io.Writer) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	gz := gzip.NewWriter(w)
-	bw := bufio.NewWriter(gz)
-	enc := json.NewEncoder(bw)
-	if err := enc.Encode(header{
-		Kind: "deltascan-cache", Version: persistVersion,
-		Fingerprint: e.fp, Epoch: e.epoch, Shards: len(e.shards),
-	}); err != nil {
-		return err
-	}
-	for i, sh := range e.shards {
-		sl := shardLine{Kind: "shard", Shard: i, Csum: sh.csum, Valid: sh.valid, Seen: sh.seen}
-		for _, c := range sh.cands {
-			sl.Cands = append(sl.Cands, toWire(c))
+	var doms []string
+	return recfile.Write(w, spillMagic, 1+len(e.shards), func(i int, b []byte) []byte {
+		if i == 0 {
+			b = binary.AppendUvarint(binary.AppendUvarint(b, e.fp), uint64(e.epoch))
+			return binary.AppendUvarint(b, uint64(len(e.shards)))
 		}
-		if err := enc.Encode(sl); err != nil {
-			return err
+		sh := e.shards[i-1]
+		b = binary.AppendUvarint(binary.AppendUvarint(b, uint64(i-1)), sh.csum)
+		b = binary.AppendUvarint(b, uint64(len(sh.cands)))
+		for _, c := range sh.cands {
+			b = appendCandidate(b, c)
 		}
 		// Map iteration order is randomised per range; sort the cache
 		// domains so the spill is byte-deterministic.
-		doms := make([]string, 0, len(sh.cache))
+		doms = doms[:0]
 		for dom := range sh.cache {
 			doms = append(doms, dom)
 		}
-		sort.Strings(doms)
+		slices.Sort(doms)
+		b = binary.AppendUvarint(b, uint64(len(doms)))
 		for _, dom := range doms {
 			v := sh.cache[dom]
-			el := entryLine{Kind: "entry", Shard: i, Domain: dom, Match: v.ok, Epoch: v.epoch}
+			b = binary.AppendUvarint(appendString(b, dom), uint64(v.epoch))
 			if v.ok {
-				el.Type, el.Brand, el.TLD = int(v.cand.Type), v.cand.Brand.Name, v.cand.Brand.TLD
-			}
-			if err := enc.Encode(el); err != nil {
-				return err
+				b = appendCandidate(append(b, 1), v.cand)
+			} else {
+				b = append(b, 0)
 			}
 		}
-	}
-	if err := bw.Flush(); err != nil {
-		return err
-	}
-	return gz.Close()
+		return b
+	})
 }
 
 // SaveFile persists the spill to path atomically (temp file in the same
 // directory + fsync + rename, see internal/fsx): a crash mid-save leaves
-// the previous spill intact instead of a truncated gzip that would poison
-// the next Load.
+// the previous spill intact instead of a torn file that would cost the
+// next start its warm state.
 func (e *Engine) SaveFile(path string) error {
 	return fsx.WriteFile(path, e.Save)
 }
 
+// decoder walks one verified block. s is the block copied once into a
+// string, so every string it returns is a substring of that one copy; the
+// first malformed field latches err and later reads return zero values.
+type decoder struct {
+	b   []byte
+	s   string
+	off int
+	err error
+}
+
+func (d *decoder) left() int { return len(d.b) - d.off }
+
+func (d *decoder) fail(what string) {
+	if d.err == nil {
+		d.err = recfile.Corruptf("malformed %s at byte %d of its %d-byte block", what, d.off, len(d.b))
+	}
+	d.off = len(d.b)
+}
+
+// uvarint reads a uvarint no larger than limit.
+func (d *decoder) uvarint(what string, limit uint64) uint64 {
+	x, n := binary.Uvarint(d.b[d.off:])
+	if n <= 0 || x > limit {
+		d.fail(what)
+		return 0
+	}
+	d.off += n
+	return x
+}
+
+func (d *decoder) int(what string, limit int) int { return int(d.uvarint(what, uint64(limit))) }
+
+func (d *decoder) string(what string) string {
+	n := d.int(what, d.left())
+	d.off += n
+	return d.s[d.off-n : d.off]
+}
+
+func (d *decoder) candidate() squat.Candidate {
+	return squat.Candidate{
+		Domain: d.string("candidate domain"),
+		Type:   squat.Type(d.int("type", math.MaxInt)),
+		Brand:  squat.Brand{Name: d.string("brand name"), TLD: d.string("brand tld")},
+	}
+}
+
+// end reports the latched error, or bytes the layout does not account for.
+func (d *decoder) end() error {
+	if d.left() != 0 {
+		d.fail("trailing data")
+	}
+	return d.err
+}
+
 // Load reconstructs an engine from a Save spill. The engine resumes at
 // the saved epoch; its next Scan skips shards and hits the cache exactly
-// as the saving process would have.
+// as the saving process would have. A damaged or incomplete spill is an
+// error wrapping recfile.ErrCorrupt, a spill of another version
+// recfile.ErrUnsupported; in neither case is an engine returned.
 func Load(r io.Reader) (*Engine, error) {
-	gz, err := gzip.NewReader(r)
+	var e *Engine
+	err := recfile.Read(r, spillMagic, func(i, blocks int, blk []byte) error {
+		d := &decoder{b: blk, s: string(blk)}
+		if i == 0 {
+			e = &Engine{fp: d.uvarint("fingerprint", math.MaxUint64)}
+			e.epoch = d.int("epoch", math.MaxInt)
+			if d.int("shard count", maxSpillShards) != blocks-1 {
+				d.fail("shard count") // disagrees with the blocks the file declares
+			}
+			return d.end()
+		}
+		// Shard states are appended as their blocks verify, never
+		// allocated up front from the header's claim.
+		sh, err := decodeShard(d, i-1)
+		e.shards = append(e.shards, sh)
+		return err
+	})
+	if err == nil && e == nil {
+		err = recfile.Corruptf("no header block")
+	}
 	if err != nil {
 		return nil, fmt.Errorf("deltascan: load: %w", err)
 	}
-	defer gz.Close()
-	sc := bufio.NewScanner(gz)
-	sc.Buffer(make([]byte, 1<<20), 64<<20)
-
-	if !sc.Scan() {
-		if err := sc.Err(); err != nil {
-			return nil, fmt.Errorf("deltascan: load: %w", err)
-		}
-		return nil, fmt.Errorf("deltascan: load: empty spill")
-	}
-	var h header
-	if err := json.Unmarshal(sc.Bytes(), &h); err != nil {
-		return nil, fmt.Errorf("deltascan: load header: %w", err)
-	}
-	if h.Kind != "deltascan-cache" || h.Version != persistVersion {
-		return nil, fmt.Errorf("deltascan: load: unsupported spill (kind %q version %d)", h.Kind, h.Version)
-	}
-	if h.Shards < 0 || h.Shards > 1<<20 {
-		return nil, fmt.Errorf("deltascan: load: implausible shard count %d", h.Shards)
-	}
-	e := &Engine{fp: h.Fingerprint, haveFP: true, epoch: h.Epoch, shards: make([]*shardState, h.Shards)}
-	for i := range e.shards {
-		e.shards[i] = &shardState{cache: make(map[string]verdict)}
-	}
-	line := 1
-	for sc.Scan() {
-		line++
-		var kind struct {
-			Kind string `json:"kind"`
-		}
-		if err := json.Unmarshal(sc.Bytes(), &kind); err != nil {
-			return nil, fmt.Errorf("deltascan: load line %d: %w", line, err)
-		}
-		switch kind.Kind {
-		case "shard":
-			var sl shardLine
-			if err := json.Unmarshal(sc.Bytes(), &sl); err != nil {
-				return nil, fmt.Errorf("deltascan: load line %d: %w", line, err)
-			}
-			if sl.Shard < 0 || sl.Shard >= len(e.shards) {
-				return nil, fmt.Errorf("deltascan: load line %d: shard %d out of range", line, sl.Shard)
-			}
-			sh := e.shards[sl.Shard]
-			sh.csum, sh.valid, sh.seen = sl.Csum, sl.Valid, sl.Seen
-			sh.cands = sh.cands[:0]
-			for _, c := range sl.Cands {
-				sh.cands = append(sh.cands, fromWire(c))
-			}
-		case "entry":
-			var el entryLine
-			if err := json.Unmarshal(sc.Bytes(), &el); err != nil {
-				return nil, fmt.Errorf("deltascan: load line %d: %w", line, err)
-			}
-			if el.Shard < 0 || el.Shard >= len(e.shards) {
-				return nil, fmt.Errorf("deltascan: load line %d: shard %d out of range", line, el.Shard)
-			}
-			v := verdict{ok: el.Match, epoch: el.Epoch}
-			if el.Match {
-				v.cand = fromWire(candidate{Domain: el.Domain, Type: el.Type, Brand: el.Brand, TLD: el.TLD})
-			}
-			e.shards[el.Shard].cache[el.Domain] = v
-		default:
-			return nil, fmt.Errorf("deltascan: load line %d: unknown kind %q", line, kind.Kind)
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("deltascan: load: %w", err)
-	}
 	return e, nil
+}
+
+// decodeShard decodes one shard block. Every string of the returned state
+// is a substring of the decoder's one copy of the block, so a shard costs
+// one string, one map and one candidate slice whatever its entry count.
+func decodeShard(d *decoder, index int) (*shardState, error) {
+	if d.int("shard index", maxSpillShards) != index {
+		d.fail("shard index")
+	}
+	sh := &shardState{csum: d.uvarint("name checksum", math.MaxUint64)}
+	// A count is checked against the bytes left in the block (a candidate
+	// takes at least 4, an entry 3) before anything is sized from it.
+	if n := d.int("candidate count", d.left()/4); n > 0 {
+		sh.cands = make([]squat.Candidate, n)
+		for i := range sh.cands {
+			sh.cands[i] = d.candidate()
+		}
+	}
+	n := d.int("entry count", d.left()/3)
+	sh.cache = make(map[string]verdict, n)
+	for prev := ""; n > 0 && d.err == nil; n-- {
+		dom := d.string("entry domain")
+		if len(sh.cache) > 0 && dom <= prev {
+			d.fail("entry order")
+		}
+		prev = dom
+		v := verdict{epoch: d.int("entry epoch", math.MaxInt)}
+		if d.int("matched flag", 1) == 1 {
+			v.ok, v.cand = true, d.candidate()
+		}
+		sh.cache[dom] = v
+	}
+	return sh, d.end()
 }
 
 // LoadFile reads a spill written by SaveFile.
@@ -225,11 +233,10 @@ func LoadFile(path string) (*Engine, error) {
 // Recover is the restart entry point of a long-running process: it loads
 // the spill at path if it is present and intact, and otherwise returns a
 // fresh engine whose first Scan is a transparent full scan. A missing,
-// truncated, or corrupt spill therefore costs one full scan — never a
-// startup failure — mirroring how a fingerprint mismatch degrades. The
-// second result reports whether saved state was actually recovered; err
-// carries the load failure (nil when the file simply does not exist) so
-// callers can log why state was discarded.
+// truncated, corrupt or older-version spill therefore costs one full scan
+// — never a startup failure — as a fingerprint mismatch does. recovered
+// reports whether saved state was restored; err carries the load failure
+// (nil when the file simply does not exist) so callers can log it.
 func Recover(path string) (e *Engine, recovered bool, err error) {
 	e, err = LoadFile(path)
 	if err == nil {

@@ -63,7 +63,7 @@ func TestSaveFileAtomicReplace(t *testing.T) {
 	e := NewEngine()
 	e.Scan(buildStore(model, rng.Split("b")), m, 2)
 
-	path := filepath.Join(t.TempDir(), "delta.spill.gz")
+	path := filepath.Join(t.TempDir(), "delta.spill")
 	if err := e.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestSaveFileAtomicReplace(t *testing.T) {
 }
 
 // TestRecoverTruncatedSpillDegradesToFullScan is the crash-recovery
-// contract: a spill cut off mid-gzip (the exact artifact a non-atomic
+// contract: a spill cut off mid-stream (the exact artifact a non-atomic
 // writer leaves after a crash) must not error the restart. Recover hands
 // back a fresh engine whose first Scan is a full scan with results
 // identical to the cold serial reference.
@@ -97,9 +97,9 @@ func TestRecoverTruncatedSpillDegradesToFullScan(t *testing.T) {
 	if err := e.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "delta.spill.gz")
-	// Truncate mid-stream: enough bytes for a valid gzip header, not
-	// enough to decode the state.
+	path := filepath.Join(t.TempDir(), "delta.spill")
+	// Truncate mid-stream: a valid prologue and header block, half the
+	// shard blocks missing.
 	if err := os.WriteFile(path, buf.Bytes()[:buf.Len()/2], 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestRecoverTruncatedSpillDegradesToFullScan(t *testing.T) {
 
 // TestRecoverMissingSpill: a first boot (no spill yet) is not an error.
 func TestRecoverMissingSpill(t *testing.T) {
-	rec, recovered, err := Recover(filepath.Join(t.TempDir(), "nope.gz"))
+	rec, recovered, err := Recover(filepath.Join(t.TempDir(), "nope.spill"))
 	if err != nil {
 		t.Fatalf("missing spill reported error: %v", err)
 	}
@@ -147,7 +147,7 @@ func TestRecoverIntactSpillResumes(t *testing.T) {
 	store := buildStore(model, rng.Split("b"))
 	e.Scan(store, m, 2)
 
-	path := filepath.Join(t.TempDir(), "delta.spill.gz")
+	path := filepath.Join(t.TempDir(), "delta.spill")
 	if err := e.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}

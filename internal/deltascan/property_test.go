@@ -1,8 +1,10 @@
 package deltascan
 
 import (
+	"bytes"
 	"fmt"
 	"reflect"
+	"sort"
 	"testing"
 
 	"squatphi/internal/simrand"
@@ -13,8 +15,12 @@ import (
 // of the delta engine: for random sequences of record add/remove/modify
 // operations over many epochs, the incremental scan of each epoch's store
 // must equal a cold full scan of the same store, byte for byte, at worker
-// counts 1, 4 and 32 — and one engine driven across all epochs must agree
-// with a fresh engine at every step.
+// counts 1, 4 and 32. Between the random epochs it forces the cases the
+// incremental merge and the name-only skip must get right — a candidate
+// appearing, that candidate disappearing, an epoch of nothing but
+// re-points, an unchanged epoch — and, mid-sequence, swaps every engine
+// for its own Save/Load image. After each scan the returned slice is
+// scribbled over: the engine's retained output must not alias it.
 func TestPropertyIncrementalEqualsFull(t *testing.T) {
 	seeds := []uint64{1, 2026, 0xdeadbeef, 424242}
 	if testing.Short() {
@@ -27,17 +33,58 @@ func TestPropertyIncrementalEqualsFull(t *testing.T) {
 			m := testMatcher()
 			engines := map[int]*Engine{1: NewEngine(), 4: NewEngine(), 32: NewEngine()}
 			model := seedModel(rng.Split("seed-model"), 200+rng.Intn(400))
+			planted := "paypal-" + rng.Letters(5) + ".com"
 
-			epochs := 8
+			const epochs = 14
 			for epoch := 0; epoch < epochs; epoch++ {
-				mutate(model, rng.Split(fmt.Sprintf("mutate-%d", epoch)))
+				ipOnly := false
+				switch epoch % 5 {
+				case 1:
+					model[planted] = [4]byte{9, 9, 9, byte(epoch)}
+				case 2:
+					delete(model, planted)
+				case 3:
+					ipOnly = true
+					for _, d := range sortedDomains(model) {
+						if rng.Intn(3) == 0 {
+							ip := model[d]
+							ip[epoch%4]++
+							model[d] = ip
+						}
+					}
+				case 4: // unchanged
+				default:
+					mutate(model, rng.Split(fmt.Sprintf("mutate-%d", epoch)))
+				}
 				store := buildStore(model, rng.Split(fmt.Sprintf("build-%d", epoch)))
 				want := fullScan(store, m)
 				for workers, e := range engines {
+					if epoch == epochs/2 {
+						var spill bytes.Buffer
+						if err := e.Save(&spill); err != nil {
+							t.Fatal(err)
+						}
+						loaded, err := Load(&spill)
+						if err != nil {
+							t.Fatal(err)
+						}
+						e, engines[workers] = loaded, loaded
+					}
 					got := e.Scan(store, m, workers)
 					if !reflect.DeepEqual(got, want) {
 						t.Fatalf("epoch %d workers %d: incremental %d candidates != full %d",
 							epoch, workers, len(got), len(want))
+					}
+					st := e.LastStats()
+					if st.FullScan != (epoch == 0) {
+						t.Fatalf("epoch %d workers %d: FullScan = %t", epoch, workers, st.FullScan)
+					}
+					if (ipOnly || epoch%5 == 4) && st.RecordsWalked != 0 {
+						t.Fatalf("epoch %d workers %d: walked %d records though no name changed",
+							epoch, workers, st.RecordsWalked)
+					}
+					for i := range got {
+						got[i] = squat.Candidate{Domain: "scribbled"}
 					}
 				}
 			}
@@ -45,15 +92,20 @@ func TestPropertyIncrementalEqualsFull(t *testing.T) {
 	}
 }
 
-// mutate applies a random batch of add/remove/modify operations to the
-// model, including occasional squat-shaped additions so the candidate set
-// itself churns (not just the noise).
-func mutate(model map[string][4]byte, rng *simrand.RNG) {
+func sortedDomains(model map[string][4]byte) []string {
 	domains := make([]string, 0, len(model))
 	for d := range model {
 		domains = append(domains, d)
 	}
-	sortStrings(domains)
+	sort.Strings(domains)
+	return domains
+}
+
+// mutate applies a random batch of add/remove/modify operations to the
+// model, including occasional squat-shaped additions so the candidate set
+// itself churns (not just the noise).
+func mutate(model map[string][4]byte, rng *simrand.RNG) {
+	domains := sortedDomains(model)
 
 	removes := rng.Intn(10)
 	for i := 0; i < removes && len(domains) > 0; i++ {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"squatphi/internal/dnsx"
 	"squatphi/internal/simrand"
 )
 
@@ -96,5 +97,81 @@ func TestProvenanceSurvivesSaveLoad(t *testing.T) {
 		if !ok1 || !ok2 || want != got {
 			t.Errorf("%s: provenance %+v (ok=%t) != loaded %+v (ok=%t)", dom, want, ok1, got, ok2)
 		}
+	}
+}
+
+// provenanceAllShards is the reference Provenance answers against: the
+// search of every shard's cache that the indexed lookup replaced.
+func provenanceAllShards(e *Engine, domain string) (Provenance, bool) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	d := dnsx.Normalize(domain)
+	for _, sh := range e.shards {
+		if v, ok := sh.cache[d]; ok {
+			return Provenance{Epoch: e.epoch, ComputedEpoch: v.epoch, Cached: v.epoch < e.epoch, Matched: v.ok}, true
+		}
+	}
+	return Provenance{Epoch: e.epoch}, false
+}
+
+// TestProvenanceIndexesOneShard: Provenance probes only the shard the
+// store files a domain under, and must answer exactly what a search of
+// all shards answers — for every domain of a multi-epoch store, for
+// domains that left it (still cached, or pruned with their shard), for
+// names never seen and for un-normalised spellings, on the live engine
+// and on its Save/Load image.
+func TestProvenanceIndexesOneShard(t *testing.T) {
+	rng := simrand.New(17)
+	model := seedModel(rng, 9000)
+	m := testMatcher()
+	e := NewEngine()
+	e.Scan(buildStore(model, rng.Split("b1")), m, 4)
+	queries := sortedDomains(model)
+
+	// Epoch 2 keeps 150 names, so most caches are pruned; epoch 3 drops a
+	// few more from shards too small to prune and adds fresh ones.
+	for _, d := range queries[150:] {
+		delete(model, d)
+	}
+	e.Scan(buildStore(model, rng.Split("b2")), m, 4)
+	for _, d := range queries[:20] {
+		delete(model, d)
+	}
+	for i := 0; i < 40; i++ {
+		model[rng.Letters(9)+".com"] = [4]byte{3, 3, 3, byte(i)}
+	}
+	model["paypal-epoch3.com"] = [4]byte{3, 3, 3, 3}
+	e.Scan(buildStore(model, rng.Split("b3")), m, 4)
+	queries = append(queries, sortedDomains(model)...)
+	queries = append(queries, "never-seen.example", "", ".", "PayPal-Epoch3.COM.", "paypal-epoch3.com..")
+
+	var buf bytes.Buffer
+	if err := e.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := Load(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	found, gone := 0, 0
+	for name, eng := range map[string]*Engine{"live": e, "loaded": loaded} {
+		for _, d := range queries {
+			want, wantOK := provenanceAllShards(eng, d)
+			got, ok := eng.Provenance(d)
+			if got != want || ok != wantOK {
+				t.Fatalf("%s engine, %q: Provenance = %+v, %t; all-shard search = %+v, %t", name, d, got, ok, want, wantOK)
+			}
+			if ok {
+				found++
+			} else {
+				gone++
+			}
+		}
+	}
+	if found == 0 || gone == 0 {
+		t.Fatalf("test premise: %d queries found, %d not", found, gone)
+	}
+	if _, ok := NewEngine().Provenance("paypa1.com"); ok {
+		t.Fatal("provenance from an engine with no shards")
 	}
 }

@@ -3,6 +3,7 @@ package dnsx
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -180,4 +181,115 @@ func TestStoreConcurrentAccess(t *testing.T) {
 		// per-writer prefixes; equality is the expected outcome.
 		t.Fatalf("Len = %d after concurrent adds, want %d", s.Len(), 4*300)
 	}
+}
+
+// recomputedSums walks one shard and recomputes both rolling checksums
+// from its records.
+func recomputedSums(s *Store, shard int) (content, names uint64) {
+	s.RangeShard(shard, func(r Record) bool {
+		content += RecordHash(r.Domain, r.IP)
+		names += nameMix(fnvName(r.Domain))
+		return true
+	})
+	return content, names
+}
+
+func assertSumsMatchRecords(t *testing.T, s *Store, when string) {
+	t.Helper()
+	for i := 0; i < s.NumShards(); i++ {
+		content, names := recomputedSums(s, i)
+		if got := s.ShardChecksum(i); got != content {
+			t.Fatalf("%s: shard %d content checksum %x, recomputed %x", when, i, got, content)
+		}
+		if got := s.ShardNameChecksum(i); got != names {
+			t.Fatalf("%s: shard %d name checksum %x, recomputed %x", when, i, got, names)
+		}
+	}
+}
+
+// TestShardNameChecksum: the rolling name checksum equals the sum
+// recomputed from the shard's records, depends on the set of names only —
+// not on insertion order, overwrites or re-points — and moves when a name
+// is added, while the content checksum follows the addresses too.
+func TestShardNameChecksum(t *testing.T) {
+	r := simrand.New(21)
+	type rec struct {
+		d  string
+		ip [4]byte
+	}
+	var recs []rec
+	for i := 0; i < 600; i++ {
+		recs = append(recs, rec{r.Letters(3+r.Intn(9)) + ".com", RandomIP(r)})
+	}
+	a, b := NewShardedStore(16), NewShardedStore(16)
+	for _, x := range recs {
+		a.Add(x.d, x.ip)
+	}
+	for i := len(recs) - 1; i >= 0; i-- {
+		b.Add(strings.ToUpper(recs[i].d)+".", RandomIP(r)) // other order, other spelling, other address
+	}
+	assertSumsMatchRecords(t, a, "after inserts")
+	assertSumsMatchRecords(t, b, "after reversed inserts")
+	contentDiffers := false
+	for i := 0; i < a.NumShards(); i++ {
+		if a.ShardNameChecksum(i) != b.ShardNameChecksum(i) {
+			t.Fatalf("shard %d: name checksum depends on insertion order or addresses", i)
+		}
+		contentDiffers = contentDiffers || a.ShardChecksum(i) != b.ShardChecksum(i)
+	}
+	if !contentDiffers {
+		t.Fatal("content checksums ignore the addresses")
+	}
+
+	// Overwrites with the same address and re-points leave every name
+	// checksum where it was.
+	before := make([]uint64, a.NumShards())
+	for i := range before {
+		before[i] = a.ShardNameChecksum(i)
+	}
+	for i, x := range recs {
+		if i%2 == 0 {
+			a.Add(x.d, x.ip)
+		} else {
+			a.Add(x.d, RandomIP(r))
+		}
+	}
+	assertSumsMatchRecords(t, a, "after overwrites and re-points")
+	for i := range before {
+		if a.ShardNameChecksum(i) != before[i] {
+			t.Fatalf("shard %d: name checksum moved on an overwrite or re-point", i)
+		}
+	}
+
+	// One new name moves exactly its own shard's name checksum.
+	a.Add("a-brand-new-name.com", [4]byte{1, 2, 3, 4})
+	for i := range before {
+		if moved, want := a.ShardNameChecksum(i) != before[i], i == a.ShardOf("a-brand-new-name.com"); moved != want {
+			t.Fatalf("shard %d: name checksum moved = %t after a new name in shard %d", i, moved, a.ShardOf("a-brand-new-name.com"))
+		}
+	}
+	assertSumsMatchRecords(t, a, "after a new name")
+}
+
+// TestShardNameChecksumConcurrentAdd: writers racing on overlapping names
+// (inserts, overwrites and re-points of the same keys) leave both
+// checksums equal to the sums over the records that ended up stored. Run
+// under -race.
+func TestShardNameChecksumConcurrentAdd(t *testing.T) {
+	s := NewShardedStore(8)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			r := simrand.New(uint64(g))
+			for i := 0; i < 500; i++ {
+				s.Add(fmt.Sprintf("shared-%d.com", r.Intn(200)), RandomIP(r))
+				s.Add(fmt.Sprintf("w%d-%d.com", g, i), RandomIP(r))
+				_ = s.ShardNameChecksum(i % 8)
+			}
+		}(g)
+	}
+	wg.Wait()
+	assertSumsMatchRecords(t, s, "after concurrent adds")
 }

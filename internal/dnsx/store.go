@@ -57,6 +57,11 @@ type storeShard struct {
 	// records report the same checksum, which is what lets a delta scanner
 	// skip unchanged shards between snapshot epochs.
 	csum uint64
+	// nsum is the same rolling sum over the shard's domain names alone
+	// (nameMix of each name's FNV-1a): it moves when a name is inserted and
+	// never on a re-point, so it is the key for state that is a function
+	// of names only — the delta scanner's verdicts.
+	nsum uint64
 }
 
 // ensureSorted restores the order-by-firstSeq invariant after out-of-order
@@ -116,13 +121,42 @@ func NewShardedStore(n int) *Store {
 // function, so "the shard a domain lives in" means the same thing in every
 // subsystem and state can be handed between them shard by shard.
 func ShardIndex(domain string, shards int) int {
+	return int(fnvName(domain) % uint64(shards))
+}
+
+// fnvName is FNV-1a over a normalised domain: the one hash of the name
+// that the shard index, RecordHash and the name checksum all derive from,
+// so an insert hashes its name once.
+func fnvName(domain string) uint64 {
 	h := uint64(14695981039346656037)
 	for i := 0; i < len(domain); i++ {
 		h ^= uint64(domain[i])
 		h *= 1099511628211
 	}
-	return int(h % uint64(shards))
+	return h
 }
+
+// mix64 is the SplitMix64 finaliser.
+//
+//squat:hot
+func mix64(h uint64) uint64 {
+	h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9
+	h = (h ^ (h >> 27)) * 0x94d049bb133111eb
+	return h ^ (h >> 31)
+}
+
+// recordMix folds an address into a name hash (the second half of
+// RecordHash).
+//
+//squat:hot
+func recordMix(h uint64, ip [4]byte) uint64 {
+	return mix64(h ^ (uint64(ip[0])<<24 | uint64(ip[1])<<16 | uint64(ip[2])<<8 | uint64(ip[3])))
+}
+
+// nameMix finalises a name hash into the per-record term of the name
+// checksum, a pure function of the normalised domain. The constant keeps it
+// apart from recordMix of any address, which only reaches the low 32 bits.
+func nameMix(h uint64) uint64 { return mix64(h ^ 0x9e3779b97f4a7c15) }
 
 // shardOf hashes a normalised domain to its shard (ShardIndex).
 func (s *Store) shardOf(domain string) *storeShard {
@@ -141,7 +175,8 @@ func (s *Store) Add(domain string, ip [4]byte) {
 // the same store state regardless of arrival order: a record's position is
 // its smallest sequence number, its IP the one written with the largest.
 func (s *Store) addAt(seq uint64, domain string, ip [4]byte) {
-	sh := s.shardOf(domain)
+	h := fnvName(domain)
+	sh := &s.shards[h%uint64(len(s.shards))]
 	sh.mu.Lock()
 	if e := sh.records[domain]; e != nil {
 		if seq < e.firstSeq {
@@ -151,14 +186,15 @@ func (s *Store) addAt(seq uint64, domain string, ip [4]byte) {
 		if seq >= e.lastSeq {
 			e.lastSeq = seq
 			if e.ip != ip {
-				sh.csum += RecordHash(domain, ip) - RecordHash(domain, e.ip)
+				sh.csum += recordMix(h, ip) - recordMix(h, e.ip)
 				e.ip = ip
 			}
 		}
 		sh.mu.Unlock()
 		return
 	}
-	sh.csum += RecordHash(domain, ip)
+	sh.csum += recordMix(h, ip)
+	sh.nsum += nameMix(h)
 	e := &entry{domain: domain, ip: ip, firstSeq: seq, lastSeq: seq}
 	sh.records[domain] = e
 	if sh.sorted && len(sh.order) > 0 && sh.order[len(sh.order)-1].firstSeq > seq {
@@ -174,15 +210,7 @@ func (s *Store) addAt(seq uint64, domain string, ip [4]byte) {
 // SplitMix64-style finaliser so single-byte IP changes flip about half the
 // output bits. It is a pure function of (domain, IP).
 func RecordHash(domain string, ip [4]byte) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(domain); i++ {
-		h ^= uint64(domain[i])
-		h *= 1099511628211
-	}
-	h ^= uint64(ip[0])<<24 | uint64(ip[1])<<16 | uint64(ip[2])<<8 | uint64(ip[3])
-	h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9
-	h = (h ^ (h >> 27)) * 0x94d049bb133111eb
-	return h ^ (h >> 31)
+	return recordMix(fnvName(domain), ip)
 }
 
 // RecordHashBytes is RecordHash over a domain held as raw bytes (e.g. a
@@ -195,10 +223,7 @@ func RecordHashBytes(domain []byte, ip [4]byte) uint64 {
 		h ^= uint64(domain[i])
 		h *= 1099511628211
 	}
-	h ^= uint64(ip[0])<<24 | uint64(ip[1])<<16 | uint64(ip[2])<<8 | uint64(ip[3])
-	h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9
-	h = (h ^ (h >> 27)) * 0x94d049bb133111eb
-	return h ^ (h >> 31)
+	return recordMix(h, ip)
 }
 
 // ShardChecksum returns the rolling content checksum of one shard: a
@@ -212,6 +237,20 @@ func (s *Store) ShardChecksum(shard int) uint64 {
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
 	return sh.csum
+}
+
+// ShardNameChecksum returns the rolling name checksum of one shard: the
+// commutative sum of a finalised name hash over the shard's current
+// records. Equal name checksums mean (up to hash collision) equal sets of
+// names whatever they resolve to, so anything that is a pure function of
+// the names — a match verdict — is unchanged; ShardChecksum stays the key
+// for what also depends on addresses (deltascan.Diff, snapfmt segments).
+// O(1), like ShardChecksum.
+func (s *Store) ShardNameChecksum(shard int) uint64 {
+	sh := &s.shards[shard]
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	return sh.nsum
 }
 
 // Checksums returns all per-shard checksums. The slice is a copy.

@@ -1,9 +1,10 @@
 // Package fsx holds the repository's durable-file conventions. Long-running
 // processes (squatd, squatmond -delta) periodically spill state — deltascan
 // verdict caches, trace stores, metrics snapshots — and a crash mid-write
-// must never poison the artifact a restart will Load: a truncated gzip or a
-// half-encoded JSONL stream is strictly worse than no file at all, because
-// the next process trusts it, fails, and loses the graceful-degrade path.
+// must never poison the artifact a restart will Load: a spill cut off
+// between two blocks or a half-encoded JSONL stream is strictly worse than
+// no file at all, because the next process trusts it, fails, and loses the
+// graceful-degrade path.
 //
 // WriteFile is the one sanctioned way to persist such state: the content is
 // streamed to a temporary file in the destination directory, fsynced, and

@@ -13,9 +13,11 @@ import (
 
 // The trace store is gzip-compressed JSONL keyed by domain: a header
 // line, then the head-sampled scan marks, then the full evidence
-// records, both sorted by domain. The layout mirrors the deltascan spill
-// format so the same tooling conventions (streamed lines, versioned
-// header, corrupt-line = hard error) apply.
+// records, both sorted by domain: streamed lines, a versioned header, and
+// a corrupt line is a hard error. It stays text on purpose — people read
+// it with zcat and jq, and no measured path crosses it — while the
+// deltascan spill, which a restart does wait for, is binary
+// (internal/recfile).
 
 // storeVersion versions the container layout; SchemaVersion (inside each
 // record) versions the evidence schema.
