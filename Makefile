@@ -58,8 +58,9 @@ race: chaos
 # Time-bounded race pass for the gate every PR runs: the packages whose
 # shared structures scan and serve workers read concurrently (the matcher's
 # label index and gate, the model's scoring table, the scan pools, the
-# deltascan caches, the squatd shards, the sharded store, the metrics
-# registry and span collector, the crawler pool), short mode, one run.
+# deltascan shard state, the squatd shards, the sharded store, the metrics
+# registry and span collector, the crawler pool; deltascan's Scans racing
+# Store.Add writers), short mode, one run.
 # `race` above is the full, slow one.
 race-short:
 	$(GO) test -race -short -count=1 -timeout 10m \
@@ -97,14 +98,16 @@ bench-all:
 # noise records — and fails on any "N allocs/op" line with N > 0. hotpath
 # (make lint) is the static half of the same contract. Beside it, the back
 # half's allocation budgets: one OCR pass over a full-page capture stays
-# under 256 KB, and a spell-check miss allocates nothing. And the restart
-# path's: loading a benchmark-shaped deltascan spill (233K records, 2,048
-# shards) allocates at most 0.25 objects per cached entry, so a per-entry
-# string or decoded value cannot come back unnoticed.
+# under 256 KB, and a spell-check miss allocates nothing. And the warm
+# rescan's, on a benchmark-shaped deltascan fixture (233K records, 2,048
+# shards): loading its spill allocates at most 0.5 objects per candidate,
+# and a warm epoch matches only the names it added and allocates at most
+# 1.25x the slice it returns, so a per-name string, value or structure
+# cannot come back unnoticed.
 bench-check:
 	$(GO) test -run '^TestMatchMissZeroAlloc' -count=1 ./internal/squat
 	$(GO) test -run '^(TestRecognizeAllocBudget|TestSpellcheckZeroAlloc)$$' -count=1 ./internal/ocr
-	$(GO) test -run '^TestLoadAllocBudget$$' -count=1 -v ./internal/deltascan
+	$(GO) test -run '^(TestLoadAllocBudget|TestWarmEpochWalksOnlyNewNames)$$' -count=1 -v ./internal/deltascan
 	@out=$$($(GO) test -run '^$$' -bench '^BenchmarkMatchMiss' -benchmem ./internal/squat .); \
 	echo "$$out"; \
 	if echo "$$out" | awk '/allocs\/op/ && $$(NF-1) + 0 > 0 { bad = 1 } END { exit !bad }'; then \
@@ -143,7 +146,7 @@ fuzz-smoke:
 	$(GO) test -fuzz '^FuzzRecognizeParity$$' -fuzztime 30s ./internal/ocr/
 
 # Per-package coverage with a floor: the detection spine (dnsx store +
-# codec, squat matcher, core pipeline, deltascan cache and the recfile
+# codec, squat matcher, core pipeline, deltascan engine and the recfile
 # framing its spill is written in), the back half's
 # OCR engine and feature extractor, and the squatvet analysis driver +
 # call graph must each keep at least COVER_FLOOR% statement coverage;

@@ -149,9 +149,10 @@ func main() {
 
 	// With -delta the monitor re-scans the whole accumulated zone each
 	// round through a persistent engine instead of matching just the new
-	// batch: unchanged shards are skipped by checksum and previously seen
-	// domains answer from the verdict cache, so the round cost tracks the
-	// churn, not the zone size — the paper's §7 deployment posture.
+	// batch: unchanged shards are skipped by checksum and a changed shard
+	// matches only the names added to the zone since the last round, so the
+	// round cost tracks the churn, not the zone size — the paper's §7
+	// deployment posture.
 	var engine *deltascan.Engine
 	if *deltaScan {
 		engine = deltascan.NewEngine()

@@ -2,6 +2,7 @@ package deltascan
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"squatphi/internal/dnsx"
@@ -60,14 +61,6 @@ func (w *benchWorld) churn() {
 	}
 }
 
-func (w *benchWorld) cacheEntries() int {
-	n := 0
-	for _, sh := range w.engine.shards {
-		n += len(sh.cache)
-	}
-	return n
-}
-
 // BenchmarkWarmEpoch times one warm Engine.Scan after an epoch of churn
 // (the churn itself is applied off the clock).
 func BenchmarkWarmEpoch(b *testing.B) {
@@ -101,11 +94,11 @@ func BenchmarkSpillRoundTrip(b *testing.B) {
 	}
 }
 
-// TestLoadAllocBudget holds Load to at most a quarter of an allocation per
-// cached entry on the benchmark-shaped spill. Loading costs a handful of
-// allocations per shard (its state, the one string its names are cut
-// from, its map, its candidate list); an allocation per entry — a domain
-// string, a decoded JSON value — cannot come back unnoticed.
+// TestLoadAllocBudget holds Load to at most half an allocation per
+// candidate on the benchmark-shaped spill. Loading costs a couple of
+// allocations per shard (the one string its names are cut from, its
+// candidate list) and a few in all; an allocation per candidate — a domain
+// string, a decoded value — cannot come back unnoticed.
 func TestLoadAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a 233K-record store")
@@ -116,16 +109,70 @@ func TestLoadAllocBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	spill := buf.Bytes()
-	entries := w.cacheEntries()
+	cands := len(w.engine.out)
 	allocs := testing.AllocsPerRun(3, func() {
 		if _, err := Load(bytes.NewReader(spill)); err != nil {
 			t.Fatal(err)
 		}
 	})
-	perEntry := allocs / float64(entries)
-	t.Logf("Load: %.0f allocations for %d entries in %d shards (%.3f per entry), %d-byte spill",
-		allocs, entries, benchShards, perEntry, len(spill))
-	if perEntry > 0.25 {
-		t.Fatalf("Load allocates %.3f objects per cached entry, budget 0.25", perEntry)
+	perCand := allocs / float64(cands)
+	t.Logf("Load: %.0f allocations for %d candidates in %d shards (%.3f per candidate), %d-byte spill",
+		allocs, cands, benchShards, perCand, len(spill))
+	if perCand > 0.5 {
+		t.Fatalf("Load allocates %.3f objects per candidate, budget 0.5", perCand)
 	}
+}
+
+// TestWarmEpochWalksOnlyNewNames: on one store churned in place, a warm
+// epoch runs the matcher on exactly the names the epoch added — none after
+// an epoch of re-points only, none on the first scan after Load. And once
+// the merge's two buffers are grown, an epoch allocates on average at most
+// 1.25x the slice it returns, so a per-name structure cannot come back
+// unnoticed.
+func TestWarmEpochWalksOnlyNewNames(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a 233K-record store")
+	}
+	w := newBenchWorld(t)
+	var grew, result uint64
+	scan := func(when string, e *Engine, added int) {
+		t.Helper()
+		var out []squat.Candidate
+		grew += allocatedBytes(func() { out = e.Scan(w.store, w.m, 2) })
+		result += uint64(cap(out)) * uint64(reflect.TypeOf(squat.Candidate{}).Size())
+		if st := e.LastStats(); st.FullScan || st.RecordsWalked != added || st.CacheMisses != added {
+			t.Fatalf("%s: stats = %+v, want %d records matched", when, st, added)
+		}
+	}
+	churn := func(when string, e *Engine) {
+		t.Helper()
+		before := w.store.Len()
+		w.churn()
+		scan(when, e, w.store.Len()-before)
+	}
+	churn("first warm epoch", w.engine)
+	churn("second warm epoch", w.engine)
+	grew, result = 0, 0
+	for i := 0; i < 8; i++ {
+		churn("warm epoch", w.engine)
+	}
+	for i := 0; i < benchChurn; i++ {
+		w.store.Add(w.domains[w.rng.Intn(len(w.domains))], dnsx.RandomIP(w.rng))
+	}
+	scan("re-point epoch", w.engine, 0)
+	t.Logf("9 warm epochs allocated %d bytes for %d bytes of results (%.2fx)", grew, result, float64(grew)/float64(result))
+	if grew > result*5/4 {
+		t.Fatalf("warm epochs allocated %d bytes, budget 1.25 x the %d bytes they returned", grew, result)
+	}
+
+	var buf bytes.Buffer
+	if err := w.engine.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := Load(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scan("first scan after Load", loaded, 0)
+	churn("warm epoch after Load", loaded)
 }

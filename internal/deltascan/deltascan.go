@@ -4,27 +4,30 @@
 // against the previous epoch per store shard and re-matches only what
 // changed.
 //
-// Two mechanisms make re-scans cheap:
+// The engine remembers, per store shard, only the shard's candidates — a
+// miss carries nothing the name does not — and rests on two facts: a
+// verdict is a pure function of the name, and a dnsx.Store never drops a
+// name. Two mechanisms make re-scans cheap:
 //
 //   - Shard skipping. dnsx.Store maintains a rolling name checksum per
 //     FNV shard (a commutative sum of per-name hashes, independent of
-//     insertion order and of what the names resolve to). Matching depends
-//     only on the domain name, so a shard whose name checksum equals the
-//     previous epoch's is skipped wholesale — its candidate list from last
-//     epoch is reused verbatim, and IP-only churn skips every shard.
-//   - A content-addressed match cache. Within rescanned shards, per-domain
-//     match verdicts are cached across epochs, so a shard that gained one
-//     name re-matches one record; every other record is a map hit.
+//     insertion order and of what the names resolve to). A shard whose
+//     name checksum equals the previous epoch's is skipped wholesale — its
+//     candidates are reused verbatim, and IP-only churn skips every shard.
+//   - Tail matching. On the store instance it last read, a rescanned shard
+//     matches only the records inserted since its mark, and trusts that
+//     tail only if the visited names account exactly for the move of the
+//     shard's name checksum (dnsx.Store.TailShard). Anything else — another
+//     store, a failed check — re-matches the whole shard.
 //
-// The output is merged incrementally too: an epoch that rescanned a
-// minority of shards replaces just their entries in the last sorted
-// result, in one linear pass, instead of re-sorting the whole answer.
+// The output is merged incrementally too: the fresh candidates of an
+// epoch are inserted into the last sorted result by binary search, and a
+// shard re-matched in full drops its old entries by shard tag.
 //
-// The cache is versioned by the matcher's Fingerprint (brand-universe hash
+// The state is versioned by the matcher's Fingerprint (brand-universe hash
 // plus rule/index fingerprint, squat.Matcher.Fingerprint): scanning with a
-// matcher whose fingerprint differs from the cached one transparently
-// degrades to a full scan and rebuilds the cache, so a config change can
-// never serve stale verdicts.
+// matcher whose fingerprint differs transparently degrades to a full scan,
+// so a config change can never serve stale verdicts.
 //
 // The engine's output contract is strict: Scan returns a candidate slice
 // byte-identical to core.ScanStore's full scan of the same store with the
@@ -45,24 +48,30 @@ import (
 	"squatphi/internal/squat"
 )
 
-// verdict is one cached match result for a domain. epoch records when
-// the matcher actually ran (the engine epoch of the computing Scan) —
-// pure provenance, never consulted for cache validity, which rests on
-// the fingerprint and checksums alone.
-type verdict struct {
-	cand  squat.Candidate
-	ok    bool
-	epoch int
+// cand is one candidate of the engine's state: the match, the shard its
+// record was walked in, and the epoch whose Scan ran the matcher on it.
+// The shard is carried, not recomputed: the store shards by its own
+// normalised name, a Candidate carries the matcher's, and "a.com.." loses
+// one dot to each.
+type cand struct {
+	squat.Candidate
+	shard int32
+	epoch int32
 }
 
-// shardState is the engine's memory of one store shard: the name checksum
-// the shard had when last scanned, the candidates it produced, and the
-// per-domain verdict cache. Shard states are only ever touched by the one
-// worker that owns the shard during a scan, so they need no locks.
+// cmpDomain orders the retained output.
+func cmpDomain(a, b cand) int { return strings.Compare(a.Domain, b.Domain) }
+
+// shardState is the engine's memory of one store shard: its candidates in
+// walk order, and the reading of its names (dnsx.ShardMark) they answer
+// for, taken on store. store is nil when the state did not come from a
+// walk of this process's store (a fresh or loaded engine), so that only
+// the checksum can vouch for it. Only the worker that owns a shard during
+// a scan touches its state.
 type shardState struct {
-	csum  uint64
-	cands []squat.Candidate
-	cache map[string]verdict
+	store *dnsx.Store
+	mark  dnsx.ShardMark
+	cands []cand
 }
 
 // Stats describes one Scan call.
@@ -77,9 +86,10 @@ type Stats struct {
 	Invalidated bool
 	// ShardsSkipped / ShardsRescanned partition the store's shards.
 	ShardsSkipped, ShardsRescanned int
-	// RecordsWalked is the number of records visited in rescanned shards;
-	// CacheHits of them were answered from the verdict cache and
-	// CacheMisses went through the matcher.
+	// RecordsWalked is the number of records the matcher ran on, and
+	// CacheMisses the same number. CacheHits counts the records of
+	// rescanned shards carried without matching: below the tail of a shard
+	// whose tail was trusted.
 	RecordsWalked, CacheHits, CacheMisses int
 	// CandidatesReused counts candidates taken verbatim from skipped
 	// shards' previous-epoch lists.
@@ -98,12 +108,12 @@ func (s Stats) SkipRatio() float64 {
 
 // metrics holds the engine's registry handles (see InstrumentMetrics).
 type metrics struct {
-	scans, fullScans, invalidations     *obs.Counter
-	shardsSkipped, shardsRescanned      *obs.Counter
-	cacheHits, cacheMisses, cachePrunes *obs.Counter
-	recordsWalked                       *obs.Counter
-	skipRatio, cacheEntries             *obs.Gauge
-	scanMS                              *obs.Histogram
+	scans, fullScans, invalidations *obs.Counter
+	shardsSkipped, shardsRescanned  *obs.Counter
+	cacheHits, cacheMisses          *obs.Counter
+	recordsWalked                   *obs.Counter
+	skipRatio, cacheEntries         *obs.Gauge
+	scanMS                          *obs.Histogram
 }
 
 // Engine is a persistent incremental scanner. It is bound to one logical
@@ -114,22 +124,13 @@ type metrics struct {
 type Engine struct {
 	mu     sync.Mutex
 	fp     uint64 // of the matcher that produced shards; meaningless while shards is nil
-	shards []*shardState
-	// out is the previous Scan's sorted result, each candidate tagged with
-	// the shard it was walked in; nil when there is none to build on (a
-	// full-scan reset, a Load, or simply no candidates).
-	out   []shardCandidate
-	epoch int
-	last  Stats
-	met   *metrics
-}
-
-// shardCandidate is one entry of the retained output. The shard is
-// carried, not recomputed: the store shards by its own normalised name, a
-// Candidate carries the matcher's, and "a.com.." loses one dot to each.
-type shardCandidate struct {
-	squat.Candidate
-	shard int
+	shards []shardState
+	// out is every shard's candidates sorted by domain: the last Scan's
+	// answer. spare is the buffer the next merge writes into.
+	out, spare []cand
+	epoch      int
+	last       Stats
+	met        *metrics
 }
 
 // NewEngine returns an empty engine; its first Scan is a full scan.
@@ -137,8 +138,9 @@ func NewEngine() *Engine { return &Engine{} }
 
 // InstrumentMetrics points the engine's counters at reg: deltascan.scans,
 // .full_scans, .invalidations, .shards_skipped, .shards_rescanned,
-// .cache_hits, .cache_misses, .cache_prunes, .records_walked, the gauges
-// .shard_skip_ratio and .cache_entries, and the .scan_ms histogram.
+// .cache_hits, .cache_misses, .records_walked (see Stats), the gauges
+// .shard_skip_ratio and .cache_entries (the candidates retained), and the
+// .scan_ms histogram.
 func (e *Engine) InstrumentMetrics(reg *obs.Registry) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -150,7 +152,6 @@ func (e *Engine) InstrumentMetrics(reg *obs.Registry) {
 		shardsRescanned: reg.Counter("deltascan.shards_rescanned"),
 		cacheHits:       reg.Counter("deltascan.cache_hits"),
 		cacheMisses:     reg.Counter("deltascan.cache_misses"),
-		cachePrunes:     reg.Counter("deltascan.cache_prunes"),
 		recordsWalked:   reg.Counter("deltascan.records_walked"),
 		skipRatio:       reg.Gauge("deltascan.shard_skip_ratio"),
 		cacheEntries:    reg.Gauge("deltascan.cache_entries"),
@@ -172,38 +173,33 @@ func (e *Engine) Epoch() int {
 	return e.epoch
 }
 
-// Provenance explains how a domain's verdict relates to the engine's
-// scan history — the "cache hit vs fresh" half of a verdict's evidence
-// trail.
+// Provenance explains how a candidate relates to the engine's scan
+// history — the "cache hit vs fresh" half of a verdict's evidence trail.
 type Provenance struct {
 	// Epoch is the engine's current epoch (Scan calls absorbed).
 	Epoch int
 	// ComputedEpoch is the epoch whose Scan actually ran the matcher for
-	// this domain.
+	// this candidate.
 	ComputedEpoch int
-	// Cached reports that the latest scan answered this domain without
-	// re-running the matcher — a verdict-cache hit inside a rescanned
-	// shard, or wholesale reuse of a skipped shard's candidate list.
+	// Cached reports that the latest scan answered this candidate without
+	// re-running the matcher — a shard skipped wholesale, or a record below
+	// the tail of a shard that was rescanned.
 	Cached bool
-	// Matched is the cached verdict itself.
-	Matched bool
 }
 
-// Provenance looks a domain up in the verdict cache of the one shard that
-// can hold it: the cache is keyed by the store's normalised name in the
-// store's own shard. The second result is false when the engine has never
-// matched the domain (not yet scanned, or the record left the snapshot and
-// was pruned).
+// Provenance looks a candidate up by the spelling Scan returned it under.
+// The engine remembers candidates only, so the second result is false for
+// a name it never matched or that matched nothing; callers fall back to
+// their own scan epoch for those.
 func (e *Engine) Provenance(domain string) (Provenance, bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if len(e.shards) > 0 {
-		d := dnsx.Normalize(domain)
-		if v, ok := e.shards[dnsx.ShardIndex(d, len(e.shards))].cache[d]; ok {
-			return Provenance{Epoch: e.epoch, ComputedEpoch: v.epoch, Cached: v.epoch < e.epoch, Matched: v.ok}, true
-		}
+	i, ok := slices.BinarySearchFunc(e.out, dnsx.Normalize(domain), func(c cand, d string) int { return strings.Compare(c.Domain, d) })
+	if !ok {
+		return Provenance{Epoch: e.epoch}, false
 	}
-	return Provenance{Epoch: e.epoch}, false
+	at := int(e.out[i].epoch)
+	return Provenance{Epoch: e.epoch, ComputedEpoch: at, Cached: at < e.epoch}, true
 }
 
 // Scan matches every record of store against m, reusing the previous
@@ -225,58 +221,70 @@ func (e *Engine) Scan(store *dnsx.Store, m *squat.Matcher, workers int) []squat.
 	if e.shards == nil || e.fp != fp || len(e.shards) != n {
 		st.FullScan = true
 		st.Invalidated = e.shards != nil
-		e.shards = make([]*shardState, n)
-		for i := range e.shards {
-			e.shards[i] = &shardState{cache: make(map[string]verdict)}
-		}
-		e.fp, e.out = fp, nil
+		e.shards = make([]shardState, n)
+		e.fp, e.out = fp, e.out[:0]
 	}
 
-	// Partition shards into skips and rescans by comparing the store's
-	// rolling name checksums against the previous epoch's: a verdict is a
-	// pure function of the name, so a re-point changes nothing here.
-	rescan := make([]int, 0, n)
-	for i := 0; i < n; i++ {
-		cs := store.ShardNameChecksum(i)
-		if !st.FullScan && e.shards[i].csum == cs {
+	// Partition shards into skips and rescans on the name checksum: a
+	// verdict is a pure function of the name, so a re-point changes
+	// nothing here. A skipped shard's state answers for the current store
+	// as it stands, so it adopts that store and mark — without that, every
+	// shard would re-match in full after a Load.
+	var rescan []int
+	for i := range e.shards {
+		sh := &e.shards[i]
+		now := store.ShardNameMark(i)
+		if !st.FullScan && sh.mark.Sum == now.Sum {
+			sh.store, sh.mark = store, now
 			st.ShardsSkipped++
-			st.CandidatesReused += len(e.shards[i].cands)
+			st.CandidatesReused += len(sh.cands)
 			continue
 		}
-		e.shards[i].csum = cs
 		rescan = append(rescan, i)
 	}
 	st.ShardsRescanned = len(rescan)
 
 	// Rescan changed shards on a worker pool. Each shard is owned by
 	// exactly one worker, so shard states are mutated without locks.
-	if len(rescan) > 0 {
-		var next, walked, hits, prunes atomic.Int64
-		var wg sync.WaitGroup
-		for w := min(workers, len(rescan)); w > 0; w-- {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for ri := int(next.Add(1)) - 1; ri < len(rescan); ri = int(next.Add(1)) - 1 {
-					nw, nh, pruned := e.shards[rescan[ri]].rescan(store, rescan[ri], m, st.Epoch)
-					walked.Add(int64(nw))
-					hits.Add(int64(nh))
-					if pruned {
-						prunes.Add(1)
-					}
-				}
-			}()
+	walks := make([]walk, len(rescan))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := min(workers, len(rescan)); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var sc squat.Scratch
+			for ri := int(next.Add(1)) - 1; ri < len(rescan); ri = int(next.Add(1)) - 1 {
+				walks[ri] = e.shards[rescan[ri]].rescan(store, rescan[ri], m, &sc, st.Epoch)
+			}
+		}()
+	}
+	wg.Wait()
+
+	var fresh []cand
+	var drop []bool
+	for ri, i := range rescan {
+		w := walks[ri]
+		st.RecordsWalked += w.matched
+		st.CacheHits += w.carried
+		if w.dropped {
+			if drop == nil {
+				drop = make([]bool, n)
+			}
+			drop[i] = true
 		}
-		wg.Wait()
-		st.RecordsWalked, st.CacheHits = int(walked.Load()), int(hits.Load())
-		st.CacheMisses = st.RecordsWalked - st.CacheHits
-		if e.met != nil {
-			e.met.cachePrunes.Add(prunes.Load())
+		fresh = append(fresh, e.shards[i].cands[w.from:]...)
+	}
+	st.CacheMisses = st.RecordsWalked
+	e.merge(fresh, drop)
+
+	var out []squat.Candidate
+	if len(e.out) > 0 {
+		out = make([]squat.Candidate, len(e.out))
+		for i := range e.out {
+			out[i] = e.out[i].Candidate
 		}
 	}
-
-	out := e.merge(rescan)
-
 	st.Duration = sw.Elapsed()
 	e.epoch, e.last = st.Epoch, st
 	e.report(st)
@@ -302,103 +310,79 @@ func (e *Engine) report(st Stats) {
 	e.met.recordsWalked.Add(int64(st.RecordsWalked))
 	e.met.skipRatio.Set(st.SkipRatio())
 	e.met.scanMS.Observe(float64(st.Duration) / float64(time.Millisecond))
-	entries := 0
-	for _, sh := range e.shards {
-		entries += len(sh.cache)
-	}
-	e.met.cacheEntries.Set(float64(entries))
+	e.met.cacheEntries.Set(float64(len(e.out)))
 }
 
-// rescan rebuilds one shard's candidate list from the store, answering
-// from the verdict cache where possible. It returns the records walked,
-// the cache hits among them, and whether the cache was pruned. epoch
-// stamps fresh verdicts for provenance.
-func (sh *shardState) rescan(store *dnsx.Store, shard int, m *squat.Matcher, epoch int) (walked, hits int, pruned bool) {
-	cands := make([]squat.Candidate, 0, len(sh.cands))
-	var sc squat.Scratch
-	store.RangeShard(shard, func(r dnsx.Record) bool {
-		walked++
-		v, ok := sh.cache[r.Domain]
-		if ok {
-			hits++
-		} else {
-			v.cand, v.ok = m.MatchString(r.Domain, &sc)
-			v.epoch = epoch
-			sh.cache[r.Domain] = v
-		}
-		if v.ok {
-			cands = append(cands, v.cand)
-		}
-		return true
-	})
-	sh.cands = cands
-
-	// The cache accumulates verdicts for domains that have since left the
-	// snapshot. Once stale entries dominate (and the shard is non-trivial),
-	// rebuild the cache from the live record set.
-	if len(sh.cache) > 2*walked && len(sh.cache) > 256 {
-		fresh := make(map[string]verdict, walked)
-		store.RangeShard(shard, func(r dnsx.Record) bool {
-			if v, ok := sh.cache[r.Domain]; ok {
-				fresh[r.Domain] = v
-			}
-			return true
-		})
-		sh.cache = fresh
-		pruned = true
-	}
-	return walked, hits, pruned
+// walk is what rescanning one shard did: the records the matcher ran on,
+// the records carried without it, where in the shard's candidates this
+// scan's begin, and whether the shard's previous candidates were dropped.
+type walk struct {
+	matched, carried, from int
+	dropped                bool
 }
 
-// merge brings the retained output in step with the shards just rescanned
-// and returns a copy of it. Invariant: e.out is every shard's cands,
-// tagged with their shard, sorted by domain. The rescanned shards' fresh
-// candidates are gathered and sorted, then one linear pass over the
-// previous output drops what those shards used to own and merges the fresh
-// ones in. With no previous output (a full scan, a first scan after Load)
-// or most shards rescanned, every shard counts as fresh and the pass has
-// nothing to walk: the rebuild is the same code with an empty left side.
+// rescan brings one shard's state up to date with store. On the store it
+// last read, it matches only the tail inserted since its mark and keeps
+// the result if the tail's names account exactly for the move of the
+// shard's name checksum; otherwise it re-matches the whole shard. epoch
+// stamps the candidates it finds.
+func (sh *shardState) rescan(store *dnsx.Store, shard int, m *squat.Matcher, sc *squat.Scratch, epoch int) (w walk) {
+	match := func(r dnsx.Record) {
+		w.matched++
+		if c, ok := m.MatchString(r.Domain, sc); ok {
+			sh.cands = append(sh.cands, cand{c, int32(shard), int32(epoch)})
+		}
+	}
+	if sh.store == store {
+		w.from = len(sh.cands)
+		visited, now := store.TailShard(shard, sh.mark.Next, match)
+		if visited == now.Sum-sh.mark.Sum {
+			w.carried = sh.mark.Len
+			sh.mark = now
+			return w
+		}
+		sh.cands = sh.cands[:w.from]
+	}
+	w.from, w.dropped = 0, len(sh.cands) > 0
+	sh.cands = sh.cands[:0]
+	_, sh.mark = store.TailShard(shard, 0, match)
+	sh.store = store
+	return w
+}
+
+// merge folds a scan's fresh candidates into the retained output. e.out is
+// every shard's candidates sorted by domain; fresh holds every candidate
+// the scan matched, and drop (nil when empty) the shards re-matched in
+// full, whose old entries leave. Each fresh candidate's place in the old
+// output is found by binary search, and the runs between those places are
+// copied — whole, or filtered by shard tag when some shard is dropped —
+// into the spare buffer, which then becomes the output. A full scan is the
+// same pass over an empty old output.
 //
 // Candidate domains are unique within a store, so the order is total and
-// equal to core.ScanStore's — nil, not empty, when nothing matched. The
-// result is a fresh slice the caller may keep or mutate.
-func (e *Engine) merge(rescan []int) []squat.Candidate {
-	rebuild := e.out == nil || 2*len(rescan) > len(e.shards)
-	if rebuild || len(rescan) > 0 {
-		stale := make([]bool, len(e.shards))
-		for _, i := range rescan {
-			stale[i] = true
+// equal to core.ScanStore's.
+func (e *Engine) merge(fresh []cand, drop []bool) {
+	if len(fresh) == 0 && drop == nil {
+		return
+	}
+	slices.SortFunc(fresh, cmpDomain)
+	next, old := e.spare[:0], e.out
+	keep := func(run []cand) {
+		if drop == nil {
+			next = append(next, run...)
+			return
 		}
-		var fresh []shardCandidate
-		for i, sh := range e.shards {
-			if rebuild || stale[i] {
-				for _, c := range sh.cands {
-					fresh = append(fresh, shardCandidate{c, i})
-				}
+		for _, c := range run {
+			if !drop[c.shard] {
+				next = append(next, c)
 			}
 		}
-		slices.SortFunc(fresh, func(a, b shardCandidate) int { return strings.Compare(a.Domain, b.Domain) })
-		if !rebuild {
-			next := make([]shardCandidate, 0, len(e.out)+len(fresh))
-			for _, p := range e.out {
-				if stale[p.shard] {
-					continue
-				}
-				for len(fresh) > 0 && fresh[0].Domain < p.Domain {
-					next, fresh = append(next, fresh[0]), fresh[1:]
-				}
-				next = append(next, p)
-			}
-			fresh = append(next, fresh...)
-		}
-		e.out = fresh
 	}
-	if len(e.out) == 0 {
-		return nil
+	for _, c := range fresh {
+		i, _ := slices.BinarySearchFunc(old, c, cmpDomain)
+		keep(old[:i])
+		next, old = append(next, c), old[i:]
 	}
-	out := make([]squat.Candidate, len(e.out))
-	for i := range e.out {
-		out[i] = e.out[i].Candidate
-	}
-	return out
+	keep(old)
+	e.out, e.spare = next, e.out
 }

@@ -2,8 +2,11 @@ package deltascan
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"sort"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"squatphi/internal/dnsx"
@@ -142,20 +145,19 @@ func TestSingleRecordChangeRescansOneShard(t *testing.T) {
 	m := testMatcher()
 	e := NewEngine()
 
-	s1 := buildStore(model, rng.Split("a"))
-	e.Scan(s1, m, 2)
+	s := buildStore(model, rng.Split("a"))
+	e.Scan(s, m, 2)
 
-	model["paypa1-fresh.com"] = [4]byte{8, 8, 8, 8}
-	s2 := buildStore(model, rng.Split("b"))
-	got := e.Scan(s2, m, 2)
+	s.Add("paypa1-fresh.com", [4]byte{8, 8, 8, 8})
+	got := e.Scan(s, m, 2)
 	st := e.LastStats()
-	if st.ShardsRescanned != 1 || st.ShardsSkipped != s2.NumShards()-1 {
+	if st.ShardsRescanned != 1 || st.ShardsSkipped != s.NumShards()-1 {
 		t.Fatalf("one-record change stats = %+v, want exactly one shard rescanned", st)
 	}
 	if st.CacheMisses != 1 {
 		t.Fatalf("cache misses = %d, want 1 (only the new domain)", st.CacheMisses)
 	}
-	if !reflect.DeepEqual(got, fullScan(s2, m)) {
+	if !reflect.DeepEqual(got, fullScan(s, m)) {
 		t.Fatal("one-record-change scan diverged from full scan")
 	}
 }
@@ -185,36 +187,34 @@ func TestIPOnlyChurnSkipsEveryShard(t *testing.T) {
 	}
 }
 
-// TestRepointPlusNewNameRescansOnce: a shard that gets both a re-point
-// and a new name is rescanned (once), every old name is a cache hit, and
-// the shards that only saw re-points are still skipped.
+// TestRepointPlusNewNameRescansOnce: on one store churned in place, a
+// shard that gets both re-points and a new name is rescanned (once) and
+// matches only the new name, every old record is carried, and the shards
+// that only saw re-points are still skipped.
 func TestRepointPlusNewNameRescansOnce(t *testing.T) {
 	rng := simrand.New(12)
 	model := seedModel(rng, 300)
 	m := testMatcher()
 	e := NewEngine()
-	s1 := buildStore(model, rng.Split("a"))
-	e.Scan(s1, m, 2)
+	s := buildStore(model, rng.Split("a"))
+	e.Scan(s, m, 2)
 
 	const fresh = "paypal-fresh.com"
-	shard := s1.ShardOf(fresh)
+	shard := s.ShardOf(fresh)
 	inShard := 0
-	for d := range model {
-		ip := model[d]
-		ip[0] ^= 0x0f
-		model[d] = ip
-		if s1.ShardOf(d) == shard {
+	for _, d := range sortedDomains(model) {
+		s.Add(d, [4]byte{7, 7, 7, byte(len(d))})
+		if s.ShardOf(d) == shard {
 			inShard++
 		}
 	}
-	model[fresh] = [4]byte{7, 7, 7, 7}
-	s2 := buildStore(model, rng.Split("b"))
-	got := e.Scan(s2, m, 2)
+	s.Add(fresh, [4]byte{7, 7, 7, 7})
+	got := e.Scan(s, m, 2)
 	st := e.LastStats()
-	if st.ShardsRescanned != 1 || st.RecordsWalked != inShard+1 || st.CacheHits != inShard || st.CacheMisses != 1 {
+	if st.ShardsRescanned != 1 || st.RecordsWalked != 1 || st.CacheHits != inShard || st.CacheMisses != 1 {
 		t.Fatalf("stats = %+v, want one shard rescanned with %d hits and 1 miss", st, inShard)
 	}
-	if !reflect.DeepEqual(got, fullScan(s2, m)) {
+	if !reflect.DeepEqual(got, fullScan(s, m)) {
 		t.Fatal("scan diverged from full scan")
 	}
 }
@@ -253,7 +253,9 @@ func TestNoCandidatesIsNil(t *testing.T) {
 // the name it normalised once ("paypa1.com."), the matcher's candidate
 // carries the name normalised twice ("paypa1.com"), and the two hash to
 // different shards. The merge must drop and re-add that candidate by the
-// shard it was walked in, and the spill must carry both names.
+// shard it was walked in, the spill must carry the matcher's name, and
+// Provenance must find the candidate under the name Scan returned it by,
+// with the epoch that matched it — live and after Save/Load.
 func TestCandidateKeepsItsWalkShard(t *testing.T) {
 	rng := simrand.New(15)
 	m := testMatcher()
@@ -266,20 +268,32 @@ func TestCandidateKeepsItsWalkShard(t *testing.T) {
 		return s
 	}
 	s1 := build("a")
-	if a, b := s1.ShardOf("paypa1.com.."), s1.ShardOf("paypa1.com"); a == b {
-		t.Fatalf("test premise: both names land in shard %d", a)
+	walkShard := s1.ShardOf("paypa1.com..")
+	if walkShard == s1.ShardOf("paypa1.com") {
+		t.Fatalf("test premise: both names land in shard %d", walkShard)
 	}
 	e.Scan(s1, m, 2)
-
-	// A new name in the walk shard of the odd record: the linear merge has
-	// to drop its old candidate exactly once.
-	for {
-		d := rng.Letters(10) + ".com"
-		if s1.ShardOf(d) == s1.ShardOf("paypa1.com..") {
-			model[d] = [4]byte{5, 5, 5, 5}
-			break
+	assertComputed := func(e *Engine, when string, epoch int) {
+		t.Helper()
+		pr, ok := e.Provenance("paypa1.com")
+		if !ok || pr.ComputedEpoch != epoch || pr.Cached != (epoch < pr.Epoch) {
+			t.Fatalf("%s: Provenance(paypa1.com) = %+v, %t; want computed at epoch %d", when, pr, ok, epoch)
 		}
 	}
+	assertComputed(e, "first scan", 1)
+
+	// A new name in the walk shard of the odd record, on a new store: the
+	// shard is re-matched in full, so the merge has to drop the old
+	// candidate exactly once, and the candidate is matched afresh.
+	newInWalkShard := func() string {
+		for {
+			d := rng.Letters(10) + ".com"
+			if _, dup := model[d]; !dup && s1.ShardOf(d) == walkShard {
+				return d
+			}
+		}
+	}
+	model[newInWalkShard()] = [4]byte{5, 5, 5, 5}
 	s2 := build("b")
 	if got := e.Scan(s2, m, 2); !reflect.DeepEqual(got, fullScan(s2, m)) {
 		t.Fatal("incremental merge diverged from full scan")
@@ -287,6 +301,18 @@ func TestCandidateKeepsItsWalkShard(t *testing.T) {
 	if st := e.LastStats(); st.ShardsRescanned != 1 {
 		t.Fatalf("stats = %+v, want one shard rescanned", st)
 	}
+	assertComputed(e, "re-matched shard", 2)
+
+	// One more name in that shard, added in place: only the tail is
+	// matched, and the candidate keeps the epoch that matched it.
+	s2.Add(newInWalkShard(), [4]byte{6, 6, 6, 6})
+	if got := e.Scan(s2, m, 2); !reflect.DeepEqual(got, fullScan(s2, m)) {
+		t.Fatal("tail scan diverged from full scan")
+	}
+	if st := e.LastStats(); st.CacheMisses != 1 {
+		t.Fatalf("stats = %+v, want one name matched", st)
+	}
+	assertComputed(e, "tail scan", 2)
 
 	var buf bytes.Buffer
 	if err := e.Save(&buf); err != nil {
@@ -296,22 +322,21 @@ func TestCandidateKeepsItsWalkShard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Another new name in that shard: the reloaded engine answers the odd
-	// record from its cache, and must answer with the matcher's name.
-	for {
-		d := rng.Letters(10) + ".com"
-		if _, dup := model[d]; !dup && s1.ShardOf(d) == s1.ShardOf("paypa1.com..") {
-			model[d] = [4]byte{6, 6, 6, 6}
-			break
-		}
-	}
-	s3 := build("c")
-	if got := loaded.Scan(s3, m, 2); !reflect.DeepEqual(got, fullScan(s3, m)) {
+	assertComputed(loaded, "after Load", 2)
+	// The first scan after Load binds every unchanged shard to the store;
+	// a new name in the walk shard then costs one match, and the reloaded
+	// candidate must still carry the matcher's name.
+	if got := loaded.Scan(s2, m, 2); !reflect.DeepEqual(got, fullScan(s2, m)) {
 		t.Fatal("reloaded engine diverged from full scan")
+	}
+	s2.Add(newInWalkShard(), [4]byte{7, 7, 7, 7})
+	if got := loaded.Scan(s2, m, 2); !reflect.DeepEqual(got, fullScan(s2, m)) {
+		t.Fatal("reloaded engine's tail scan diverged from full scan")
 	}
 	if st := loaded.LastStats(); st.FullScan || st.CacheMisses != 1 {
 		t.Fatalf("reloaded stats = %+v, want an incremental scan with one miss", st)
 	}
+	assertComputed(loaded, "tail scan after Load", 2)
 }
 
 func TestMatcherChangeInvalidatesCache(t *testing.T) {
@@ -484,34 +509,84 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	}
 }
 
-func TestCachePruneDropsStaleEntries(t *testing.T) {
+// TestShrunkPopulationKeepsOnlyLiveCandidates: the state holds candidates
+// only, and only the live store's — a shard re-matched in full forgets the
+// candidates of names that left, so a population that shrank leaves no
+// trace of the old one.
+func TestShrunkPopulationKeepsOnlyLiveCandidates(t *testing.T) {
 	rng := simrand.New(31)
 	m := testMatcher()
 	e := NewEngine()
-
-	// Epoch 1: a large population confined to one shard's key space is
-	// impractical to construct; instead shrink the whole model so every
-	// shard's cache is dominated by stale entries, and verify pruning.
 	model := seedModel(rng, 9000)
+	for i := 0; i < 300; i++ {
+		model["paypal-"+rng.Letters(6)+".com"] = [4]byte{1, 1, 1, 1}
+	}
 	e.Scan(buildStore(model, rng.Split("a")), m, 2)
 
 	small := map[string][4]byte{}
-	n := 0
-	for d, ip := range model {
-		small[d] = ip
-		if n++; n >= 100 {
-			break
-		}
+	for _, d := range sortedDomains(model)[:100] {
+		small[d] = model[d]
 	}
-	// Every shard lost names, so every shard rescans — pruning only runs
-	// on rescanned shards.
-	e.Scan(buildStore(small, rng.Split("b")), m, 2)
-
-	entries := 0
+	s := buildStore(small, rng.Split("b"))
+	want := fullScan(s, m)
+	if got := e.Scan(s, m, 2); !reflect.DeepEqual(got, want) {
+		t.Fatal("scan of the shrunk population diverged from full scan")
+	}
+	held := 0
 	for _, sh := range e.shards {
-		entries += len(sh.cache)
+		held += len(sh.cands)
 	}
-	if entries >= 9000 {
-		t.Fatalf("cache kept %d entries after the population shrank to 100", entries)
+	if held != len(want) || len(e.out) != len(want) {
+		t.Fatalf("state holds %d candidates, output %d, after the population shrank to %d", held, len(e.out), len(want))
+	}
+}
+
+// TestConcurrentAddsAndScans: Store.Add writers race Scans of the same
+// store (run under -race in make race-short). Writers that lose the race
+// for a shard lock insert names below a mark a Scan already read, which
+// only the checksum identity of the tail walk catches; every new name is
+// squat-shaped, so one the engine missed would be a candidate missing
+// from the final Scan, which must equal a full scan once the writers stop.
+func TestConcurrentAddsAndScans(t *testing.T) {
+	rng := simrand.New(37)
+	m := testMatcher()
+	s := dnsx.NewShardedStore(4)
+	for d, ip := range seedModel(rng, 300) {
+		s.Add(d, ip)
+	}
+	e := NewEngine()
+	e.Scan(s, m, 2)
+
+	adds := 3000
+	if testing.Short() {
+		adds = 1000
+	}
+	var wg sync.WaitGroup
+	var done atomic.Bool
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			r := simrand.New(uint64(100 + w))
+			for i := 0; i < adds; i++ {
+				s.Add(fmt.Sprintf("paypal-%d-%s.com", w, r.Letters(6)), [4]byte{byte(w), 0, 0, byte(i)})
+				if i%8 == 0 {
+					s.Add("paypa1.com", [4]byte{byte(w), 1, 1, byte(i)}) // a re-point
+				}
+			}
+		}(w)
+	}
+	scans := 0
+	go func() {
+		wg.Wait()
+		done.Store(true)
+	}()
+	for !done.Load() {
+		e.Scan(s, m, 2)
+		scans++
+	}
+	got := e.Scan(s, m, 2)
+	if want := fullScan(s, m); !reflect.DeepEqual(got, want) {
+		t.Fatalf("after %d scans racing the writers: %d candidates, full scan %d", scans, len(got), len(want))
 	}
 }

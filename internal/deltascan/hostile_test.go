@@ -39,7 +39,7 @@ func newSpillFixture(t testing.TB, seed uint64, records, shards int) spillFixtur
 	}
 	e := NewEngine()
 	fx.want = e.Scan(fx.store, fx.m, 2)
-	// A second epoch, so the cache carries more than one epoch stamp.
+	// A second epoch, so the candidates carry more than one epoch stamp.
 	fx.store.Add("paypal-second-epoch.com", [4]byte{2, 2, 2, 2})
 	fx.want = e.Scan(fx.store, fx.m, 2)
 	var buf bytes.Buffer
@@ -161,9 +161,10 @@ func assertRecoverDegrades(t *testing.T, name, path string, fx spillFixture) {
 	}
 }
 
-// TestLoadRefusesVersion1: a spill in the old layout (gzip + JSON lines)
-// is an unsupported format, not a crash and not a guess, and a restart on
-// it degrades to one full scan like any other unusable file.
+// TestLoadRefusesVersion1: a spill in an old layout — gzip + JSON lines
+// (version 1), or version 2's verdict-cache blocks — is an unsupported
+// format, not a crash and not a guess, and a restart on it degrades to one
+// full scan like any other unusable file.
 func TestLoadRefusesVersion1(t *testing.T) {
 	fx := newSpillFixture(t, 47, 300, 4)
 	var buf bytes.Buffer
@@ -190,13 +191,33 @@ func TestLoadRefusesVersion1(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertRecoverDegrades(t, "version-1 spill", path, fx)
+
+	// Version 2: the same framing, one cache entry per record.
+	v2 := spillMagic
+	v2[7] = 2
+	entry := append(binary.AppendUvarint(appendString(nil, "paypa1.com"), 1), 0)
+	shard := append(binary.AppendUvarint(rawShard(0, 0), 1), entry...)
+	old := rawSpillAs(v2, 2, rawHeader(1), shard)
+	if e, err := Load(bytes.NewReader(old)); e != nil || !errors.Is(err, recfile.ErrUnsupported) {
+		t.Fatalf("Load of a version-2 spill = (engine %t, %v), want recfile.ErrUnsupported", e != nil, err)
+	}
+	path = filepath.Join(t.TempDir(), "squatd.spill")
+	if err := os.WriteFile(path, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	assertRecoverDegrades(t, "version-2 spill", path, fx)
 }
 
 // rawSpill assembles a spill by hand from the documented layout, with
 // correct checksums, so a test can make the verified numbers lie.
 func rawSpill(declaredBlocks uint32, payloads ...[]byte) []byte {
+	return rawSpillAs(spillMagic, declaredBlocks, payloads...)
+}
+
+// rawSpillAs is rawSpill under another magic.
+func rawSpillAs(magic [8]byte, declaredBlocks uint32, payloads ...[]byte) []byte {
 	tab := crc32.MakeTable(crc32.Castagnoli)
-	b := append([]byte(nil), spillMagic[:]...)
+	b := append([]byte(nil), magic[:]...)
 	b = binary.LittleEndian.AppendUint32(b, declaredBlocks)
 	b = binary.LittleEndian.AppendUint32(b, crc32.Checksum(b, tab))
 	for _, p := range payloads {
@@ -212,13 +233,15 @@ func rawHeader(shards uint64) []byte {
 }
 
 // rawShard is a shard block up to and including the candidate count;
-// callers append candidates, the entry count and entries.
+// callers append the candidates.
 func rawShard(index, cands uint64) []byte {
 	return binary.AppendUvarint(binary.AppendUvarint(binary.AppendUvarint(nil, index), 0xabcdef), cands)
 }
 
-func rawEntry(b []byte, domain string, matched byte) []byte {
-	return append(binary.AppendUvarint(appendString(b, domain), 1), matched)
+// rawCand appends one candidate: domain, type, brand name, TLD, epoch.
+func rawCand(b []byte, domain string, epoch uint64) []byte {
+	b = binary.AppendUvarint(appendString(b, domain), uint64(squat.Typo))
+	return binary.AppendUvarint(appendString(appendString(b, "paypal"), "com"), epoch)
 }
 
 // allocatedBytes is the heap allocated by one call of f.
@@ -233,11 +256,11 @@ func allocatedBytes(f func()) uint64 {
 // TestLoadSizesNothingFromUnverifiedNumbers pins the reader's discipline
 // on spills whose checksums are all valid and whose numbers lie: each is
 // refused as corrupt, and refusing it allocates almost nothing — no shard
-// state from the header's claim, no map from an entry count, no buffer
-// from a block length.
+// state from the header's claim, no slice from a candidate count, no
+// buffer from a block length.
 func TestLoadSizesNothingFromUnverifiedNumbers(t *testing.T) {
 	pad := func(b []byte) []byte { return append(b, make([]byte, max(0, 100-len(b)))...) }
-	good := append(binary.AppendUvarint(rawShard(0, 0), 2), rawEntry(rawEntry(nil, "a.com", 0), "b.com", 0)...)
+	good := rawCand(rawCand(rawShard(0, 2), "paypa1.com", 1), "paypal1.com", 3)
 	if _, err := Load(bytes.NewReader(rawSpill(2, rawHeader(1), good))); err != nil {
 		t.Fatalf("hand-assembled spill does not load, so the cases below prove nothing: %v", err)
 	}
@@ -253,18 +276,16 @@ func TestLoadSizesNothingFromUnverifiedNumbers(t *testing.T) {
 		"no header block":                        rawSpill(0),
 		"block length at the cap, bytes absent":  pad(lyingLength),
 		"block length over the cap":              pad(overCap),
-		"entry count the block cannot hold":      rawSpill(2, rawHeader(1), pad(binary.AppendUvarint(rawShard(0, 0), 1<<40))),
 		"candidate count the block cannot hold":  rawSpill(2, rawHeader(1), pad(rawShard(0, 1<<40))),
+		"fewer candidates than counted":          rawSpill(2, rawHeader(1), rawCand(rawShard(0, 2), "paypa1.com", 1)),
 		"bytes after the last declared block":    append(rawSpill(2, rawHeader(1), good), 0),
-		"bytes after the last entry":             rawSpill(2, rawHeader(1), append(bytes.Clone(good), 0)),
+		"bytes after the last candidate":         rawSpill(2, rawHeader(1), append(bytes.Clone(good), 0)),
 		"bytes after the header fields":          rawSpill(2, append(rawHeader(1), 0), good),
-		"shard block out of order":               rawSpill(2, rawHeader(1), binary.AppendUvarint(rawShard(1, 0), 0)),
-		"entries not sorted":                     rawSpill(2, rawHeader(1), append(binary.AppendUvarint(rawShard(0, 0), 2), rawEntry(rawEntry(nil, "b.com", 0), "a.com", 0)...)),
-		"entry repeated":                         rawSpill(2, rawHeader(1), append(binary.AppendUvarint(rawShard(0, 0), 2), rawEntry(rawEntry(nil, "a.com", 0), "a.com", 0)...)),
-		"unknown verdict byte":                   rawSpill(2, rawHeader(1), append(binary.AppendUvarint(rawShard(0, 0), 1), rawEntry(nil, "a.com", 9)...)),
-		"string longer than its block":           rawSpill(2, rawHeader(1), append(binary.AppendUvarint(rawShard(0, 0), 1), 200, 'a', 'b', 'c')),
+		"shard block out of order":               rawSpill(2, rawHeader(1), rawShard(1, 0)),
+		"epoch stamp after the engine's epoch":   rawSpill(2, rawHeader(1), rawCand(rawShard(0, 1), "paypa1.com", 4)),
+		"string longer than its block":           rawSpill(2, rawHeader(1), append(rawShard(0, 1), 200, 'a', 'b', 'c')),
 		"varint that never ends":                 rawSpill(2, rawHeader(1), append(rawShard(0, 0), bytes.Repeat([]byte{0xff}, 11)...)),
-		"valid flag neither 0 nor 1":             rawSpill(2, rawHeader(1), append(binary.AppendUvarint(nil, 0), bytes.Repeat([]byte{2}, 12)...)),
+		"checksum that never ends":               rawSpill(2, rawHeader(1), append(binary.AppendUvarint(nil, 0), bytes.Repeat([]byte{0x82}, 12)...)),
 	}
 	for name, data := range cases {
 		var e *Engine
@@ -291,7 +312,7 @@ func FuzzLoad(f *testing.F) {
 			f.Add(mu.data)
 		}
 	}
-	f.Add(rawSpill(2, rawHeader(1), binary.AppendUvarint(rawShard(0, 0), 0)))
+	f.Add(rawSpill(2, rawHeader(1), rawCand(rawShard(0, 1), "paypa1.com", 3)))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		e, err := Load(bytes.NewReader(data))
 		if err != nil {

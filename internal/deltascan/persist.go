@@ -14,11 +14,11 @@ import (
 )
 
 // persistVersion versions the spill layout. It is the last byte of the
-// magic, so any other version (or the gzip+JSONL stream version 1 was) is
-// refused as recfile.ErrUnsupported. No older version has a reader: the
-// state is a cache, and Recover's full scan rebuilds it for less than a
-// version-1 load cost.
-const persistVersion = 2
+// magic, so any other version — version 2's verdict-cache layout, or the
+// gzip+JSONL stream version 1 was — is refused as recfile.ErrUnsupported.
+// No older version has a reader: the state is a cache, and Recover's full
+// scan rebuilds it.
+const persistVersion = 3
 
 var spillMagic = [8]byte{'S', 'Q', 'S', 'P', 'I', 'L', 'L', persistVersion}
 
@@ -31,66 +31,43 @@ const maxSpillShards = 1 << 20
 //
 //	header  fingerprint · epoch · shard count
 //	shard   shard index · name checksum
-//	        · candidate count · candidates in scan order, each
-//	          domain, type, brand name, TLD
-//	        · entry count · cache entries sorted by domain, each
-//	          domain, epoch stamp, matched (0 or 1), and if matched the
-//	          candidate (whose domain is the matcher's spelling of the
-//	          name, not always the entry's own)
+//	        · candidate count · candidates in walk order, each
+//	          domain (the matcher's spelling), type, brand name, TLD,
+//	          epoch stamp
 
-func appendString(b []byte, s string) []byte {
-	return append(binary.AppendUvarint(b, uint64(len(s))), s...)
-}
-
-func appendCandidate(b []byte, c squat.Candidate) []byte {
-	b = binary.AppendUvarint(appendString(b, c.Domain), uint64(c.Type))
-	return appendString(appendString(b, c.Brand.Name), c.Brand.TLD)
-}
-
-// Save spills the engine's full epoch state in the format above. A later
+// Save spills the engine's epoch state in the format above: per shard,
+// only its candidates and the name checksum they answer for. A later
 // process can Load it and continue incrementally from the same epoch,
 // provided the matcher fingerprint still matches; otherwise the loaded
 // engine degrades to a full scan on first use, exactly like an in-memory
 // config change.
 //
-// The byte stream is canonical — shards in index order, candidate lists
-// in their (deterministic) scan order, cache entries sorted by domain —
-// so two Saves of identical state produce identical bytes and spills can
-// be content-compared, deduplicated and pinned in golden tests.
+// The byte stream is canonical — shards in index order, candidates in
+// their (deterministic) walk order — so two Saves of identical state
+// produce identical bytes and spills can be content-compared, deduplicated
+// and pinned in golden tests.
 func (e *Engine) Save(w io.Writer) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	var doms []string
 	return recfile.Write(w, spillMagic, 1+len(e.shards), func(i int, b []byte) []byte {
 		if i == 0 {
 			b = binary.AppendUvarint(binary.AppendUvarint(b, e.fp), uint64(e.epoch))
 			return binary.AppendUvarint(b, uint64(len(e.shards)))
 		}
-		sh := e.shards[i-1]
-		b = binary.AppendUvarint(binary.AppendUvarint(b, uint64(i-1)), sh.csum)
+		sh := &e.shards[i-1]
+		b = binary.AppendUvarint(binary.AppendUvarint(b, uint64(i-1)), sh.mark.Sum)
 		b = binary.AppendUvarint(b, uint64(len(sh.cands)))
 		for _, c := range sh.cands {
-			b = appendCandidate(b, c)
-		}
-		// Map iteration order is randomised per range; sort the cache
-		// domains so the spill is byte-deterministic.
-		doms = doms[:0]
-		for dom := range sh.cache {
-			doms = append(doms, dom)
-		}
-		slices.Sort(doms)
-		b = binary.AppendUvarint(b, uint64(len(doms)))
-		for _, dom := range doms {
-			v := sh.cache[dom]
-			b = binary.AppendUvarint(appendString(b, dom), uint64(v.epoch))
-			if v.ok {
-				b = appendCandidate(append(b, 1), v.cand)
-			} else {
-				b = append(b, 0)
-			}
+			b = binary.AppendUvarint(appendString(b, c.Domain), uint64(c.Type))
+			b = appendString(appendString(b, c.Brand.Name), c.Brand.TLD)
+			b = binary.AppendUvarint(b, uint64(c.epoch))
 		}
 		return b
 	})
+}
+
+func appendString(b []byte, s string) []byte {
+	return append(binary.AppendUvarint(b, uint64(len(s))), s...)
 }
 
 // SaveFile persists the spill to path atomically (temp file in the same
@@ -139,14 +116,6 @@ func (d *decoder) string(what string) string {
 	return d.s[d.off-n : d.off]
 }
 
-func (d *decoder) candidate() squat.Candidate {
-	return squat.Candidate{
-		Domain: d.string("candidate domain"),
-		Type:   squat.Type(d.int("type", math.MaxInt)),
-		Brand:  squat.Brand{Name: d.string("brand name"), TLD: d.string("brand tld")},
-	}
-}
-
 // end reports the latched error, or bytes the layout does not account for.
 func (d *decoder) end() error {
 	if d.left() != 0 {
@@ -156,17 +125,18 @@ func (d *decoder) end() error {
 }
 
 // Load reconstructs an engine from a Save spill. The engine resumes at
-// the saved epoch; its next Scan skips shards and hits the cache exactly
-// as the saving process would have. A damaged or incomplete spill is an
-// error wrapping recfile.ErrCorrupt, a spill of another version
-// recfile.ErrUnsupported; in neither case is an engine returned.
+// the saved epoch; its next Scan skips every shard whose names are
+// unchanged, exactly as the saving process would have. A damaged or
+// incomplete spill is an error wrapping recfile.ErrCorrupt, a spill of
+// another version recfile.ErrUnsupported; in neither case is an engine
+// returned.
 func Load(r io.Reader) (*Engine, error) {
 	var e *Engine
 	err := recfile.Read(r, spillMagic, func(i, blocks int, blk []byte) error {
 		d := &decoder{b: blk, s: string(blk)}
 		if i == 0 {
 			e = &Engine{fp: d.uvarint("fingerprint", math.MaxUint64)}
-			e.epoch = d.int("epoch", math.MaxInt)
+			e.epoch = d.int("epoch", math.MaxInt32)
 			if d.int("shard count", maxSpillShards) != blocks-1 {
 				d.fail("shard count") // disagrees with the blocks the file declares
 			}
@@ -174,9 +144,8 @@ func Load(r io.Reader) (*Engine, error) {
 		}
 		// Shard states are appended as their blocks verify, never
 		// allocated up front from the header's claim.
-		sh, err := decodeShard(d, i-1)
-		e.shards = append(e.shards, sh)
-		return err
+		e.shards = append(e.shards, shardState{})
+		return decodeShard(d, i-1, e.epoch, &e.shards[i-1])
 	})
 	if err == nil && e == nil {
 		err = recfile.Corruptf("no header block")
@@ -184,40 +153,40 @@ func Load(r io.Reader) (*Engine, error) {
 	if err != nil {
 		return nil, fmt.Errorf("deltascan: load: %w", err)
 	}
+	n := 0
+	for _, sh := range e.shards {
+		n += len(sh.cands)
+	}
+	e.out = make([]cand, 0, n)
+	for _, sh := range e.shards {
+		e.out = append(e.out, sh.cands...)
+	}
+	slices.SortFunc(e.out, cmpDomain)
 	return e, nil
 }
 
-// decodeShard decodes one shard block. Every string of the returned state
+// decodeShard decodes one shard block into sh. Every string of the state
 // is a substring of the decoder's one copy of the block, so a shard costs
-// one string, one map and one candidate slice whatever its entry count.
-func decodeShard(d *decoder, index int) (*shardState, error) {
+// one string and one candidate slice whatever its candidate count. A
+// candidate's epoch stamp is at most the engine's epoch.
+func decodeShard(d *decoder, index, epoch int, sh *shardState) error {
 	if d.int("shard index", maxSpillShards) != index {
 		d.fail("shard index")
 	}
-	sh := &shardState{csum: d.uvarint("name checksum", math.MaxUint64)}
-	// A count is checked against the bytes left in the block (a candidate
-	// takes at least 4, an entry 3) before anything is sized from it.
-	if n := d.int("candidate count", d.left()/4); n > 0 {
-		sh.cands = make([]squat.Candidate, n)
+	sh.mark.Sum = d.uvarint("name checksum", math.MaxUint64)
+	// The count is checked against the bytes left in the block (a
+	// candidate takes at least 5) before anything is sized from it.
+	if n := d.int("candidate count", d.left()/5); n > 0 {
+		sh.cands = make([]cand, n)
 		for i := range sh.cands {
-			sh.cands[i] = d.candidate()
+			c := &sh.cands[i]
+			c.Domain = d.string("candidate domain")
+			c.Type = squat.Type(d.int("type", math.MaxInt))
+			c.Brand = squat.Brand{Name: d.string("brand name"), TLD: d.string("brand tld")}
+			c.shard, c.epoch = int32(index), int32(d.int("epoch stamp", epoch))
 		}
 	}
-	n := d.int("entry count", d.left()/3)
-	sh.cache = make(map[string]verdict, n)
-	for prev := ""; n > 0 && d.err == nil; n-- {
-		dom := d.string("entry domain")
-		if len(sh.cache) > 0 && dom <= prev {
-			d.fail("entry order")
-		}
-		prev = dom
-		v := verdict{epoch: d.int("entry epoch", math.MaxInt)}
-		if d.int("matched flag", 1) == 1 {
-			v.ok, v.cand = true, d.candidate()
-		}
-		sh.cache[dom] = v
-	}
-	return sh, d.end()
+	return d.end()
 }
 
 // LoadFile reads a spill written by SaveFile.

@@ -11,10 +11,10 @@ import (
 )
 
 // TestSaveIsByteDeterministic pins the serving-lifecycle fix: two Saves of
-// identical engine state must produce identical bytes. The verdict cache
-// is a map, so an unsorted encoder leaks Go's per-range map iteration
-// order into the spill — the determinism invariant squatvet enforces on
-// scan outputs would not have held for spill artifacts.
+// identical engine state must produce identical bytes — the determinism
+// invariant squatvet enforces on scan outputs holds for spill artifacts
+// too. (Version 2 spilled a verdict map, whose per-range iteration order
+// an unsorted encoder leaked into the bytes.)
 func TestSaveIsByteDeterministic(t *testing.T) {
 	rng := simrand.New(91)
 	model := seedModel(rng, 800)

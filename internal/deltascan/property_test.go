@@ -7,6 +7,7 @@ import (
 	"sort"
 	"testing"
 
+	"squatphi/internal/dnsx"
 	"squatphi/internal/simrand"
 	"squatphi/internal/squat"
 )
@@ -14,13 +15,18 @@ import (
 // TestPropertyIncrementalEqualsFull is the quick-check-style contract test
 // of the delta engine: for random sequences of record add/remove/modify
 // operations over many epochs, the incremental scan of each epoch's store
-// must equal a cold full scan of the same store, byte for byte, at worker
-// counts 1, 4 and 32. Between the random epochs it forces the cases the
-// incremental merge and the name-only skip must get right — a candidate
-// appearing, that candidate disappearing, an epoch of nothing but
-// re-points, an unchanged epoch — and, mid-sequence, swaps every engine
-// for its own Save/Load image. After each scan the returned slice is
-// scribbled over: the engine's retained output must not alias it.
+// must equal a cold full scan of the same store, byte for byte. Two kinds
+// of lineage run side by side: stores rebuilt from the model every epoch
+// (every rescanned shard re-matched in full) at worker counts 1, 4 and 32,
+// and stores churned in place by Add (tail matching) — one built by Add,
+// one by GenerateSnapshot with 4 workers, whose sequence numbers arrive out
+// of order. In place, a store never drops a name, and every epoch matches
+// exactly the names it added. Between the random epochs it forces the
+// cases the merge and the skip must get right — a candidate appearing,
+// that candidate disappearing, an epoch of nothing but re-points, an
+// unchanged epoch — and, mid-sequence, swaps every engine for its own
+// Save/Load image. After each scan the returned slice is scribbled over:
+// the engine's retained output must not alias it.
 func TestPropertyIncrementalEqualsFull(t *testing.T) {
 	seeds := []uint64{1, 2026, 0xdeadbeef, 424242}
 	if testing.Short() {
@@ -32,6 +38,12 @@ func TestPropertyIncrementalEqualsFull(t *testing.T) {
 			rng := simrand.New(seed)
 			m := testMatcher()
 			engines := map[int]*Engine{1: NewEngine(), 4: NewEngine(), 32: NewEngine()}
+			inPlace := []*lineage{
+				{name: "in place", store: dnsx.NewStore(), e: NewEngine()},
+				{name: "generated", e: NewEngine(), store: dnsx.GenerateSnapshot(dnsx.SnapshotSpec{
+					Planted: []string{"paypa1.com", "faceb00k.com"}, NoiseRecords: 300, Workers: 4, Seed: seed,
+				})},
+			}
 			model := seedModel(rng.Split("seed-model"), 200+rng.Intn(400))
 			planted := "paypal-" + rng.Letters(5) + ".com"
 
@@ -56,40 +68,84 @@ func TestPropertyIncrementalEqualsFull(t *testing.T) {
 				default:
 					mutate(model, rng.Split(fmt.Sprintf("mutate-%d", epoch)))
 				}
-				store := buildStore(model, rng.Split(fmt.Sprintf("build-%d", epoch)))
-				want := fullScan(store, m)
-				for workers, e := range engines {
-					if epoch == epochs/2 {
-						var spill bytes.Buffer
-						if err := e.Save(&spill); err != nil {
-							t.Fatal(err)
-						}
-						loaded, err := Load(&spill)
-						if err != nil {
-							t.Fatal(err)
-						}
-						e, engines[workers] = loaded, loaded
+				reload := func(e *Engine) *Engine {
+					if epoch != epochs/2 {
+						return e
 					}
+					var spill bytes.Buffer
+					if err := e.Save(&spill); err != nil {
+						t.Fatal(err)
+					}
+					loaded, err := Load(&spill)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return loaded
+				}
+				check := func(name string, e *Engine, store *dnsx.Store, workers, added int) {
+					t.Helper()
 					got := e.Scan(store, m, workers)
-					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("epoch %d workers %d: incremental %d candidates != full %d",
-							epoch, workers, len(got), len(want))
+					if want := fullScan(store, m); !reflect.DeepEqual(got, want) {
+						t.Fatalf("epoch %d %s workers %d: incremental %d candidates != full %d",
+							epoch, name, workers, len(got), len(want))
 					}
 					st := e.LastStats()
 					if st.FullScan != (epoch == 0) {
-						t.Fatalf("epoch %d workers %d: FullScan = %t", epoch, workers, st.FullScan)
+						t.Fatalf("epoch %d %s workers %d: FullScan = %t", epoch, name, workers, st.FullScan)
 					}
-					if (ipOnly || epoch%5 == 4) && st.RecordsWalked != 0 {
-						t.Fatalf("epoch %d workers %d: walked %d records though no name changed",
-							epoch, workers, st.RecordsWalked)
+					if added >= 0 && st.RecordsWalked != added {
+						t.Fatalf("epoch %d %s workers %d: matched %d records, want the %d names added",
+							epoch, name, workers, st.RecordsWalked, added)
 					}
 					for i := range got {
 						got[i] = squat.Candidate{Domain: "scribbled"}
 					}
 				}
+
+				store := buildStore(model, rng.Split(fmt.Sprintf("build-%d", epoch)))
+				for workers, e := range engines {
+					e = reload(e)
+					engines[workers] = e
+					added := -1 // a rebuilt store re-matches its changed shards in full
+					if ipOnly || epoch%5 == 4 {
+						added = 0
+					}
+					check("rebuilt", e, store, workers, added)
+				}
+				for _, l := range inPlace {
+					added := l.apply(model)
+					if epoch == 0 || epoch == epochs/2 {
+						added = -1 // a full scan; the first scan after Load re-matches its changed shards in full
+					}
+					l.e = reload(l.e)
+					check(l.name, l.e, l.store, []int{1, 4, 32}[epoch%3], added)
+				}
 			}
 		})
 	}
+}
+
+// lineage is one store churned in place and the engine that follows it.
+type lineage struct {
+	name  string
+	store *dnsx.Store
+	e     *Engine
+}
+
+// apply brings the store up to the model by Add — new names and re-points;
+// names the model dropped stay, as they do in a store — and returns the
+// number of names it added.
+func (l *lineage) apply(model map[string][4]byte) (added int) {
+	for _, d := range sortedDomains(model) {
+		ip, ok := l.store.Lookup(d)
+		if !ok {
+			added++
+		}
+		if !ok || ip != model[d] {
+			l.store.Add(d, model[d])
+		}
+	}
+	return added
 }
 
 func sortedDomains(model map[string][4]byte) []string {

@@ -8,10 +8,10 @@ import (
 	"squatphi/internal/simrand"
 )
 
-// TestProvenanceEpochs pins the cache-provenance semantics: a verdict is
+// TestProvenanceEpochs pins the cache-provenance semantics: a candidate is
 // "fresh" in the epoch whose scan ran the matcher for it and "cached"
-// afterwards, across both reuse mechanisms (verdict-cache hit and
-// wholesale shard skip).
+// afterwards, across both reuse mechanisms (a record below a rescanned
+// shard's tail, and a wholesale shard skip).
 func TestProvenanceEpochs(t *testing.T) {
 	rng := simrand.New(11)
 	model := seedModel(rng, 400)
@@ -27,7 +27,7 @@ func TestProvenanceEpochs(t *testing.T) {
 	if !ok {
 		t.Fatal("no provenance for scanned squat domain")
 	}
-	if pr.Epoch != 1 || pr.ComputedEpoch != 1 || pr.Cached || !pr.Matched {
+	if pr.Epoch != 1 || pr.ComputedEpoch != 1 || pr.Cached {
 		t.Fatalf("epoch 1 provenance = %+v, want fresh matched at epoch 1", pr)
 	}
 	if pr, ok = e.Provenance("this-was-never-scanned.com"); ok {
@@ -36,30 +36,33 @@ func TestProvenanceEpochs(t *testing.T) {
 
 	// Epoch 2, unchanged store: every shard skips, the verdict must now
 	// read as cached with its compute epoch intact.
-	e.Scan(buildStore(model, rng.Split("b2")), m, 4)
+	s := buildStore(model, rng.Split("b2"))
+	e.Scan(s, m, 4)
 	if st := e.LastStats(); st.ShardsRescanned != 0 {
 		t.Fatalf("unchanged store rescanned %d shards", st.ShardsRescanned)
 	}
 	pr, _ = e.Provenance("paypa1.com")
-	if pr.Epoch != 2 || pr.ComputedEpoch != 1 || !pr.Cached || !pr.Matched {
+	if pr.Epoch != 2 || pr.ComputedEpoch != 1 || !pr.Cached {
 		t.Fatalf("epoch 2 provenance = %+v, want cached from epoch 1", pr)
 	}
 
-	// Epoch 3, add one record: its shard rescans, existing verdicts hit
-	// the cache (ComputedEpoch stays 1), the new domain is fresh at 3.
-	model["paypal-fresh3.com"] = [4]byte{1, 2, 3, 4}
-	e.Scan(buildStore(model, rng.Split("b3")), m, 4)
+	// Epoch 3, add one record in place: its shard rescans only the new
+	// name, existing candidates are carried (ComputedEpoch stays 1), the
+	// new domain is fresh at 3.
+	s.Add("paypal-fresh3.com", [4]byte{1, 2, 3, 4})
+	e.Scan(s, m, 4)
 	pr, _ = e.Provenance("paypa1.com")
 	if pr.Epoch != 3 || pr.ComputedEpoch != 1 || !pr.Cached {
 		t.Fatalf("epoch 3 old-domain provenance = %+v", pr)
 	}
 	pr, ok = e.Provenance("paypal-fresh3.com")
-	if !ok || pr.ComputedEpoch != 3 || pr.Cached || !pr.Matched {
+	if !ok || pr.ComputedEpoch != 3 || pr.Cached {
 		t.Fatalf("epoch 3 new-domain provenance = %+v (ok=%t)", pr, ok)
 	}
 
-	// Non-matching domains carry provenance too — "the matcher saw it and
-	// said no" is evidence.
+	// The engine remembers candidates only: a name that matched nothing has
+	// no provenance here, and core.cacheEvidence reads it as fresh at its
+	// own scan epoch.
 	var noise string
 	for d := range model {
 		if _, matched := m.Match(d); !matched {
@@ -67,7 +70,7 @@ func TestProvenanceEpochs(t *testing.T) {
 			break
 		}
 	}
-	if pr, ok = e.Provenance(noise); !ok || pr.Matched {
+	if pr, ok = e.Provenance(noise); ok || pr.Epoch != 3 {
 		t.Fatalf("noise-domain provenance = %+v (ok=%t)", pr, ok)
 	}
 }
@@ -100,26 +103,27 @@ func TestProvenanceSurvivesSaveLoad(t *testing.T) {
 	}
 }
 
-// provenanceAllShards is the reference Provenance answers against: the
-// search of every shard's cache that the indexed lookup replaced.
+// provenanceAllShards is the reference Provenance answers against: a
+// search of every shard's candidates for the spelling Scan returned.
 func provenanceAllShards(e *Engine, domain string) (Provenance, bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	d := dnsx.Normalize(domain)
 	for _, sh := range e.shards {
-		if v, ok := sh.cache[d]; ok {
-			return Provenance{Epoch: e.epoch, ComputedEpoch: v.epoch, Cached: v.epoch < e.epoch, Matched: v.ok}, true
+		for _, c := range sh.cands {
+			if c.Domain == d {
+				return Provenance{Epoch: e.epoch, ComputedEpoch: int(c.epoch), Cached: int(c.epoch) < e.epoch}, true
+			}
 		}
 	}
 	return Provenance{Epoch: e.epoch}, false
 }
 
-// TestProvenanceIndexesOneShard: Provenance probes only the shard the
-// store files a domain under, and must answer exactly what a search of
-// all shards answers — for every domain of a multi-epoch store, for
-// domains that left it (still cached, or pruned with their shard), for
-// names never seen and for un-normalised spellings, on the live engine
-// and on its Save/Load image.
+// TestProvenanceIndexesOneShard: Provenance answers from the sorted output
+// and must answer exactly what a search of every shard's candidates
+// answers — for every domain of a multi-epoch store, for domains that left
+// it, for names never seen and for un-normalised spellings, on the live
+// engine and on its Save/Load image.
 func TestProvenanceIndexesOneShard(t *testing.T) {
 	rng := simrand.New(17)
 	model := seedModel(rng, 9000)
@@ -128,8 +132,8 @@ func TestProvenanceIndexesOneShard(t *testing.T) {
 	e.Scan(buildStore(model, rng.Split("b1")), m, 4)
 	queries := sortedDomains(model)
 
-	// Epoch 2 keeps 150 names, so most caches are pruned; epoch 3 drops a
-	// few more from shards too small to prune and adds fresh ones.
+	// Epoch 2 keeps 150 names; epoch 3 drops a few more and adds fresh
+	// ones.
 	for _, d := range queries[150:] {
 		delete(model, d)
 	}

@@ -201,7 +201,7 @@ func assertSumsMatchRecords(t *testing.T, s *Store, when string) {
 		if got := s.ShardChecksum(i); got != content {
 			t.Fatalf("%s: shard %d content checksum %x, recomputed %x", when, i, got, content)
 		}
-		if got := s.ShardNameChecksum(i); got != names {
+		if got := s.ShardNameMark(i).Sum; got != names {
 			t.Fatalf("%s: shard %d name checksum %x, recomputed %x", when, i, got, names)
 		}
 	}
@@ -232,7 +232,7 @@ func TestShardNameChecksum(t *testing.T) {
 	assertSumsMatchRecords(t, b, "after reversed inserts")
 	contentDiffers := false
 	for i := 0; i < a.NumShards(); i++ {
-		if a.ShardNameChecksum(i) != b.ShardNameChecksum(i) {
+		if a.ShardNameMark(i).Sum != b.ShardNameMark(i).Sum {
 			t.Fatalf("shard %d: name checksum depends on insertion order or addresses", i)
 		}
 		contentDiffers = contentDiffers || a.ShardChecksum(i) != b.ShardChecksum(i)
@@ -245,7 +245,7 @@ func TestShardNameChecksum(t *testing.T) {
 	// checksum where it was.
 	before := make([]uint64, a.NumShards())
 	for i := range before {
-		before[i] = a.ShardNameChecksum(i)
+		before[i] = a.ShardNameMark(i).Sum
 	}
 	for i, x := range recs {
 		if i%2 == 0 {
@@ -256,7 +256,7 @@ func TestShardNameChecksum(t *testing.T) {
 	}
 	assertSumsMatchRecords(t, a, "after overwrites and re-points")
 	for i := range before {
-		if a.ShardNameChecksum(i) != before[i] {
+		if a.ShardNameMark(i).Sum != before[i] {
 			t.Fatalf("shard %d: name checksum moved on an overwrite or re-point", i)
 		}
 	}
@@ -264,7 +264,7 @@ func TestShardNameChecksum(t *testing.T) {
 	// One new name moves exactly its own shard's name checksum.
 	a.Add("a-brand-new-name.com", [4]byte{1, 2, 3, 4})
 	for i := range before {
-		if moved, want := a.ShardNameChecksum(i) != before[i], i == a.ShardOf("a-brand-new-name.com"); moved != want {
+		if moved, want := a.ShardNameMark(i).Sum != before[i], i == a.ShardOf("a-brand-new-name.com"); moved != want {
 			t.Fatalf("shard %d: name checksum moved = %t after a new name in shard %d", i, moved, a.ShardOf("a-brand-new-name.com"))
 		}
 	}
@@ -286,10 +286,82 @@ func TestShardNameChecksumConcurrentAdd(t *testing.T) {
 			for i := 0; i < 500; i++ {
 				s.Add(fmt.Sprintf("shared-%d.com", r.Intn(200)), RandomIP(r))
 				s.Add(fmt.Sprintf("w%d-%d.com", g, i), RandomIP(r))
-				_ = s.ShardNameChecksum(i % 8)
+				_ = s.ShardNameMark(i % 8).Sum
 			}
 		}(g)
 	}
 	wg.Wait()
 	assertSumsMatchRecords(t, s, "after concurrent adds")
+}
+
+// TestTailShardVisitsOnlyNewNames: a tail walk from an earlier mark visits
+// the names inserted since, in insertion order — not the re-pointed ones —
+// and their checksum terms account exactly for the move of the shard's
+// name checksum. From 0 it walks the whole shard.
+func TestTailShardVisitsOnlyNewNames(t *testing.T) {
+	r := simrand.New(31)
+	s := NewShardedStore(4)
+	var old []string
+	for i := 0; i < 200; i++ {
+		d := fmt.Sprintf("%s-%d.com", r.Letters(6), i)
+		old = append(old, d)
+		s.Add(d, RandomIP(r))
+	}
+	const shard = 2
+	then := s.ShardNameMark(shard)
+	var added []string
+	for i := 0; i < 60; i++ {
+		s.Add(old[r.Intn(len(old))], RandomIP(r)) // re-point
+		d := fmt.Sprintf("new-%s-%d.com", r.Letters(6), i)
+		s.Add(d, RandomIP(r))
+		if s.ShardOf(d) == shard {
+			added = append(added, d)
+		}
+	}
+	if len(added) == 0 {
+		t.Fatal("test premise: no new name landed in the shard")
+	}
+	var got []string
+	visited, now := s.TailShard(shard, then.Next, func(rec Record) { got = append(got, rec.Domain) })
+	if !reflect.DeepEqual(got, added) {
+		t.Fatalf("tail walk visited %v, want the new names %v", got, added)
+	}
+	if visited != now.Sum-then.Sum || now.Len != then.Len+len(added) {
+		t.Fatalf("visited sum %x, checksum moved by %x; Len %d → %d with %d added", visited, now.Sum-then.Sum, then.Len, now.Len, len(added))
+	}
+	got = got[:0]
+	visited, _ = s.TailShard(shard, 0, func(rec Record) { got = append(got, rec.Domain) })
+	if visited != now.Sum || len(got) != now.Len {
+		t.Fatalf("a walk from 0 visited %d of %d records, sum %x of %x", len(got), now.Len, visited, now.Sum)
+	}
+}
+
+// TestTailShardMissesNameBelowMark: a name that arrives with a sequence
+// number below a mark already handed out — a concurrent writer that lost
+// the race to the lock — is not visited by the tail walk from that mark,
+// and the visited sum then disagrees with the shard's name checksum, which
+// is the only thing that tells a caller the tail cannot be trusted.
+func TestTailShardMissesNameBelowMark(t *testing.T) {
+	s := NewShardedStore(1)
+	for i := 0; i < 10; i++ {
+		s.addAt(uint64(i), fmt.Sprintf("early-%d.com", i), [4]byte{1, 1, 1, byte(i)})
+	}
+	s.addAt(20, "ahead.com", [4]byte{2, 2, 2, 2})
+	then := s.ShardNameMark(0)
+	if then.Next != 21 {
+		t.Fatalf("mark = %d, want 21", then.Next)
+	}
+	s.addAt(15, "late-below-mark.com", [4]byte{3, 3, 3, 3})
+	s.addAt(30, "after-mark.com", [4]byte{4, 4, 4, 4})
+	var got []string
+	visited, now := s.TailShard(0, then.Next, func(r Record) { got = append(got, r.Domain) })
+	if !reflect.DeepEqual(got, []string{"after-mark.com"}) {
+		t.Fatalf("tail walk visited %v, want only after-mark.com", got)
+	}
+	if visited == now.Sum-then.Sum {
+		t.Fatal("the checksum identity held though a name below the mark was never visited")
+	}
+	if want := nameMix(fnvName("late-below-mark.com")); now.Sum-then.Sum-visited != want {
+		t.Fatalf("the sums differ by %x, want the missed name's term %x", now.Sum-then.Sum-visited, want)
+	}
 }

@@ -62,6 +62,9 @@ type storeShard struct {
 	// never on a re-point, so it is the key for state that is a function
 	// of names only — the delta scanner's verdicts.
 	nsum uint64
+	// next is one above the largest sequence number a name entered the
+	// shard with: the shard's mark (ShardMark.Next).
+	next uint64
 }
 
 // ensureSorted restores the order-by-firstSeq invariant after out-of-order
@@ -197,8 +200,10 @@ func (s *Store) addAt(seq uint64, domain string, ip [4]byte) {
 	sh.nsum += nameMix(h)
 	e := &entry{domain: domain, ip: ip, firstSeq: seq, lastSeq: seq}
 	sh.records[domain] = e
-	if sh.sorted && len(sh.order) > 0 && sh.order[len(sh.order)-1].firstSeq > seq {
+	if seq < sh.next {
 		sh.sorted = false
+	} else {
+		sh.next = seq + 1
 	}
 	sh.order = append(sh.order, e)
 	sh.mu.Unlock()
@@ -239,18 +244,57 @@ func (s *Store) ShardChecksum(shard int) uint64 {
 	return sh.csum
 }
 
-// ShardNameChecksum returns the rolling name checksum of one shard: the
-// commutative sum of a finalised name hash over the shard's current
-// records. Equal name checksums mean (up to hash collision) equal sets of
-// names whatever they resolve to, so anything that is a pure function of
-// the names — a match verdict — is unchanged; ShardChecksum stays the key
-// for what also depends on addresses (deltascan.Diff, snapfmt segments).
-// O(1), like ShardChecksum.
-func (s *Store) ShardNameChecksum(shard int) uint64 {
+// ShardMark is one reading of a shard's names, taken under its lock.
+type ShardMark struct {
+	// Sum is the rolling name checksum: the commutative sum of a finalised
+	// name hash over the shard's records. Equal sums mean (up to hash
+	// collision) equal sets of names whatever they resolve to, so anything
+	// that is a pure function of the names — a match verdict — is
+	// unchanged; ShardChecksum stays the key for what also depends on
+	// addresses (deltascan.Diff, snapfmt segments).
+	Sum uint64
+	// Next is above the sequence number of every name in the shard, so a
+	// TailShard from it visits only names inserted after the reading.
+	Next uint64
+	// Len is the shard's record count.
+	Len int
+}
+
+// ShardNameMark reads one shard's name checksum and mark together. O(1),
+// like ShardChecksum.
+func (s *Store) ShardNameMark(shard int) ShardMark {
 	sh := &s.shards[shard]
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	return sh.nsum
+	return ShardMark{Sum: sh.nsum, Next: sh.next, Len: len(sh.order)}
+}
+
+// TailShard calls fn, in insertion order, for every record of one shard
+// whose sequence number is at least from, and returns the sum of the
+// visited names' checksum terms with the shard's mark, both read under the
+// one read lock the walk holds; from 0 walks the whole shard. A store never
+// drops a name and a name's sequence number only ever falls, so against an
+// earlier reading then, TailShard(then.Next) visits exactly the names added
+// since if and only if (up to hash collision) visited == now.Sum-then.Sum.
+// The identity fails when a concurrent writer's name arrived with a
+// sequence number below then.Next: the walk cannot see it, the checksum
+// can. fn must not mutate the store.
+func (s *Store) TailShard(shard int, from uint64, fn func(Record)) (visited uint64, now ShardMark) {
+	sh := &s.shards[shard]
+	sh.ensureSorted()
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	order := sh.order
+	if sh.sorted { // else a writer got in after ensureSorted: filter it all
+		order = order[sort.Search(len(order), func(i int) bool { return order[i].firstSeq >= from }):]
+	}
+	for _, e := range order {
+		if e.firstSeq >= from {
+			visited += nameMix(fnvName(e.domain))
+			fn(Record{Domain: e.domain, IP: e.ip})
+		}
+	}
+	return visited, ShardMark{Sum: sh.nsum, Next: sh.next, Len: len(sh.order)}
 }
 
 // Checksums returns all per-shard checksums. The slice is a copy.

@@ -19,8 +19,8 @@
 // serialized model whose trailing fingerprint hash identifies the full
 // model configuration (brand set, n-gram order, smoothing). The matcher
 // folds that fingerprint into its own (squat.Matcher.AttachLM), which is
-// how deltascan verdict caches learn that a model change invalidates
-// cached verdicts.
+// how deltascan's retained candidates learn that a model change
+// invalidates them.
 package domlm
 
 import "math"
@@ -73,7 +73,8 @@ const scoreSharpness = 1.0
 // ModelVersion versions the scoring semantics and the binary model
 // layout. It is part of the serialized header, so a version bump changes
 // every model fingerprint and — through the matcher fingerprint —
-// invalidates deltascan verdict caches, exactly like a brand-set change.
+// invalidates deltascan's retained candidates, exactly like a brand-set
+// change.
 const ModelVersion = 1
 
 // Config is the model shape. It is part of the fingerprint: changing

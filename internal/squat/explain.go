@@ -28,8 +28,8 @@ const (
 // confusable skeleton, edit distance) the rule compared. It is computed
 // by re-running the classification, so it is exactly as deterministic as
 // Match itself and can be produced after the fact for any domain —
-// including verdicts answered from the deltascan cache, where the
-// matcher never ran during the scan.
+// including candidates deltascan carried over from an earlier epoch,
+// where the matcher never ran during the scan.
 type Explanation struct {
 	// Domain is the normalised subject (lowercase, no trailing dot).
 	Domain string

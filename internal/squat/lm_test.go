@@ -81,7 +81,7 @@ func TestAttachLMFingerprint(t *testing.T) {
 	}
 
 	// The fingerprint is a function of what is attached, not of the calls
-	// that got there: a deltascan cache written without the model must not
+	// that got there: deltascan state written without the model must not
 	// read as valid because the model was attached an even number of times.
 	m1.AttachLM(model, 0)
 	if m1.Fingerprint() != m2.Fingerprint() {

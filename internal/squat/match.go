@@ -182,7 +182,7 @@ func (m *Matcher) Fingerprint() uint64 { return m.fp }
 //
 // Fingerprint is a function of (rules, model, threshold): attaching a
 // model — or a retrained or re-thresholded one — changes it exactly like a
-// brand-set change does, so deltascan verdict caches degrade to a full
+// brand-set change does, so deltascan's retained candidates degrade to a full
 // re-scan instead of serving verdicts computed under a different model,
 // and attaching replaces whatever was attached before rather than
 // folding on top of it.
