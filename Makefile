@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short race race-short chaos bench bench-all bench-check bench-selftest vet fmt fmt-check lint lint-list fuzz fuzz-smoke cover provenance-check serve-smoke verify paperbench pipeline clean
+.PHONY: all build test test-short race race-short chaos bench bench-all bench-check bench-selftest vet fmt fmt-check lint lint-list fuzz fuzz-smoke cover provenance-check serve-smoke monitor-smoke verify paperbench pipeline clean
 
 all: build vet fmt-check lint test
 
@@ -178,6 +178,13 @@ serve-smoke:
 		-smoke paypal.com facebook.com; rc=$$?; \
 	rm -rf $$tmp; exit $$rc
 
+# Monitor smoke: squatmond bootstraps its classifier and runs three rounds
+# into a temporary report; every report line must decode as an Alert and
+# the flushed metrics snapshot must count three rounds and every alert.
+# Three rounds because that world raises its first alerts in round 3.
+monitor-smoke:
+	$(GO) test -run '^TestMonitorSmoke$$' -count=1 ./cmd/squatmond
+
 # Provenance golden: one serial pipeline run must reproduce the pinned
 # verdict-provenance record (testdata/golden_provenance.json) byte for
 # byte. Regenerate with: go test -run TestGoldenProvenance -update .
@@ -187,8 +194,9 @@ provenance-check:
 # Full verification chain: build, vet, formatting, static analysis,
 # tests (including the golden end-to-end pipeline), the benchmark module's
 # own tests, the short race pass, the zero-alloc scan gate, coverage floors,
-# the provenance golden, the serving-path smoke, and the fuzz smoke campaign.
-verify: build vet fmt-check lint test bench-selftest race-short bench-check cover provenance-check serve-smoke fuzz-smoke
+# the provenance golden, the serving-path and monitor smokes, and the fuzz
+# smoke campaign.
+verify: build vet fmt-check lint test bench-selftest race-short bench-check cover provenance-check serve-smoke monitor-smoke fuzz-smoke
 
 # Regenerate every paper table and figure.
 paperbench:

@@ -11,13 +11,10 @@
 //
 // Usage:
 //
-//	squatmond [-rounds 3] [-interval 0s] [-report alerts.jsonl] [-debug-addr :6060] [-delta]
+//	squatmond [-rounds 3] [-interval 0s] [-new 400] [-report alerts.jsonl] [-debug-addr :6060]
 //
-// -delta switches the match stage to the incremental delta-scan engine:
-// each round re-scans the whole accumulated zone, but unchanged shards are
-// skipped by checksum and previously-seen domains answer from the verdict
-// cache, so the round cost tracks the churn rather than the zone size.
-// Alerts are identical to the per-batch match path.
+// Each round matches only that round's probe-confirmed registrations, so
+// the round cost tracks the churn rather than the zone size.
 package main
 
 import (
@@ -34,7 +31,6 @@ import (
 
 	"squatphi/internal/core"
 	"squatphi/internal/crawler"
-	"squatphi/internal/deltascan"
 	"squatphi/internal/dnsx"
 	"squatphi/internal/features"
 	"squatphi/internal/fsx"
@@ -63,9 +59,6 @@ func main() {
 	interval := flag.Duration("interval", 0, "pause between rounds")
 	reportPath := flag.String("report", "", "append alerts as JSONL to this file (default stdout)")
 	newPerRound := flag.Int("new", 400, "world registrations arriving per round (plus 50% random-noise names)")
-	scanWorkers := flag.Int("scan-workers", 0, "DNS scan/generation parallelism (0 = all cores, 1 = serial)")
-	deltaScan := flag.Bool("delta", false, "match via the incremental delta-scan engine: each round re-scans the whole zone but reuses unchanged shards and cached per-domain verdicts (same alerts, longitudinal cost)")
-	deltaState := flag.String("delta-state", "", "with -delta: delta-engine spill path, recovered on boot and saved atomically on exit (including SIGINT/SIGTERM)")
 	scoreWorkers := flag.Int("score-workers", 0, "classifier scoring parallelism (0 = all cores, 1 = serial)")
 	debugAddr := flag.String("debug-addr", "", "serve /metrics, /spans and pprof on this address (e.g. :6060)")
 	metricsPath := flag.String("metrics", "", "write the final metrics snapshot to this file (default <report>.metrics.json when -report is set)")
@@ -79,7 +72,6 @@ func main() {
 		World:           webworld.Config{SquattingDomains: 3000, NonSquattingPhish: 300, Seed: 7},
 		DNSNoiseRecords: 8000,
 		ForestTrees:     25,
-		ScanWorkers:     *scanWorkers,
 		ScoreWorkers:    *scoreWorkers,
 		CrawlRetries:    *crawlRetries,
 		Retry:           *pol,
@@ -93,9 +85,8 @@ func main() {
 
 	// SIGINT/SIGTERM cancel the monitor context; the round loop exits at
 	// the next stage boundary and the normal flush path (metrics
-	// snapshot, delta-engine spill) still runs — a monitor killed from
-	// the terminal leaves the same artifacts as one that ran to
-	// completion.
+	// snapshot) still runs — a monitor killed from the terminal leaves the
+	// same artifacts as one that ran to completion.
 	lc := serve.NewLifecycle()
 	ctx := lc.Watch(obs.WithRecorder(context.Background(), p.Trace),
 		os.Interrupt, syscall.SIGTERM)
@@ -147,33 +138,6 @@ func main() {
 	cursor := 0
 	c := &crawler.Crawler{Client: p.Server.Client(), Workers: 16, Retries: *crawlRetries, Policy: *pol, Metrics: reg}
 
-	// With -delta the monitor re-scans the whole accumulated zone each
-	// round through a persistent engine instead of matching just the new
-	// batch: unchanged shards are skipped by checksum and a changed shard
-	// matches only the names added to the zone since the last round, so the
-	// round cost tracks the churn, not the zone size — the paper's §7
-	// deployment posture.
-	var engine *deltascan.Engine
-	if *deltaScan {
-		engine = deltascan.NewEngine()
-		if *deltaState != "" {
-			var recovered bool
-			var rerr error
-			engine, recovered, rerr = deltascan.Recover(*deltaState)
-			if rerr != nil {
-				log.Printf("delta state %s unreadable (%v); starting with a full scan", *deltaState, rerr)
-			} else if recovered {
-				log.Printf("delta state recovered from %s (epoch %d)", *deltaState, engine.Epoch())
-			}
-			lc.OnShutdown("delta-state", func(context.Context) error {
-				return engine.SaveFile(*deltaState)
-			})
-		}
-		engine.InstrumentMetrics(reg)
-	} else if *deltaState != "" {
-		log.Fatal("-delta-state needs -delta")
-	}
-
 	mRounds := reg.Counter("squatmond.rounds")
 	mNew := reg.Counter("squatmond.new_registrations")
 	mCandidates := reg.Counter("squatmond.candidates")
@@ -224,32 +188,10 @@ monitor:
 		_, matchSpan := obs.StartSpan(roundCtx, "match")
 		var domains []string
 		byDomain := map[string]squat.Candidate{}
-		if engine != nil {
-			// Scan the whole zone incrementally, then keep only this
-			// round's probe-confirmed batch. Batches are disjoint across
-			// rounds (only domains absent from the zone are added), so the
-			// filtered set — and therefore every alert — is identical to
-			// the per-record match below. Iterating the probe records keeps
-			// the candidate order identical too.
-			inZone := map[string]squat.Candidate{}
-			for _, cand := range engine.Scan(zone, p.Matcher, *scanWorkers) {
-				inZone[cand.Domain] = cand
-			}
-			for _, rec := range records {
-				if cand, ok := inZone[rec.Domain]; ok {
-					domains = append(domains, cand.Domain)
-					byDomain[cand.Domain] = cand
-				}
-			}
-			st := engine.LastStats()
-			matchSpan.SetAttr("shards_rescanned", strconv.Itoa(st.ShardsRescanned))
-			matchSpan.SetAttr("cache_hits", strconv.Itoa(st.CacheHits))
-		} else {
-			for _, rec := range records {
-				if cand, ok := p.Matcher.Match(rec.Domain); ok {
-					domains = append(domains, cand.Domain)
-					byDomain[cand.Domain] = cand
-				}
+		for _, rec := range records {
+			if cand, ok := p.Matcher.Match(rec.Domain); ok {
+				domains = append(domains, cand.Domain)
+				byDomain[cand.Domain] = cand
 			}
 		}
 		matchSpan.SetAttr("candidates", strconv.Itoa(len(domains)))
@@ -303,12 +245,6 @@ monitor:
 		log.Printf("round %d: %d new registrations, %d candidates, %d alerts (wall %s, probe RTT p50 %.2fms, alerts total %d)",
 			round, len(batch), len(domains), roundAlerts,
 			time.Since(start).Round(time.Millisecond), rtt.Quantile(0.5), mAlerts.Value())
-		if engine != nil {
-			st := engine.LastStats()
-			log.Printf("round %d delta: %d/%d shards rescanned, %d cache hits / %d misses, %d candidates reused",
-				round, st.ShardsRescanned, st.ShardsRescanned+st.ShardsSkipped,
-				st.CacheHits, st.CacheMisses, st.CandidatesReused)
-		}
 
 		if *interval > 0 && round < *rounds {
 			select {
@@ -341,16 +277,5 @@ monitor:
 			log.Fatal(err)
 		}
 		log.Printf("metrics snapshot written to %s", flushPath)
-	}
-
-	// Run the registered flush hooks (delta-engine spill) — the same
-	// path whether the monitor finished its rounds or was signalled.
-	shutCtx, cancel := context.WithTimeout(context.Background(), obs.ShutdownGrace)
-	defer cancel()
-	if err := lc.Shutdown(shutCtx); err != nil {
-		log.Fatal(err)
-	}
-	if *deltaState != "" {
-		log.Printf("delta state saved to %s", *deltaState)
 	}
 }

@@ -5,13 +5,8 @@
 //
 // Usage:
 //
-//	squatphi [-domains 8000] [-phish 600] [-seed 1175] [-trees 40] [-delta]
+//	squatphi [-domains 8000] [-phish 600] [-seed 1175] [-trees 40]
 //	         [-explain dom1,dom2] [-trace-out trace.gz] [-events log.jsonl]
-//
-// -delta routes the DNS scan through the incremental delta-scan engine
-// (internal/deltascan): output is identical to the direct scan, and
-// repeated scans of an evolving snapshot reuse unchanged shards and cached
-// per-domain verdicts.
 //
 // -explain prints the verdict-provenance record for the named domains
 // after detection; -trace-out persists the full trace store (flagged
@@ -53,8 +48,7 @@ func main() {
 	seed := flag.Uint64("seed", 1175, "world seed")
 	trees := flag.Int("trees", 40, "random forest size")
 	noise := flag.Int("dnsnoise", 30000, "background DNS records")
-	scanWorkers := flag.Int("scan-workers", 0, "DNS scan/generation parallelism (0 = all cores, 1 = serial)")
-	deltaScan := flag.Bool("delta", false, "route the DNS scan through the incremental delta-scan engine (same output; re-scans of an evolving snapshot reuse unchanged shards and cached verdicts)")
+	scanWorkers := flag.Int("scan-workers", 0, "DNS scan/generation parallelism (0 = all cores; same output at every value)")
 	scoreWorkers := flag.Int("score-workers", 0, "classifier scoring parallelism (0 = all cores, 1 = serial)")
 	debugAddr := flag.String("debug-addr", "", "serve /metrics, /spans and pprof on this address (e.g. :6060)")
 	crawlRetries := flag.Int("crawl-retries", 0, "crawler retries per fetch (negative disables, 0 = default 1)")
@@ -85,7 +79,6 @@ func main() {
 		ForestTrees:      *trees,
 		ScanWorkers:      *scanWorkers,
 		ScoreWorkers:     *scoreWorkers,
-		Incremental:      *deltaScan,
 		CrawlRetries:     *crawlRetries,
 		Retry:            *pol,
 		TraceSampleEvery: *traceSample,
@@ -168,11 +161,6 @@ func main() {
 	cands := p.ScanDNS()
 	log.Printf("DNS scan: %d records -> %d squatting candidates (%.0f records/sec)",
 		p.DNSSnapshot().Len(), len(cands), p.Obs.Snapshot().Gauges["core.scan_dns.records_per_sec"])
-	if e := p.DeltaEngine(); e != nil {
-		st := e.LastStats()
-		log.Printf("delta scan: epoch %d, %d/%d shards rescanned, %d cache hits / %d misses (full=%v)",
-			st.Epoch, st.ShardsRescanned, st.ShardsRescanned+st.ShardsSkipped, st.CacheHits, st.CacheMisses, st.FullScan)
-	}
 	counts := map[squat.Type]int{}
 	for _, c := range cands {
 		counts[c.Type]++

@@ -57,9 +57,9 @@ type goldenFlag struct {
 	Confirmed bool    `json:"confirmed"`
 }
 
-// goldenProvenance pins one flagged domain's verdict-provenance record
-// (PR 6): the structured evidence plus its human-readable rendering,
-// which must be byte-identical across serial, parallel, and delta runs.
+// goldenProvenance pins one flagged domain's verdict-provenance record:
+// the structured evidence plus its human-readable rendering, which must be
+// byte-identical at every scan worker count.
 type goldenProvenance struct {
 	Domain   string        `json:"domain"`
 	Record   *trace.Record `json:"record"`
@@ -70,8 +70,8 @@ type goldenProvenance struct {
 // is disabled so no wall-clock timing can reach the captures. DomLM is on,
 // with generated squats planted and brand-noise hard negatives in the
 // snapshot, so every variant proves the language-model score path is
-// byte-identical across serial, parallel, and delta scans too.
-func goldenConfig(scanWorkers int, incremental bool) core.Config {
+// byte-identical at every scan worker count too.
+func goldenConfig(scanWorkers int) core.Config {
 	return core.Config{
 		World:           webworld.Config{SquattingDomains: 400, NonSquattingPhish: 100, GeneratedSquats: 80, Seed: 11},
 		DNSNoiseRecords: 1200,
@@ -80,7 +80,6 @@ func goldenConfig(scanWorkers int, incremental bool) core.Config {
 		ForestTrees:     10,
 		ScanWorkers:     scanWorkers,
 		ScoreWorkers:    1,
-		Incremental:     incremental,
 		Retry:           retry.Policy{BaseDelay: -1},
 		Seed:            12,
 	}
@@ -88,8 +87,11 @@ func goldenConfig(scanWorkers int, incremental bool) core.Config {
 
 // runGoldenPipeline executes generate -> scan -> crawl -> features ->
 // classify -> detect and projects the outcome, plus the provenance
-// record of one flagged domain.
-func runGoldenPipeline(t *testing.T, cfg core.Config) (goldenReport, goldenProvenance) {
+// record of one flagged domain. With delta the projected candidate list is
+// the pipeline's own delta-engine scan; without it, an independent full
+// ScanStore pass over the same snapshot at the same worker count, so the
+// golden pins both scan paths.
+func runGoldenPipeline(t *testing.T, cfg core.Config, delta bool) (goldenReport, goldenProvenance) {
 	t.Helper()
 	p, err := core.New(cfg)
 	if err != nil {
@@ -111,8 +113,8 @@ func runGoldenPipeline(t *testing.T, cfg core.Config) (goldenReport, goldenProve
 
 	// Provenance golden: the first confirmed (fallback: first) flagged web
 	// domain's evidence record, read back from the always-on store that
-	// DetectInWild fills. Captured before any re-scan bumps the engine
-	// epoch, so delta and full runs render identical cache provenance.
+	// DetectInWild fills. Captured before the re-scan below bumps the engine
+	// epoch.
 	var prov goldenProvenance
 	if len(det.FlaggedWeb) > 0 {
 		f := det.FlaggedWeb[0]
@@ -129,18 +131,18 @@ func runGoldenPipeline(t *testing.T, cfg core.Config) (goldenReport, goldenProve
 		prov = goldenProvenance{Domain: f.Domain, Record: rec, Rendered: rec.Render()}
 	}
 
-	if cfg.Incremental {
-		// Re-scanning the unchanged snapshot must reuse every shard and
-		// reproduce the candidate list exactly (the warm delta path).
-		if again := p.RescanDNS(); !reflect.DeepEqual(again, cands) {
-			t.Fatalf("delta re-scan diverged: %d vs %d candidates", len(again), len(cands))
-		}
-		st := p.DeltaEngine().LastStats()
-		if st.ShardsRescanned != 0 || st.CacheMisses != 0 {
-			t.Fatalf("re-scan of unchanged snapshot did real work: %+v", st)
-		}
+	// Re-scanning the unchanged snapshot must reuse every shard and
+	// reproduce the candidate list exactly (the warm delta path).
+	if again := p.RescanDNS(); !reflect.DeepEqual(again, cands) {
+		t.Fatalf("warm re-scan diverged: %d vs %d candidates", len(again), len(cands))
+	}
+	if st := p.DeltaEngine().LastStats(); st.ShardsRescanned != 0 || st.RecordsWalked != 0 {
+		t.Fatalf("re-scan of unchanged snapshot did real work: %+v", st)
 	}
 
+	if !delta {
+		cands = core.ScanStore(p.DNSSnapshot(), p.Matcher, cfg.ScanWorkers, nil)
+	}
 	var rep goldenReport
 	for _, c := range cands {
 		rep.Candidates = append(rep.Candidates, goldenCandidate{
@@ -186,67 +188,52 @@ func marshalProvenance(t *testing.T, prov goldenProvenance) []byte {
 }
 
 // TestGoldenPipeline pins the end-to-end pipeline output against
-// testdata/golden_pipeline.json and proves the serial, parallel, and
-// incremental scan paths are byte-identical at the report level. Regenerate
-// with: go test -run TestGoldenPipeline -update .
+// testdata/golden_pipeline.json and testdata/golden_provenance.json at
+// scan worker counts 1, 4 and 32, pinning the candidate list of both the
+// delta engine (delta=true) and a full ScanStore pass (delta=false): every
+// variant must reproduce both files byte for byte. Regenerate (from the
+// one-worker engine run) with: go test -run TestGoldenPipeline -update .
 func TestGoldenPipeline(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full pipeline is slow")
 	}
-
-	base, baseProv := runGoldenPipeline(t, goldenConfig(1, false))
-	got := marshalGolden(t, base)
-	gotProv := marshalProvenance(t, baseProv)
-
 	if *updateGolden {
+		rep, prov := runGoldenPipeline(t, goldenConfig(1), true)
 		if err := os.MkdirAll(filepath.Dir(goldenPath), 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(goldenPath, got, 0o644); err != nil {
+		if err := os.WriteFile(goldenPath, marshalGolden(t, rep), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(goldenProvPath, gotProv, 0o644); err != nil {
+		if err := os.WriteFile(goldenProvPath, marshalProvenance(t, prov), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		t.Logf("wrote %s (%d candidates, %d web + %d mobile flags) and %s (%s)",
-			goldenPath, len(base.Candidates), len(base.FlaggedWeb), len(base.FlaggedMobile),
-			goldenProvPath, baseProv.Domain)
+			goldenPath, len(rep.Candidates), len(rep.FlaggedWeb), len(rep.FlaggedMobile),
+			goldenProvPath, prov.Domain)
 	}
-
 	want, err := os.ReadFile(goldenPath)
 	if err != nil {
 		t.Fatalf("%v (run with -update to regenerate)", err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("pipeline output diverged from %s:\n%s\n(run with -update to regenerate)",
-			goldenPath, firstDiff(want, got))
 	}
 	wantProv, err := os.ReadFile(goldenProvPath)
 	if err != nil {
 		t.Fatalf("%v (run with -update to regenerate)", err)
 	}
-	if !bytes.Equal(gotProv, wantProv) {
-		t.Fatalf("provenance diverged from %s:\n%s\n(run with -update to regenerate)",
-			goldenProvPath, firstDiff(wantProv, gotProv))
-	}
-
-	// Every other scan configuration must reproduce the same report and
-	// the same provenance record, byte for byte.
-	for _, v := range []struct {
-		workers     int
-		incremental bool
-	}{{4, false}, {32, false}, {1, true}, {4, true}, {32, true}} {
-		v := v
-		name := fmt.Sprintf("workers=%d,delta=%v", v.workers, v.incremental)
-		t.Run(name, func(t *testing.T) {
-			rep, prov := runGoldenPipeline(t, goldenConfig(v.workers, v.incremental))
-			if out := marshalGolden(t, rep); !bytes.Equal(out, want) {
-				t.Fatalf("%s diverged from golden:\n%s", name, firstDiff(want, out))
-			}
-			if out := marshalProvenance(t, prov); !bytes.Equal(out, wantProv) {
-				t.Fatalf("%s provenance diverged from golden:\n%s", name, firstDiff(wantProv, out))
-			}
-		})
+	for _, workers := range []int{1, 4, 32} {
+		for _, delta := range []bool{false, true} {
+			t.Run(fmt.Sprintf("workers=%d,delta=%v", workers, delta), func(t *testing.T) {
+				rep, prov := runGoldenPipeline(t, goldenConfig(workers), delta)
+				if out := marshalGolden(t, rep); !bytes.Equal(out, want) {
+					t.Fatalf("pipeline output diverged from %s:\n%s\n(run with -update to regenerate)",
+						goldenPath, firstDiff(want, out))
+				}
+				if out := marshalProvenance(t, prov); !bytes.Equal(out, wantProv) {
+					t.Fatalf("provenance diverged from %s:\n%s\n(run with -update to regenerate)",
+						goldenProvPath, firstDiff(wantProv, out))
+				}
+			})
+		}
 	}
 }
 
@@ -257,7 +244,7 @@ func TestGoldenProvenance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full pipeline is slow")
 	}
-	_, prov := runGoldenPipeline(t, goldenConfig(1, false))
+	_, prov := runGoldenPipeline(t, goldenConfig(1), true)
 	got := marshalProvenance(t, prov)
 	if *updateGolden {
 		if err := os.WriteFile(goldenProvPath, got, 0o644); err != nil {

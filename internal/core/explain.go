@@ -14,12 +14,10 @@ import (
 // from the pipeline's own state: matcher evidence is recomputed on
 // demand via squat.Matcher.Explain (deterministic, so nothing needs to
 // be captured on the scan hot path), cache provenance comes from the
-// delta engine's epoch stamps (or the pipeline's own scan-epoch counter
-// on full scans), and crawl/ML evidence is reconstructed from the cached
-// crawl results and the trained classifier. Everything here is
+// delta engine's epoch stamps, and crawl/ML evidence is reconstructed from
+// the cached crawl results and the trained classifier. Everything here is
 // observational: no verdict, ordering, or cache decision reads any of
-// it, and a record's bytes are identical across serial, parallel, and
-// delta runs of the same world.
+// it, and a record's bytes are identical at every scan worker count.
 
 // explainCtx carries the detection-run state one record assembly needs.
 type explainCtx struct {
@@ -63,27 +61,20 @@ func (p *Pipeline) explainContext(clf *Classifier, det *Detection, snapshot int)
 	return ec
 }
 
-// cacheEvidence explains where the domain's scan verdict came from.
-// Under incremental scanning the delta engine's epoch stamps decide
-// fresh-vs-cached; on full scans every verdict is fresh at the
-// pipeline's latest scan epoch — so a first scan reads "fresh, epoch 1"
-// in both modes and explain output stays byte-identical across them.
+// cacheEvidence explains where the domain's scan verdict came from: the
+// delta engine's epoch stamps decide fresh-vs-cached for a candidate, and
+// any other name is fresh at the engine's latest epoch — so a first scan
+// reads "fresh, epoch 1" for every name.
 func (p *Pipeline) cacheEvidence(domain string) *trace.CacheEvidence {
-	ce := &trace.CacheEvidence{Fingerprint: fmt.Sprintf("%016x", p.Matcher.Fingerprint())}
-	if p.delta != nil {
-		if pr, ok := p.delta.Provenance(domain); ok {
-			ce.Epoch = pr.ComputedEpoch
-			ce.Source = "fresh"
-			if pr.Cached {
-				ce.Source = "cache"
-			}
-			return ce
+	ce := &trace.CacheEvidence{Fingerprint: fmt.Sprintf("%016x", p.Matcher.Fingerprint()), Source: "fresh"}
+	pr, ok := p.delta.Provenance(domain)
+	ce.Epoch = pr.Epoch
+	if ok {
+		ce.Epoch = pr.ComputedEpoch
+		if pr.Cached {
+			ce.Source = "cache"
 		}
 	}
-	p.stageMu.Lock()
-	ce.Epoch = p.scanEpoch
-	p.stageMu.Unlock()
-	ce.Source = "fresh"
 	return ce
 }
 

@@ -3,6 +3,8 @@ package core
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
+	"errors"
 	"reflect"
 	"testing"
 
@@ -36,16 +38,26 @@ func scanFixture(t testing.TB, noise int) (*dnsx.Store, *squat.Matcher) {
 	return store, squat.NewMatcher(brands)
 }
 
-// TestScanStoreParallelEquivalence is the tentpole's correctness contract:
-// the parallel scan returns the exact candidate slice of the serial scan at
-// every worker count.
+// snapshotBytes serialises store in the snapfmt layout.
+func snapshotBytes(t *testing.T, store *dnsx.Store) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if _, err := snapfmt.WriteStore(&buf, store); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestScanStoreParallelEquivalence is the scan loop's correctness
+// contract: every worker count returns the exact candidate slice of the
+// one-worker scan, and workers <= 0 (GOMAXPROCS) does too.
 func TestScanStoreParallelEquivalence(t *testing.T) {
 	store, m := scanFixture(t, 5000)
 	serial := ScanStore(store, m, 1, nil)
 	if len(serial) == 0 {
 		t.Fatal("serial scan found no candidates")
 	}
-	for _, workers := range []int{2, 4, 8, 64} {
+	for _, workers := range []int{0, 2, 4, 8, 64} {
 		parallel := ScanStore(store, m, workers, nil)
 		if !reflect.DeepEqual(serial, parallel) {
 			t.Fatalf("workers=%d: parallel scan differs from serial (%d vs %d candidates)",
@@ -57,22 +69,18 @@ func TestScanStoreParallelEquivalence(t *testing.T) {
 // TestScanSnapshotEquivalence extends the equivalence contract to the
 // binary snapshot path: scanning the mmap-format serialisation of a store
 // returns the exact candidate slice of ScanStore over the store itself,
-// serial and at every worker count.
+// at every worker count including workers <= 0 (GOMAXPROCS).
 func TestScanSnapshotEquivalence(t *testing.T) {
 	store, m := scanFixture(t, 5000)
 	want := ScanStore(store, m, 1, nil)
 	if len(want) == 0 {
 		t.Fatal("store scan found no candidates")
 	}
-	var buf bytes.Buffer
-	if _, err := snapfmt.WriteStore(&buf, store); err != nil {
-		t.Fatal(err)
-	}
-	snap, err := snapfmt.OpenBytes(buf.Bytes())
+	snap, err := snapfmt.OpenBytes(snapshotBytes(t, store))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{1, 2, 4, 64} {
+	for _, workers := range []int{0, 1, 2, 4, 64} {
 		got, err := ScanSnapshot(snap, m, workers, nil)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
@@ -84,9 +92,46 @@ func TestScanSnapshotEquivalence(t *testing.T) {
 	}
 }
 
-// TestScanDNSMatchesSerialReference checks the pipeline-level wiring: a
-// pipeline configured with many scan workers produces the same candidates
-// as one forced onto the serial path, in the same world.
+// TestScanSnapshotCorruptSegment drives the scan loop's error path.
+// OpenBytes checks only the first and last entry of a segment's offsets
+// column, so swapping two middle entries passes it; the scan must then
+// fail with the corruption error and a nil slice at every worker count.
+func TestScanSnapshotCorruptSegment(t *testing.T) {
+	store, m := scanFixture(t, 5000)
+	data := snapshotBytes(t, store)
+	le := binary.LittleEndian
+	const headerSize, tableEntSize = 32, 32 // snapfmt's documented layout
+	corrupted := false
+	for i := 0; i < int(le.Uint32(data[16:])) && !corrupted; i++ {
+		ent := data[headerSize+i*tableEntSize:]
+		off, count := le.Uint64(ent), le.Uint64(ent[8:])
+		if count < 3 {
+			continue
+		}
+		offs := data[off:]
+		a, b := le.Uint32(offs[4:]), le.Uint32(offs[8:])
+		le.PutUint32(offs[4:], b)
+		le.PutUint32(offs[8:], a)
+		corrupted = true
+	}
+	if !corrupted {
+		t.Fatal("no segment with three records to corrupt")
+	}
+	snap, err := snapfmt.OpenBytes(data)
+	if err != nil {
+		t.Fatalf("OpenBytes rejected a middle-offset swap (%v); the test needs corruption it misses", err)
+	}
+	for _, workers := range []int{1, 2, 64} {
+		got, err := ScanSnapshot(snap, m, workers, nil)
+		if !errors.Is(err, snapfmt.ErrCorrupt) || got != nil {
+			t.Fatalf("workers=%d: ScanSnapshot = (%d candidates, %v), want (nil, ErrCorrupt)", workers, len(got), err)
+		}
+	}
+}
+
+// TestScanDNSMatchesSerialReference checks the pipeline-level wiring: the
+// engine-backed ScanDNS returns exactly the one-worker ScanStore of the
+// pipeline's own snapshot, at one and at many scan workers.
 func TestScanDNSMatchesSerialReference(t *testing.T) {
 	cfg := Config{
 		World:           webworld.Config{SquattingDomains: 600, NonSquattingPhish: 100, Seed: 21},
@@ -94,25 +139,21 @@ func TestScanDNSMatchesSerialReference(t *testing.T) {
 		ForestTrees:     10,
 		Seed:            5,
 	}
-	serialCfg, parallelCfg := cfg, cfg
-	serialCfg.ScanWorkers = 1
-	parallelCfg.ScanWorkers = 8
-
-	build := func(c Config) []squat.Candidate {
-		p, err := New(c)
+	for _, workers := range []int{1, 8} {
+		cfg.ScanWorkers = workers
+		p, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer p.Close()
-		return p.ScanDNS()
-	}
-	serial := build(serialCfg)
-	parallel := build(parallelCfg)
-	if len(serial) == 0 {
-		t.Fatal("serial pipeline scan found no candidates")
-	}
-	if !reflect.DeepEqual(serial, parallel) {
-		t.Fatalf("ScanDNS differs across worker counts: %d vs %d candidates", len(serial), len(parallel))
+		got := p.ScanDNS()
+		want := ScanStore(p.DNSSnapshot(), p.Matcher, 1, nil)
+		p.Close()
+		if len(want) == 0 {
+			t.Fatal("reference scan found no candidates")
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("workers=%d: ScanDNS differs from the serial ScanStore: %d vs %d candidates", workers, len(got), len(want))
+		}
 	}
 }
 

@@ -48,8 +48,7 @@ type Config struct {
 	CrawlWorkers int
 	// ScanWorkers is the DNS scan and snapshot-generation parallelism:
 	// store shards are scanned by this many goroutines. <= 0 means
-	// GOMAXPROCS; 1 forces the serial reference path. The scan result is
-	// identical for every value.
+	// GOMAXPROCS. The scan result is identical for every value.
 	ScanWorkers int
 	// ScoreWorkers bounds the classifier-scoring pool used by detection,
 	// liveness monitoring, and feature extraction (<= 0 means GOMAXPROCS;
@@ -71,14 +70,6 @@ type Config struct {
 	// benign registrations scored just below the promotion threshold,
 	// pressuring the precision of generated-squat detection. 0 = none.
 	DNSBrandNoise int
-	// Incremental routes the DNS scan through a persistent delta-scan
-	// engine (internal/deltascan): successive scans of an evolving
-	// snapshot skip unchanged store shards wholesale and answer repeated
-	// domains from a fingerprint-versioned match cache. The candidate set
-	// is byte-identical to the full scan at every worker count; only the
-	// cost of re-scans changes. Detection (DetectInWild) and everything
-	// downstream consume the incremental candidates transparently.
-	Incremental bool
 	// CrawlRetries is the crawler's retry count (repository retry
 	// convention: negative disables, 0 selects the default of 1).
 	CrawlRetries int
@@ -144,8 +135,8 @@ type Pipeline struct {
 
 	crawlerByProfile *crawler.Crawler
 
-	// delta is the persistent incremental scanner (nil unless
-	// Config.Incremental); RescanDNS feeds it fresh snapshot epochs.
+	// delta is the persistent delta-scan engine every ScanDNS goes
+	// through; RescanDNS feeds it fresh snapshot epochs.
 	delta *deltascan.Engine
 
 	// Caches.
@@ -156,10 +147,6 @@ type Pipeline struct {
 
 	stageMu  sync.Mutex
 	stageDur map[string]time.Duration
-	// scanEpoch counts completed DNS scans (stageMu-guarded); it mirrors
-	// deltascan's epoch so non-incremental runs report the same cache
-	// provenance ("fresh at epoch N") as incremental ones.
-	scanEpoch int
 }
 
 // New builds the world, starts its HTTP server, and prepares the pipeline.
@@ -191,6 +178,7 @@ func New(cfg Config) (*Pipeline, error) {
 		Trace:      obs.NewRecorder(32),
 		Prov:       trace.NewCollector(cfg.TraceSampleEvery),
 		Events:     cfg.Events,
+		delta:      deltascan.NewEngine(),
 		crawls:     map[int][]crawler.Result{},
 		stageDur:   map[string]time.Duration{},
 	}
@@ -205,10 +193,7 @@ func New(cfg Config) (*Pipeline, error) {
 	p.Matcher.InstrumentMetrics(reg)
 	p.Matcher.InstrumentTrace(p.Prov)
 	p.Events.AttachCollector(p.Prov)
-	if cfg.Incremental {
-		p.delta = deltascan.NewEngine()
-		p.delta.InstrumentMetrics(reg)
-	}
+	p.delta.InstrumentMetrics(reg)
 	p.crawlerByProfile = &crawler.Crawler{
 		Client:  server.Client(),
 		Workers: cfg.CrawlWorkers,
@@ -301,61 +286,26 @@ func (p *Pipeline) DNSSnapshot() *dnsx.Store {
 }
 
 // ScanStore runs the matcher over every record of store and returns the
-// squatting candidates sorted by domain. workers > 1 scans store shards on
-// a worker pool with per-worker candidate buffers; the merged, sorted
-// result is identical to the serial (workers <= 1) path because candidate
-// domains are unique within a store. reg (nil-tolerant) receives the scan
-// throughput gauge core.scan_dns.records_per_sec and, on the parallel
-// path, the per-shard scan-time histogram core.scan_dns.shard_ms.
+// squatting candidates sorted by domain, scanning store shards on
+// scanShards' worker pool (workers <= 0 means GOMAXPROCS; the result is the
+// same at every value). reg (nil-tolerant) receives the scan throughput
+// gauge core.scan_dns.records_per_sec and the per-shard scan-time histogram
+// core.scan_dns.shard_ms.
 func ScanStore(store *dnsx.Store, m *squat.Matcher, workers int, reg *obs.Registry) []squat.Candidate {
 	sw := obs.StartStopwatch()
-	var out []squat.Candidate
-	if workers <= 1 {
-		var sc squat.Scratch
-		store.Range(func(rec dnsx.Record) bool {
-			if c, ok := m.MatchString(rec.Domain, &sc); ok {
-				out = append(out, c)
-			}
-			return true
-		})
-	} else {
-		shardMS := reg.Histogram("core.scan_dns.shard_ms", obs.MillisBuckets)
-		nShards := store.NumShards()
-		if workers > nShards {
-			workers = nShards
-		}
-		buffers := make([][]squat.Candidate, workers)
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				var buf []squat.Candidate
-				var sc squat.Scratch
-				for {
-					shard := int(next.Add(1)) - 1
-					if shard >= nShards {
-						break
-					}
-					shardSW := obs.StartStopwatch()
-					store.RangeShard(shard, func(rec dnsx.Record) bool {
-						if c, ok := m.MatchString(rec.Domain, &sc); ok {
-							buf = append(buf, c)
-						}
-						return true
-					})
-					shardMS.Observe(shardSW.Millis())
+	out, err := scanShards(store.NumShards(), workers, reg.Histogram("core.scan_dns.shard_ms", obs.MillisBuckets),
+		func(shard int, sc *squat.Scratch, buf []squat.Candidate) ([]squat.Candidate, error) {
+			store.RangeShard(shard, func(rec dnsx.Record) bool {
+				if c, ok := m.MatchString(rec.Domain, sc); ok {
+					buf = append(buf, c)
 				}
-				buffers[w] = buf
-			}(w)
-		}
-		wg.Wait()
-		for _, buf := range buffers {
-			out = append(out, buf...)
-		}
+				return true
+			})
+			return buf, nil
+		})
+	if err != nil {
+		panic(err) // unreachable: a store shard scan returns no error
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Domain < out[j].Domain })
 	if secs := sw.Seconds(); secs > 0 {
 		reg.Gauge("core.scan_dns.records_per_sec").Set(float64(store.Len()) / secs)
 	}
@@ -367,110 +317,95 @@ func ScanStore(store *dnsx.Store, m *squat.Matcher, workers int, reg *obs.Regist
 // by domain — the scan path for paper-scale data, where records live in a
 // file mapping and are classified via MatchBytes without materializing a
 // string per record. The result is identical to ScanStore over a store
-// holding the same records, at any worker count. reg (nil-tolerant)
-// receives core.scan_snap.records_per_sec and, on the parallel path, the
-// per-segment scan-time histogram core.scan_snap.segment_ms.
+// holding the same records, at any worker count; a segment that fails to
+// decode fails the scan with a nil slice. reg (nil-tolerant) receives
+// core.scan_snap.records_per_sec and the per-segment scan-time histogram
+// core.scan_snap.segment_ms.
 func ScanSnapshot(snap *snapfmt.Snapshot, m *squat.Matcher, workers int, reg *obs.Registry) ([]squat.Candidate, error) {
 	sw := obs.StartStopwatch()
-	var out []squat.Candidate
-	nSegs := snap.NumShards()
-	if workers <= 1 {
-		var sc squat.Scratch
-		for seg := 0; seg < nSegs; seg++ {
+	out, err := scanShards(snap.NumShards(), workers, reg.Histogram("core.scan_snap.segment_ms", obs.MillisBuckets),
+		func(seg int, sc *squat.Scratch, buf []squat.Candidate) ([]squat.Candidate, error) {
 			err := snap.VisitShardDomains(seg, func(domain []byte) bool {
-				if c, ok := m.MatchBytes(domain, &sc); ok {
-					out = append(out, c)
+				if c, ok := m.MatchBytes(domain, sc); ok {
+					buf = append(buf, c)
 				}
 				return true
 			})
-			if err != nil {
-				return nil, err
-			}
-		}
-	} else {
-		segMS := reg.Histogram("core.scan_snap.segment_ms", obs.MillisBuckets)
-		if workers > nSegs {
-			workers = nSegs
-		}
-		buffers := make([][]squat.Candidate, workers)
-		errs := make([]error, workers)
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				var buf []squat.Candidate
-				var sc squat.Scratch
-				for {
-					seg := int(next.Add(1)) - 1
-					if seg >= nSegs {
-						break
-					}
-					segSW := obs.StartStopwatch()
-					err := snap.VisitShardDomains(seg, func(domain []byte) bool {
-						if c, ok := m.MatchBytes(domain, &sc); ok {
-							buf = append(buf, c)
-						}
-						return true
-					})
-					if err != nil {
-						errs[w] = err
-						break
-					}
-					segMS.Observe(segSW.Millis())
-				}
-				buffers[w] = buf
-			}(w)
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return nil, err
-			}
-		}
-		for _, buf := range buffers {
-			out = append(out, buf...)
-		}
+			return buf, err
+		})
+	if err != nil {
+		return nil, err
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Domain < out[j].Domain })
 	if secs := sw.Seconds(); secs > 0 {
 		reg.Gauge("core.scan_snap.records_per_sec").Set(float64(snap.Len()) / secs)
 	}
 	return out, nil
 }
 
+// scanShards is the worker loop behind ScanStore and ScanSnapshot: workers
+// goroutines (<= 0 means GOMAXPROCS, at most one per shard) take shard
+// indexes [0, n) off one atomic counter and hand each to scan with their
+// own Scratch and candidate buffer, and shardMS times every shard. The
+// buffers are merged and sorted by domain — the serial order at any worker
+// count, because candidate domains are unique within a store. A shard
+// error stops its worker and fails the scan with a nil slice.
+func scanShards(n, workers int, shardMS *obs.Histogram,
+	scan func(shard int, sc *squat.Scratch, buf []squat.Candidate) ([]squat.Candidate, error)) ([]squat.Candidate, error) {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	workers = min(workers, n)
+	buffers := make([][]squat.Candidate, workers)
+	errs := make([]error, workers)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var sc squat.Scratch
+			for shard := int(next.Add(1)) - 1; shard < n; shard = int(next.Add(1)) - 1 {
+				shardSW := obs.StartStopwatch()
+				if buffers[w], errs[w] = scan(shard, &sc, buffers[w]); errs[w] != nil {
+					return
+				}
+				shardMS.Observe(shardSW.Millis())
+			}
+		}()
+	}
+	wg.Wait()
+	var out []squat.Candidate
+	for w, buf := range buffers {
+		if errs[w] != nil {
+			return nil, errs[w]
+		}
+		out = append(out, buf...)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Domain < out[j].Domain })
+	return out, nil
+}
+
 // ScanDNS runs the squatting matcher over the whole snapshot and returns
-// the candidate squatting domains (paper §3.1; Figure 2). The scan is
-// distributed over Config.ScanWorkers goroutines; its result is identical
-// to the single-goroutine reference scan. Under Config.Incremental the
-// scan goes through the pipeline's delta-scan engine: the first call is a
-// full scan that warms the engine, and later epochs (RescanDNS after the
-// snapshot evolved) reuse every shard and verdict the snapshot checksums
-// prove unchanged.
+// the candidate squatting domains (paper §3.1; Figure 2). The scan goes
+// through the pipeline's delta-scan engine on Config.ScanWorkers
+// goroutines: the first call is a full scan that warms the engine, and
+// later epochs (RescanDNS after the snapshot evolved) re-match only the
+// names the snapshot checksums show are new. The result is identical to
+// ScanStore's full scan at every worker count.
 func (p *Pipeline) ScanDNS() []squat.Candidate {
 	if p.candidates == nil {
 		snapshot := p.DNSSnapshot() // built under its own stage span
 		_, done := p.stageSpan(context.Background(), "scan_dns")
-		var out []squat.Candidate
-		if p.delta != nil {
-			sw := obs.StartStopwatch()
-			out = p.delta.Scan(snapshot, p.Matcher, p.scanWorkers())
-			if secs := sw.Seconds(); secs > 0 {
-				p.Obs.Gauge("core.scan_dns.records_per_sec").Set(float64(snapshot.Len()) / secs)
-			}
-		} else {
-			out = ScanStore(snapshot, p.Matcher, p.scanWorkers(), p.Obs)
+		sw := obs.StartStopwatch()
+		out := p.delta.Scan(snapshot, p.Matcher, p.scanWorkers())
+		if secs := sw.Seconds(); secs > 0 {
+			p.Obs.Gauge("core.scan_dns.records_per_sec").Set(float64(snapshot.Len()) / secs)
 		}
 		p.candidates = out
 		p.Obs.Gauge("core.scan_dns.candidates").Set(float64(len(out)))
-		p.stageMu.Lock()
-		p.scanEpoch++
-		epoch := p.scanEpoch
-		p.stageMu.Unlock()
 		sampled, sampledHits := p.Prov.ScanStats()
 		p.Events.Info("core.scan.done",
-			trace.Int("epoch", epoch), trace.Int("candidates", len(out)),
+			trace.Int("epoch", p.delta.Epoch()), trace.Int("candidates", len(out)),
 			trace.Int64("prov_sampled", sampled), trace.Int64("prov_sampled_hits", sampledHits))
 		done(nil)
 	}
@@ -479,17 +414,15 @@ func (p *Pipeline) ScanDNS() []squat.Candidate {
 
 // RescanDNS invalidates the cached candidate set and re-runs ScanDNS —
 // the per-epoch entry point for longitudinal callers that mutated the
-// snapshot (new registrations, re-pointed records). With
-// Config.Incremental the re-scan is a cheap delta pass; without it, a
-// full scan.
+// snapshot (new registrations, re-pointed records); the engine makes the
+// re-scan a delta pass.
 func (p *Pipeline) RescanDNS() []squat.Candidate {
 	p.candidates = nil
 	return p.ScanDNS()
 }
 
-// DeltaEngine exposes the pipeline's incremental scanner (nil unless
-// Config.Incremental), for callers that drive their own snapshot stores
-// (cmd/squatmond's zone monitor) or want per-epoch Stats.
+// DeltaEngine exposes the pipeline's delta-scan engine, for callers that
+// want per-epoch Stats.
 func (p *Pipeline) DeltaEngine() *deltascan.Engine { return p.delta }
 
 // LMScore returns the brand-language-model score of a domain's

@@ -83,10 +83,10 @@ func (c *Collector) SampleEvery() int {
 	return int(c.sampleEvery)
 }
 
-// fnv1a hashes s with 64-bit FNV-1a.
+// fnv1a hashes s with 64-bit FNV-1a, over either byte view.
 //
 //squat:hot
-func fnv1a(s string) uint64 {
+func fnv1a[T string | []byte](s T) uint64 {
 	h := uint64(14695981039346656037)
 	for i := 0; i < len(s); i++ {
 		h ^= uint64(s[i])
@@ -106,14 +106,15 @@ func (c *Collector) Sampled(domain string) bool {
 	return fnv1a(domain)%c.sampleEvery == 0
 }
 
-// ObserveScan records one matcher classification if the domain is in the
-// head sample. The fast path for unsampled domains is one hash and one
+// ObserveScanBytes records one matcher classification if the domain is in
+// the head sample. The fast path for unsampled domains is one hash and one
 // mask (power-of-two rates, including the default) or one modulo — no
-// locks, no allocation. This sits inside Matcher.Match on the DNS-scan
-// hot path, so the unsampled cost is what the <5% overhead budget buys.
+// locks, no allocation. This sits inside Matcher.MatchBytes on the
+// DNS-scan hot path, so the unsampled cost is what the <5% overhead budget
+// buys. The domain becomes a string only when it falls in the sample.
 //
 //squat:hot
-func (c *Collector) ObserveScan(domain string, matched bool) {
+func (c *Collector) ObserveScanBytes(domain []byte, matched bool) {
 	if c == nil || c.sampleEvery == 0 {
 		return
 	}
@@ -128,61 +129,20 @@ func (c *Collector) ObserveScan(domain string, matched bool) {
 	c.recordMark(domain, matched)
 }
 
-// fnv1aBytes is fnv1a over a byte view — same hash, so ObserveScanBytes
-// samples exactly the domains ObserveScan would.
-//
-//squat:hot
-func fnv1aBytes(b []byte) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(b); i++ {
-		h ^= uint64(b[i])
-		h *= 1099511628211
-	}
-	return h
-}
-
-// ObserveScanBytes is ObserveScan for a domain held as raw bytes (the
-// mmap-backed snapshot scan path). The domain is converted to a string
-// only when it falls in the head sample, keeping the unsampled hot path
-// allocation-free.
-//
-//squat:hot
-func (c *Collector) ObserveScanBytes(domain []byte, matched bool) {
-	if c == nil || c.sampleEvery == 0 {
-		return
-	}
-	h := fnv1aBytes(domain)
-	if c.sampleMask != 0 {
-		if h&c.sampleMask != 0 {
-			return
-		}
-	} else if h%c.sampleEvery != 0 {
-		return
-	}
-	c.recordMarkBytes(domain, matched)
-}
-
-// recordMarkBytes is ObserveScanBytes' sampled slow path; the string
-// conversion happens here, behind the cold boundary, so the unsampled
-// hot path stays allocation-free by construction.
+// recordMark is ObserveScanBytes' sampled slow path: atomics plus a short
+// critical section, 1-in-N events by construction. The string conversion
+// happens here, behind the cold boundary, so the unsampled hot path stays
+// allocation-free by construction.
 //
 //squat:cold
-func (c *Collector) recordMarkBytes(domain []byte, matched bool) {
-	c.recordMark(string(domain), matched)
-}
-
-// recordMark is ObserveScan's sampled slow path: atomics plus a short
-// critical section, 1-in-N events by construction.
-//
-//squat:cold
-func (c *Collector) recordMark(domain string, matched bool) {
+func (c *Collector) recordMark(domain []byte, matched bool) {
 	c.scansSampled.Add(1)
 	if matched {
 		c.hitsSampled.Add(1)
 	}
 	c.mu.Lock()
 	if len(c.marks) < maxScanMarks {
-		c.marks[domain] = matched
+		c.marks[string(domain)] = matched
 	}
 	c.mu.Unlock()
 }

@@ -95,7 +95,7 @@ func TestCollectorSamplingIsHashBased(t *testing.T) {
 		}
 	}
 	for i := len(domains) - 1; i >= 0; i-- { // reversed order
-		col.ObserveScan(domains[i], false)
+		col.ObserveScanBytes([]byte(domains[i]), false)
 	}
 	marks := col.ScanMarks()
 	var got []string
@@ -113,7 +113,7 @@ func TestCollectorSamplingIsHashBased(t *testing.T) {
 
 func TestCollectorSamplingDisabled(t *testing.T) {
 	col := NewCollector(-1)
-	col.ObserveScan("a.com", true)
+	col.ObserveScanBytes([]byte("a.com"), true)
 	if s, _ := col.ScanStats(); s != 0 {
 		t.Errorf("disabled sampling still observed %d scans", s)
 	}
@@ -124,7 +124,7 @@ func TestCollectorSamplingDisabled(t *testing.T) {
 	}
 
 	var nilCol *Collector
-	nilCol.ObserveScan("a.com", true)
+	nilCol.ObserveScanBytes([]byte("a.com"), true)
 	nilCol.Put(&Record{Domain: "x"})
 	if nilCol.Sampled("a.com") {
 		t.Error("nil collector sampled a domain")
@@ -151,7 +151,7 @@ func TestCollectorConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				d := string(rune('a'+w)) + ".com"
-				col.ObserveScan(d, i%2 == 0)
+				col.ObserveScanBytes([]byte(d), i%2 == 0)
 				col.AddEvent(d, Event{Name: "x.y"})
 				col.Put(&Record{Schema: SchemaVersion, Domain: d})
 			}
@@ -166,7 +166,7 @@ func TestCollectorConcurrent(t *testing.T) {
 func TestStoreRoundTrip(t *testing.T) {
 	col := NewCollector(4)
 	for _, d := range []string{"a.com", "b.com", "c.com", "d.com", "e.com", "f.com"} {
-		col.ObserveScan(d, true)
+		col.ObserveScanBytes([]byte(d), true)
 	}
 	rec := &Record{
 		Schema: SchemaVersion,

@@ -251,14 +251,3 @@ func (m *Matcher) classify(domain string) (Candidate, bool) {
 	scratchPool.Put(s)
 	return c, ok
 }
-
-// MatchAll classifies a batch of domains, returning only the squatting hits.
-func (m *Matcher) MatchAll(domains []string) []Candidate {
-	var out []Candidate
-	for _, d := range domains {
-		if c, ok := m.Match(d); ok {
-			out = append(out, c)
-		}
-	}
-	return out
-}

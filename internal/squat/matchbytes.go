@@ -24,6 +24,7 @@ import (
 // A Scratch must not be shared between concurrent goroutines. The zero
 // value is ready to use.
 type Scratch struct {
+	raw   []byte // MatchString's copy of its domain
 	norm  []byte // normalized domain: lowercase, no trailing dot
 	skel  []byte // confusable skeleton of the registrable label
 	uni   []byte // IDN-decoded domain of an ACE record
@@ -31,7 +32,7 @@ type Scratch struct {
 }
 
 // scratchPool backs the scratch-less convenience entry points (Match,
-// MatchAll, Explain) so they stay allocation-light without forcing every
+// Explain) so they stay allocation-light without forcing every
 // caller to thread a Scratch.
 var scratchPool = sync.Pool{New: func() any { return new(Scratch) }}
 
@@ -245,51 +246,22 @@ func lastTwoDots(norm []byte) (d1, d2 int) {
 }
 
 // MatchString classifies one observed domain using caller-owned scratch
-// buffers. It is Match with the per-call scratch pool round trip factored
-// out: a scan worker that owns a Scratch performs no allocations on the
-// miss path (uninstrumented matcher; see BenchmarkMatchMiss and the
-// bench-check gate).
+// buffers: the domain is copied into s and classified by MatchBytes, the
+// one instrumented match body. A scan worker that owns a Scratch performs
+// no allocations on the miss path (uninstrumented matcher; see
+// BenchmarkMatchMiss and the bench-check gate).
 //
 //squat:hot
 func (m *Matcher) MatchString(domain string, s *Scratch) (Candidate, bool) {
-	needNorm, clean, d1, d2 := prescan(domain)
-	if needNorm {
-		s.norm = appendNormalized(s.norm[:0], domain)
-		d1, d2 = lastTwoDots(s.norm)
-	} else {
-		s.norm = append(s.norm[:0], domain...)
-	}
-	met := m.met
-	if met == nil {
-		c, ok := m.classifyBytes(s.norm, clean, d1, d2, s)
-		m.trace.ObserveScan(domain, ok)
-		return c, ok
-	}
-	sampled := met.calls.Add(1)%scanSampleEvery == 1
-	var sw obs.Stopwatch
-	if sampled {
-		sw = obs.StartStopwatch()
-	}
-	c, ok := m.classifyBytes(s.norm, clean, d1, d2, s)
-	if sampled {
-		met.scanUS.Observe(sw.Micros())
-	}
-	met.scanned.Inc()
-	if ok {
-		met.hits.Inc()
-		met.byType[c.Type].Inc()
-	}
-	m.trace.ObserveScan(domain, ok)
-	return c, ok
+	s.raw = append(s.raw[:0], domain...)
+	return m.MatchBytes(s.raw, s)
 }
 
 // MatchBytes classifies one observed domain given as raw bytes — the
 // entry point for scanning mmap-backed snapshots (internal/snapfmt),
 // where domains are byte slices into a file mapping and never exist as
-// strings. Verdicts, metrics and trace sampling are identical to Match on
-// the equivalent string; a string is materialized only at hit time (for
-// the Candidate) or when the domain falls into the provenance head
-// sample.
+// strings. A string is materialized only at hit time (for the Candidate)
+// or when the domain falls into the provenance head sample.
 //
 //squat:hot
 func (m *Matcher) MatchBytes(domain []byte, s *Scratch) (Candidate, bool) {
