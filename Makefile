@@ -103,9 +103,11 @@ bench-all:
 # shards): loading its spill allocates at most 0.5 objects per candidate,
 # and a warm epoch matches only the names it added and allocates at most
 # 1.25x the slice it returns, so a per-name string, value or structure
-# cannot come back unnoticed.
+# cannot come back unnoticed. And the matcher's footprint: one matcher over
+# the real brand universe retains at most 28 MB of live heap.
 bench-check:
 	$(GO) test -run '^TestMatchMissZeroAlloc' -count=1 ./internal/squat
+	$(GO) test -run '^TestUniverseMatcherHeap$$' -count=1 -v .
 	$(GO) test -run '^(TestRecognizeAllocBudget|TestSpellcheckZeroAlloc)$$' -count=1 ./internal/ocr
 	$(GO) test -run '^(TestLoadAllocBudget|TestWarmEpochWalksOnlyNewNames)$$' -count=1 -v ./internal/deltascan
 	@out=$$($(GO) test -run '^$$' -bench '^BenchmarkMatchMiss' -benchmem ./internal/squat .); \

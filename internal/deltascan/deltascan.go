@@ -206,7 +206,8 @@ func (e *Engine) Provenance(domain string) (Provenance, bool) {
 // epoch's work wherever the store is provably unchanged. The returned
 // slice is sorted by domain and byte-identical to a cold full scan
 // (core.ScanStore) of the same store with the same matcher, at any workers
-// value (<= 0 means GOMAXPROCS, 1 forces the serial path).
+// value (<= 0 means GOMAXPROCS; 1 runs the same worker loop on one
+// goroutine).
 func (e *Engine) Scan(store *dnsx.Store, m *squat.Matcher, workers int) []squat.Candidate {
 	e.mu.Lock()
 	defer e.mu.Unlock()

@@ -91,12 +91,19 @@ func TestAttachLMFingerprint(t *testing.T) {
 	if m3.Fingerprint() != m4.Fingerprint() {
 		t.Error("attach A then B differs from a fresh matcher with B attached")
 	}
-	m4.AttachLM(nil, 0.5)
-	if lm, thr := m4.LM(); m4.Fingerprint() != base || lm != nil || thr != 0 {
-		t.Errorf("attach then detach: fingerprint %#x, LM() = (%v, %v); want the fresh matcher's %#x and no model", m4.Fingerprint(), lm, thr, base)
+
+	// Detaching restores the fresh matcher: its fingerprint, and its verdict
+	// on a label only the model flags.
+	d := generatedProbe(t, m2, model, domlm.DefaultThreshold)
+	if c, ok := m2.Match(d); !ok || c.Type != Generated {
+		t.Fatalf("Match(%q) = (%+v, %v) with the model attached, want a Generated hit", d, c, ok)
 	}
-	if _, ok := m4.Match("example.com"); ok {
-		t.Error("detached matcher matched a plain miss")
+	m2.AttachLM(nil, 0.5)
+	if m2.Fingerprint() != base {
+		t.Errorf("attach then detach: fingerprint %#x, want the fresh matcher's %#x", m2.Fingerprint(), base)
+	}
+	if c, ok := m2.Match(d); ok {
+		t.Errorf("detached matcher matched %q as %+v, want the rule-based miss", d, c)
 	}
 }
 

@@ -20,13 +20,13 @@ import (
 type Matcher struct {
 	brands []Brand
 
-	// fast is the one label index: every brand name, brand-name skeleton
+	// labels is the one label index: every brand name, brand-name skeleton
 	// and generated bits/typo label maps to a fastEntry answering the first
-	// three rules. gate is the Bloom filter over exactly fast's keys that
+	// three rules. gate is the Bloom filter over exactly its keys that
 	// lookup consults first, so the ≥99.6 % of scanned labels that are in
-	// neither cost a hash and one cache line instead of a map probe.
-	fast map[string]fastEntry
-	gate []uint64
+	// neither cost a hash and one cache line instead of a table probe.
+	labels *labelIndex
+	gate   []uint64
 	// ac finds brand names inside hyphenated labels for combo detection.
 	ac *ahoCorasick
 
@@ -40,11 +40,10 @@ type Matcher struct {
 
 	// lm is the attached brand-language model (nil until AttachLM). When
 	// present, labels that miss all five rule-based types are scored for
-	// brand-likeness and promoted to Generated at lmThreshold; lmGate is
-	// that comparison with its cut precomputed.
-	lm          *domlm.Model
-	lmThreshold float64
-	lmGate      domlm.Gate
+	// brand-likeness and promoted to Generated when lmGate, the threshold
+	// comparison with its cut precomputed, passes them.
+	lm     *domlm.Model
+	lmGate domlm.Gate
 
 	// brandHash and rulesFP are computed once at construction; fp is
 	// rulesFP with the attached model folded in. See BrandHash and
@@ -103,23 +102,18 @@ func (m *Matcher) InstrumentTrace(col *trace.Collector) { m.trace = col }
 // NewMatcher indexes the given brands for bulk classification.
 func NewMatcher(brands []Brand) *Matcher {
 	// A name of n bytes has at most 80n+37 distinct bits/typo labels;
-	// presizing to that bound spares the map every growth rehash.
+	// sizing the index from that bound spares it every growth rehash.
 	hint := 0
 	for _, b := range brands {
 		hint += 80*len(b.Name) + 40
 	}
-	m := &Matcher{brands: brands, fast: make(map[string]fastEntry, hint)}
+	m := &Matcher{brands: brands, labels: newLabelIndex(hint)}
 	gen := NewGenerator()
 	names := make([]string, len(brands))
 	for i, b := range brands {
 		names[i] = b.Name
-		e := m.entry(b.Name)
-		e.name = int32(i)
-		m.fast[b.Name] = e
-		skel := confusables.Skeleton(b.Name)
-		e = m.entry(skel)
-		e.skel = int32(i)
-		m.fast[skel] = e
+		m.labels.upsert(b.Name).name = int32(i)
+		m.labels.upsert(confusables.Skeleton(b.Name)).skel = int32(i)
 	}
 	for i, b := range brands {
 		for _, c := range gen.BitFlips(b) {
@@ -131,6 +125,7 @@ func NewMatcher(brands []Brand) *Matcher {
 			m.addEdit(label, i, Typo)
 		}
 	}
+	m.labels.trim()
 	m.ac = newAhoCorasick(names)
 	edits, skeletons := m.buildGate()
 
@@ -187,28 +182,16 @@ func (m *Matcher) Fingerprint() uint64 { return m.fp }
 // and attaching replaces whatever was attached before rather than
 // folding on top of it.
 func (m *Matcher) AttachLM(model *domlm.Model, threshold float64) {
-	m.lm, m.lmThreshold, m.lmGate, m.fp = nil, 0, domlm.Gate{}, m.rulesFP
+	m.lm, m.lmGate, m.fp = nil, domlm.Gate{}, m.rulesFP
 	if model == nil {
 		return
 	}
 	if threshold <= 0 {
 		threshold = domlm.DefaultThreshold
 	}
-	m.lm, m.lmThreshold, m.lmGate = model, threshold, model.Gate(threshold)
+	m.lm, m.lmGate = model, model.Gate(threshold)
 	m.fp ^= model.Fingerprint() * 0x2545f4914f6cdd1d
 	m.fp ^= math.Float64bits(threshold) * 0x9e3779b97f4a7c15
-}
-
-// LM returns the attached brand-language model and its promotion
-// threshold (nil, 0 when none is attached).
-func (m *Matcher) LM() (*domlm.Model, float64) { return m.lm, m.lmThreshold }
-
-// entry returns the index entry of label, or the empty entry to fill in.
-func (m *Matcher) entry(label string) fastEntry {
-	if e, ok := m.fast[label]; ok {
-		return e
-	}
-	return noEntry
 }
 
 // addEdit records a generated label unless it collides with a real brand
@@ -216,12 +199,11 @@ func (m *Matcher) entry(label string) fastEntry {
 // edit of an earlier-precedence type; equal types keep the first brand.
 // Every brand name is indexed before the first edit, so e.name decides.
 func (m *Matcher) addEdit(label string, brand int, typ Type) {
-	e := m.entry(label)
-	if e.name >= 0 || (e.edit >= 0 && e.editType <= typ) {
+	e := m.labels.upsert(label)
+	if e.name >= 0 || (e.edit >= 0 && Type(e.editType) <= typ) {
 		return
 	}
-	e.edit, e.editType = int32(brand), typ
-	m.fast[label] = e
+	e.edit, e.editType = int32(brand), int8(typ)
 }
 
 // Brands returns the indexed brand set.

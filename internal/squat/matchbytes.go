@@ -36,19 +36,6 @@ type Scratch struct {
 // caller to thread a Scratch.
 var scratchPool = sync.Pool{New: func() any { return new(Scratch) }}
 
-// fastEntry is one entry of the label index: which brand the label is the
-// exact name of, the skeleton of, and a generated bits/typo edit of (-1
-// where none). One lookup answers the first three classification rules in
-// precedence order; only hyphenated labels go on to the combo automaton.
-type fastEntry struct {
-	name     int32
-	skel     int32
-	edit     int32
-	editType Type
-}
-
-var noEntry = fastEntry{name: -1, skel: -1, edit: -1}
-
 // The gate is a split-block Bloom filter: a key sets three bits inside the
 // one 64-bit word its hash selects, so a membership test reads a single
 // word. gateBitsPerKey, rounded up to a power-of-two word count, keeps the
@@ -95,19 +82,19 @@ func gateProbe(h uint64, words int) (word uint64, mask uint64) {
 	return h >> 32 & uint64(words-1), 1<<(h&63) | 1<<(h>>6&63) | 1<<(h>>12&63)
 }
 
-// buildGate sizes and fills the gate from exactly the keys of fast — the
-// reason it cannot turn a hit into a miss — and returns the two index
-// sizes Fingerprint folds in: labels carrying an edit, distinct skeletons.
+// buildGate sizes and fills the gate from exactly the keys of the label
+// index — the reason it cannot turn a hit into a miss — and returns the two
+// index sizes Fingerprint folds in: labels carrying an edit, distinct
+// skeletons.
 func (m *Matcher) buildGate() (edits, skeletons int) {
+	x := m.labels
 	words := 1
-	for words*64 < len(m.fast)*gateBitsPerKey {
+	for words*64 < len(x.entries)*gateBitsPerKey {
 		words <<= 1
 	}
 	m.gate = make([]uint64, words)
-	var buf []byte
-	for k, e := range m.fast {
-		buf = append(buf[:0], k...)
-		word, mask := gateProbe(labelHash(buf), words)
+	for i, e := range x.entries {
+		word, mask := gateProbe(labelHash(x.key(uint32(i))), words)
 		m.gate[word] |= mask
 		if e.edit >= 0 {
 			edits++
@@ -119,26 +106,40 @@ func (m *Matcher) buildGate() (edits, skeletons int) {
 	return edits, skeletons
 }
 
-// mayHold reports whether the gate admits label: always for a key of fast,
-// about one time in a hundred for any other label.
+// mayHold reports whether the gate admits a label of hash h: always for a
+// key of the label index, about one time in a hundred for any other label.
 //
 //squat:hot
-func (m *Matcher) mayHold(label []byte) bool {
-	word, mask := gateProbe(labelHash(label), len(m.gate))
+func (m *Matcher) mayHold(h uint64) bool {
+	word, mask := gateProbe(h, len(m.gate))
 	return m.gate[word]&mask == mask
 }
 
 // lookup answers the label index for label, noEntry when it holds none.
-// The map is probed only when the gate says the label may be a key.
+// It stays within the inliner's budget so that it inlines into
+// classifyBytes: the miss path is then one out-of-line call, to probe,
+// that returns a number. A second call here would push it over.
 //
 //squat:hot
 func (m *Matcher) lookup(label []byte) fastEntry {
-	if m.mayHold(label) {
-		if e, ok := m.fast[string(label)]; ok {
-			return e
-		}
+	if k := m.probe(label); k != 0 {
+		return m.labels.entries[k-1]
 	}
 	return noEntry
+}
+
+// probe returns label's key number + 1 in the label index, 0 when it is
+// not a key. The table is probed only when the gate says the label may be
+// a key, with the hash the gate was asked with.
+//
+//squat:hot
+func (m *Matcher) probe(label []byte) uint32 {
+	h := labelHash(label)
+	if !m.mayHold(h) {
+		return 0
+	}
+	x := m.labels
+	return x.slots[x.find(label, h)]
 }
 
 // byteClass drives prescan: one table load classifies a raw input byte as
@@ -335,7 +336,7 @@ func (m *Matcher) classifyBytes(norm []byte, clean bool, d1, d2 int, s *Scratch)
 		return m.hit(norm, Homograph, int(skel))
 	}
 	if e.edit >= 0 {
-		return m.hit(norm, e.editType, int(e.edit))
+		return m.hit(norm, Type(e.editType), int(e.edit))
 	}
 	return m.comboOrLM(norm, label)
 }

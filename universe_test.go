@@ -2,6 +2,7 @@ package squatphi
 
 import (
 	"os"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -57,6 +58,37 @@ func TestUniverseIndex(t *testing.T) {
 	}
 	if keys < 400_000 {
 		t.Errorf("checked %d keys for %d brands, want the paper-scale universe (≈489K distinct)", keys, len(sb))
+	}
+}
+
+// universeMatcherHeapBudget bounds the live heap one matcher over the
+// paper's brand universe retains. The label index dominates it: the
+// matcher retains 23.5 MB with the index as an open-addressed table over
+// one key arena, 63.6 MB with the map[string]fastEntry that table replaced
+// (commit f3afa8f). Every process that
+// holds the universe (squatd, squatmond, a scan) pays it for its lifetime,
+// and its heap goal is twice its live heap.
+const universeMatcherHeapBudget = 28e6
+
+// TestUniverseMatcherHeap measures the heap NewMatcher retains over the
+// real universe: live heap after two collections, before and after the
+// build. make bench-check runs it beside the allocation budgets.
+func TestUniverseMatcherHeap(t *testing.T) {
+	sb := brands.Select(brands.DefaultConfig()).SquatBrands()
+	live := func() uint64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := live()
+	m := squat.NewMatcher(sb)
+	retained := float64(live()) - float64(before)
+	runtime.KeepAlive(m)
+	t.Logf("NewMatcher over %d brands retains %.1f MB", len(sb), retained/1e6)
+	if retained > universeMatcherHeapBudget {
+		t.Errorf("NewMatcher retains %.1f MB of heap, want ≤ %.0f MB", retained/1e6, universeMatcherHeapBudget/1e6)
 	}
 }
 
