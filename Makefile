@@ -58,14 +58,15 @@ race: chaos
 # Time-bounded race pass for the gate every PR runs: the packages whose
 # shared structures scan and serve workers read concurrently (the matcher's
 # label index and gate, the model's scoring table, the scan pools, the
-# deltascan shard state, the squatd shards, the sharded store, the metrics
-# registry and span collector, the crawler pool; deltascan's Scans racing
-# Store.Add writers), short mode, one run.
+# deltascan shard state, the squatd shards, the sharded store and the
+# snapshot mapping the scan workers read, the metrics registry and span
+# collector, the crawler pool; deltascan's Scans racing Store.Add writers),
+# short mode, one run.
 # `race` above is the full, slow one.
 race-short:
 	$(GO) test -race -short -count=1 -timeout 10m \
 		./internal/squat ./internal/core ./internal/deltascan ./internal/serve \
-		./internal/domlm ./internal/obs/... ./internal/dnsx ./internal/crawler
+		./internal/domlm ./internal/obs/... ./internal/dnsx ./internal/snapfmt ./internal/crawler
 
 # Deterministic chaos suite: drives the crawler, DNS prober, and whois
 # client through seeded fault injection (internal/faultx) under the race
@@ -148,13 +149,13 @@ fuzz-smoke:
 	$(GO) test -fuzz '^FuzzRecognizeParity$$' -fuzztime 30s ./internal/ocr/
 
 # Per-package coverage with a floor: the detection spine (dnsx store +
-# codec, squat matcher, core pipeline, deltascan engine and the recfile
-# framing its spill is written in), the back half's
+# codec, snapfmt snapshot, squat matcher, core pipeline, deltascan engine
+# and the recfile framing its spill is written in), the back half's
 # OCR engine and feature extractor, and the squatvet analysis driver +
 # call graph must each keep at least COVER_FLOOR% statement coverage;
 # internal/analysis itself is held to the higher COVER_FLOOR_ANALYSIS so
 # the analyzer suite cannot silently decay.
-COVER_PKGS = ./internal/dnsx ./internal/squat ./internal/core ./internal/deltascan ./internal/recfile ./internal/analysis ./internal/analysis/callgraph ./internal/domlm ./internal/ocr ./internal/features
+COVER_PKGS = ./internal/dnsx ./internal/snapfmt ./internal/squat ./internal/core ./internal/deltascan ./internal/recfile ./internal/analysis ./internal/analysis/callgraph ./internal/domlm ./internal/ocr ./internal/features
 COVER_FLOOR = 60
 COVER_FLOOR_ANALYSIS = 85.5
 

@@ -9,12 +9,15 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"testing"
 
 	"squatphi/internal/core"
+	"squatphi/internal/dnsx"
 	"squatphi/internal/features"
 	"squatphi/internal/obs/trace"
 	"squatphi/internal/retry"
+	"squatphi/internal/squat"
 	"squatphi/internal/webworld"
 )
 
@@ -88,9 +91,9 @@ func goldenConfig(scanWorkers int) core.Config {
 // runGoldenPipeline executes generate -> scan -> crawl -> features ->
 // classify -> detect and projects the outcome, plus the provenance
 // record of one flagged domain. With delta the projected candidate list is
-// the pipeline's own delta-engine scan; without it, an independent full
-// ScanStore pass over the same snapshot at the same worker count, so the
-// golden pins both scan paths.
+// the pipeline's own delta-engine scan; without it, the slow serial
+// reference over the same snapshot (serialScan), so the golden pins the
+// engine against a scan that shares none of its code.
 func runGoldenPipeline(t *testing.T, cfg core.Config, delta bool) (goldenReport, goldenProvenance) {
 	t.Helper()
 	p, err := core.New(cfg)
@@ -141,7 +144,7 @@ func runGoldenPipeline(t *testing.T, cfg core.Config, delta bool) (goldenReport,
 	}
 
 	if !delta {
-		cands = core.ScanStore(p.DNSSnapshot(), p.Matcher, cfg.ScanWorkers, nil)
+		cands = serialScan(p.DNSSnapshot(), p.Matcher)
 	}
 	var rep goldenReport
 	for _, c := range cands {
@@ -156,6 +159,20 @@ func runGoldenPipeline(t *testing.T, cfg core.Config, delta bool) (goldenReport,
 	rep.FlaggedWeb = goldenFlags(det.FlaggedWeb)
 	rep.FlaggedMobile = goldenFlags(det.FlaggedMobile)
 	return rep, prov
+}
+
+// serialScan matches every record of store in insertion order and sorts
+// the candidates by domain: the reference every scan path must equal.
+func serialScan(store *dnsx.Store, m *squat.Matcher) []squat.Candidate {
+	var out []squat.Candidate
+	store.Range(func(r dnsx.Record) bool {
+		if c, ok := m.Match(r.Domain); ok {
+			out = append(out, c)
+		}
+		return true
+	})
+	sort.Slice(out, func(i, j int) bool { return out[i].Domain < out[j].Domain })
+	return out
 }
 
 func goldenFlags(fs []core.Flagged) []goldenFlag {
@@ -190,7 +207,7 @@ func marshalProvenance(t *testing.T, prov goldenProvenance) []byte {
 // TestGoldenPipeline pins the end-to-end pipeline output against
 // testdata/golden_pipeline.json and testdata/golden_provenance.json at
 // scan worker counts 1, 4 and 32, pinning the candidate list of both the
-// delta engine (delta=true) and a full ScanStore pass (delta=false): every
+// delta engine (delta=true) and the serial reference (delta=false): every
 // variant must reproduce both files byte for byte. Regenerate (from the
 // one-worker engine run) with: go test -run TestGoldenPipeline -update .
 func TestGoldenPipeline(t *testing.T) {

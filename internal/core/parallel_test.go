@@ -6,8 +6,10 @@ import (
 	"encoding/binary"
 	"errors"
 	"reflect"
+	"sort"
 	"testing"
 
+	"squatphi/internal/deltascan"
 	"squatphi/internal/dnsx"
 	"squatphi/internal/features"
 	"squatphi/internal/snapfmt"
@@ -48,31 +50,44 @@ func snapshotBytes(t *testing.T, store *dnsx.Store) []byte {
 	return buf.Bytes()
 }
 
+// serialScan is the slow serial reference every scan path must reproduce
+// byte for byte: match every record in insertion order, sort by domain.
+func serialScan(store *dnsx.Store, m *squat.Matcher) []squat.Candidate {
+	var out []squat.Candidate
+	store.Range(func(r dnsx.Record) bool {
+		if c, ok := m.Match(r.Domain); ok {
+			out = append(out, c)
+		}
+		return true
+	})
+	sort.Slice(out, func(i, j int) bool { return out[i].Domain < out[j].Domain })
+	return out
+}
+
 // TestScanStoreParallelEquivalence is the scan loop's correctness
-// contract: every worker count returns the exact candidate slice of the
-// one-worker scan, and workers <= 0 (GOMAXPROCS) does too.
+// contract: every worker count, workers <= 0 (GOMAXPROCS) included,
+// returns the exact candidate slice of the serial reference.
 func TestScanStoreParallelEquivalence(t *testing.T) {
 	store, m := scanFixture(t, 5000)
-	serial := ScanStore(store, m, 1, nil)
-	if len(serial) == 0 {
-		t.Fatal("serial scan found no candidates")
+	want := serialScan(store, m)
+	if len(want) == 0 {
+		t.Fatal("serial reference found no candidates")
 	}
-	for _, workers := range []int{0, 2, 4, 8, 64} {
-		parallel := ScanStore(store, m, workers, nil)
-		if !reflect.DeepEqual(serial, parallel) {
-			t.Fatalf("workers=%d: parallel scan differs from serial (%d vs %d candidates)",
-				workers, len(parallel), len(serial))
+	for _, workers := range []int{0, 1, 2, 4, 8, 64} {
+		if got := ScanStore(store, m, workers, nil); !reflect.DeepEqual(got, want) {
+			t.Fatalf("workers=%d: scan differs from the serial reference (%d vs %d candidates)",
+				workers, len(got), len(want))
 		}
 	}
 }
 
 // TestScanSnapshotEquivalence extends the equivalence contract to the
 // binary snapshot path: scanning the mmap-format serialisation of a store
-// returns the exact candidate slice of ScanStore over the store itself,
-// at every worker count including workers <= 0 (GOMAXPROCS).
+// returns the exact candidate slice of the serial reference over the store
+// itself, at every worker count including workers <= 0 (GOMAXPROCS).
 func TestScanSnapshotEquivalence(t *testing.T) {
 	store, m := scanFixture(t, 5000)
-	want := ScanStore(store, m, 1, nil)
+	want := serialScan(store, m)
 	if len(want) == 0 {
 		t.Fatal("store scan found no candidates")
 	}
@@ -86,7 +101,7 @@ func TestScanSnapshotEquivalence(t *testing.T) {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("workers=%d: snapshot scan differs from store scan (%d vs %d candidates)",
+			t.Fatalf("workers=%d: snapshot scan differs from the serial reference (%d vs %d candidates)",
 				workers, len(got), len(want))
 		}
 	}
@@ -95,7 +110,8 @@ func TestScanSnapshotEquivalence(t *testing.T) {
 // TestScanSnapshotCorruptSegment drives the scan loop's error path.
 // OpenBytes checks only the first and last entry of a segment's offsets
 // column, so swapping two middle entries passes it; the scan must then
-// fail with the corruption error and a nil slice at every worker count.
+// fail with the corruption error and a nil slice at every worker count,
+// and an engine that hit the error scans in full next time.
 func TestScanSnapshotCorruptSegment(t *testing.T) {
 	store, m := scanFixture(t, 5000)
 	data := snapshotBytes(t, store)
@@ -126,11 +142,20 @@ func TestScanSnapshotCorruptSegment(t *testing.T) {
 		if !errors.Is(err, snapfmt.ErrCorrupt) || got != nil {
 			t.Fatalf("workers=%d: ScanSnapshot = (%d candidates, %v), want (nil, ErrCorrupt)", workers, len(got), err)
 		}
+		e := deltascan.NewEngine()
+		e.Scan(store, m, workers)
+		if got := e.Scan(snap, m, workers); got != nil || !errors.Is(e.LastStats().Err, snapfmt.ErrCorrupt) {
+			t.Fatalf("workers=%d: Engine.Scan = (%d candidates, %v), want (nil, ErrCorrupt)", workers, len(got), e.LastStats().Err)
+		}
+		got = e.Scan(store, m, workers)
+		if st := e.LastStats(); !st.FullScan || st.Err != nil || !reflect.DeepEqual(got, serialScan(store, m)) {
+			t.Fatalf("workers=%d: the scan after the error = %+v, want a full scan equal to the serial reference", workers, st)
+		}
 	}
 }
 
 // TestScanDNSMatchesSerialReference checks the pipeline-level wiring: the
-// engine-backed ScanDNS returns exactly the one-worker ScanStore of the
+// engine-backed ScanDNS returns exactly the serial reference over the
 // pipeline's own snapshot, at one and at many scan workers.
 func TestScanDNSMatchesSerialReference(t *testing.T) {
 	cfg := Config{
@@ -146,13 +171,13 @@ func TestScanDNSMatchesSerialReference(t *testing.T) {
 			t.Fatal(err)
 		}
 		got := p.ScanDNS()
-		want := ScanStore(p.DNSSnapshot(), p.Matcher, 1, nil)
+		want := serialScan(p.DNSSnapshot(), p.Matcher)
 		p.Close()
 		if len(want) == 0 {
 			t.Fatal("reference scan found no candidates")
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("workers=%d: ScanDNS differs from the serial ScanStore: %d vs %d candidates", workers, len(got), len(want))
+			t.Fatalf("workers=%d: ScanDNS differs from the serial reference: %d vs %d candidates", workers, len(got), len(want))
 		}
 	}
 }

@@ -15,9 +15,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"squatphi/internal/blacklist"
@@ -286,26 +284,13 @@ func (p *Pipeline) DNSSnapshot() *dnsx.Store {
 }
 
 // ScanStore runs the matcher over every record of store and returns the
-// squatting candidates sorted by domain, scanning store shards on
-// scanShards' worker pool (workers <= 0 means GOMAXPROCS; the result is the
+// squatting candidates sorted by domain: a fresh deltascan.Engine's first
+// Scan, on workers goroutines (<= 0 means GOMAXPROCS; the result is the
 // same at every value). reg (nil-tolerant) receives the scan throughput
-// gauge core.scan_dns.records_per_sec and the per-shard scan-time histogram
-// core.scan_dns.shard_ms.
+// gauge core.scan_dns.records_per_sec.
 func ScanStore(store *dnsx.Store, m *squat.Matcher, workers int, reg *obs.Registry) []squat.Candidate {
 	sw := obs.StartStopwatch()
-	out, err := scanShards(store.NumShards(), workers, reg.Histogram("core.scan_dns.shard_ms", obs.MillisBuckets),
-		func(shard int, sc *squat.Scratch, buf []squat.Candidate) ([]squat.Candidate, error) {
-			store.RangeShard(shard, func(rec dnsx.Record) bool {
-				if c, ok := m.MatchString(rec.Domain, sc); ok {
-					buf = append(buf, c)
-				}
-				return true
-			})
-			return buf, nil
-		})
-	if err != nil {
-		panic(err) // unreachable: a store shard scan returns no error
-	}
+	out := deltascan.NewEngine().Scan(store, m, workers)
 	if secs := sw.Seconds(); secs > 0 {
 		reg.Gauge("core.scan_dns.records_per_sec").Set(float64(store.Len()) / secs)
 	}
@@ -315,73 +300,21 @@ func ScanStore(store *dnsx.Store, m *squat.Matcher, workers int, reg *obs.Regist
 // ScanSnapshot runs the matcher over every record of an mmap'd binary
 // snapshot (internal/snapfmt) and returns the squatting candidates sorted
 // by domain — the scan path for paper-scale data, where records live in a
-// file mapping and are classified via MatchBytes without materializing a
-// string per record. The result is identical to ScanStore over a store
-// holding the same records, at any worker count; a segment that fails to
-// decode fails the scan with a nil slice. reg (nil-tolerant) receives
-// core.scan_snap.records_per_sec and the per-segment scan-time histogram
-// core.scan_snap.segment_ms.
+// file mapping and are classified in place without a string per record.
+// It is a fresh deltascan.Engine's first Scan, so the result is identical
+// to ScanStore over a store holding the same records, at any worker count;
+// a segment that fails to decode fails the scan with a nil slice. reg
+// (nil-tolerant) receives core.scan_snap.records_per_sec.
 func ScanSnapshot(snap *snapfmt.Snapshot, m *squat.Matcher, workers int, reg *obs.Registry) ([]squat.Candidate, error) {
 	sw := obs.StartStopwatch()
-	out, err := scanShards(snap.NumShards(), workers, reg.Histogram("core.scan_snap.segment_ms", obs.MillisBuckets),
-		func(seg int, sc *squat.Scratch, buf []squat.Candidate) ([]squat.Candidate, error) {
-			err := snap.VisitShardDomains(seg, func(domain []byte) bool {
-				if c, ok := m.MatchBytes(domain, sc); ok {
-					buf = append(buf, c)
-				}
-				return true
-			})
-			return buf, err
-		})
-	if err != nil {
+	e := deltascan.NewEngine()
+	out := e.Scan(snap, m, workers)
+	if err := e.LastStats().Err; err != nil {
 		return nil, err
 	}
 	if secs := sw.Seconds(); secs > 0 {
 		reg.Gauge("core.scan_snap.records_per_sec").Set(float64(snap.Len()) / secs)
 	}
-	return out, nil
-}
-
-// scanShards is the worker loop behind ScanStore and ScanSnapshot: workers
-// goroutines (<= 0 means GOMAXPROCS, at most one per shard) take shard
-// indexes [0, n) off one atomic counter and hand each to scan with their
-// own Scratch and candidate buffer, and shardMS times every shard. The
-// buffers are merged and sorted by domain — the serial order at any worker
-// count, because candidate domains are unique within a store. A shard
-// error stops its worker and fails the scan with a nil slice.
-func scanShards(n, workers int, shardMS *obs.Histogram,
-	scan func(shard int, sc *squat.Scratch, buf []squat.Candidate) ([]squat.Candidate, error)) ([]squat.Candidate, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	workers = min(workers, n)
-	buffers := make([][]squat.Candidate, workers)
-	errs := make([]error, workers)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := range workers {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var sc squat.Scratch
-			for shard := int(next.Add(1)) - 1; shard < n; shard = int(next.Add(1)) - 1 {
-				shardSW := obs.StartStopwatch()
-				if buffers[w], errs[w] = scan(shard, &sc, buffers[w]); errs[w] != nil {
-					return
-				}
-				shardMS.Observe(shardSW.Millis())
-			}
-		}()
-	}
-	wg.Wait()
-	var out []squat.Candidate
-	for w, buf := range buffers {
-		if errs[w] != nil {
-			return nil, errs[w]
-		}
-		out = append(out, buf...)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Domain < out[j].Domain })
 	return out, nil
 }
 
@@ -391,7 +324,7 @@ func scanShards(n, workers int, shardMS *obs.Histogram,
 // goroutines: the first call is a full scan that warms the engine, and
 // later epochs (RescanDNS after the snapshot evolved) re-match only the
 // names the snapshot checksums show are new. The result is identical to
-// ScanStore's full scan at every worker count.
+// a full scan at every worker count.
 func (p *Pipeline) ScanDNS() []squat.Candidate {
 	if p.candidates == nil {
 		snapshot := p.DNSSnapshot() // built under its own stage span

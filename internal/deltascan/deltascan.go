@@ -1,24 +1,26 @@
-// Package deltascan is the incremental scan engine behind SquatPhi's
-// longitudinal measurement (paper §3, §7): instead of re-matching every
-// record of a fresh DNS snapshot from scratch, it diffs the snapshot
-// against the previous epoch per store shard and re-matches only what
-// changed.
+// Package deltascan is the scan engine behind SquatPhi's measurement
+// (paper §3, §7): the one worker loop that matches a record source's
+// names, and the incremental state that lets a fresh DNS snapshot epoch
+// re-match only what changed instead of every record from scratch. A cold
+// scan (core.ScanStore, core.ScanSnapshot) is a fresh engine's first Scan.
 //
-// The engine remembers, per store shard, only the shard's candidates — a
+// The engine remembers, per source shard, only the shard's candidates — a
 // miss carries nothing the name does not — and rests on two facts: a
-// verdict is a pure function of the name, and a dnsx.Store never drops a
-// name. Two mechanisms make re-scans cheap:
+// verdict is a pure function of the name, and a source never drops a name.
+// Two mechanisms make re-scans cheap:
 //
-//   - Shard skipping. dnsx.Store maintains a rolling name checksum per
-//     FNV shard (a commutative sum of per-name hashes, independent of
-//     insertion order and of what the names resolve to). A shard whose
-//     name checksum equals the previous epoch's is skipped wholesale — its
-//     candidates are reused verbatim, and IP-only churn skips every shard.
-//   - Tail matching. On the store instance it last read, a rescanned shard
-//     matches only the records inserted since its mark, and trusts that
-//     tail only if the visited names account exactly for the move of the
-//     shard's name checksum (dnsx.Store.TailShard). Anything else — another
-//     store, a failed check — re-matches the whole shard.
+//   - Shard skipping. Every source reads a checksum per shard that keys
+//     the shard's names: dnsx.Store a rolling name checksum (a commutative
+//     sum of per-name hashes, independent of insertion order and of what
+//     the names resolve to), snapfmt.Snapshot its segment checksum. A shard
+//     whose checksum equals the previous epoch's is skipped wholesale — its
+//     candidates are reused verbatim, and on a store IP-only churn skips
+//     every shard.
+//   - Tail matching. On the source instance it last read, a rescanned
+//     shard matches only the names inserted since its mark, and trusts
+//     that tail only if the visited names account exactly for the move of
+//     the shard's checksum (Source.TailShard). Anything else — another
+//     source, a failed check — re-matches the whole shard.
 //
 // The output is merged incrementally too: the fresh candidates of an
 // epoch are inserted into the last sorted result by binary search, and a
@@ -30,9 +32,9 @@
 // so a config change can never serve stale verdicts.
 //
 // The engine's output contract is strict: Scan returns a candidate slice
-// byte-identical to core.ScanStore's full scan of the same store with the
-// same matcher, at every worker count. The property and golden tests pin
-// this equivalence.
+// byte-identical to the serial reference — match every record, sort by
+// domain — over the same records with the same matcher, at every worker
+// count. The property and golden tests pin this equivalence.
 package deltascan
 
 import (
@@ -48,6 +50,24 @@ import (
 	"squatphi/internal/squat"
 )
 
+// Source is what the engine scans: records split into shards, each read
+// through a mark. *dnsx.Store and *snapfmt.Snapshot satisfy it.
+type Source interface {
+	// NumShards is the shard count; a change of it invalidates the state.
+	NumShards() int
+	// ShardNameMark reads one shard's mark. Equal Sums mean (up to hash
+	// collision) the same names, so a shard whose Sum did not move is
+	// skipped.
+	ShardNameMark(shard int) dnsx.ShardMark
+	// TailShard calls fn with every name of one shard from mark point from
+	// on (0 walks the whole shard) and returns the sum of the visited
+	// names' checksum terms with the shard's mark after the walk. On the
+	// instance an earlier mark then was read from, the tail from then.Next
+	// is trusted iff visited == now.Sum-then.Sum. The name is valid only
+	// for the call.
+	TailShard(shard int, from uint64, fn func(name []byte)) (visited uint64, now dnsx.ShardMark, err error)
+}
+
 // cand is one candidate of the engine's state: the match, the shard its
 // record was walked in, and the epoch whose Scan ran the matcher on it.
 // The shard is carried, not recomputed: the store shards by its own
@@ -62,14 +82,14 @@ type cand struct {
 // cmpDomain orders the retained output.
 func cmpDomain(a, b cand) int { return strings.Compare(a.Domain, b.Domain) }
 
-// shardState is the engine's memory of one store shard: its candidates in
+// shardState is the engine's memory of one source shard: its candidates in
 // walk order, and the reading of its names (dnsx.ShardMark) they answer
-// for, taken on store. store is nil when the state did not come from a
-// walk of this process's store (a fresh or loaded engine), so that only
-// the checksum can vouch for it. Only the worker that owns a shard during
-// a scan touches its state.
+// for, taken on src. src is nil when the state did not come from a walk of
+// a source this process holds (a fresh or loaded engine), so that only the
+// checksum can vouch for it. Only the worker that owns a shard during a
+// scan touches its state.
 type shardState struct {
-	store *dnsx.Store
+	src   Source
 	mark  dnsx.ShardMark
 	cands []cand
 }
@@ -79,12 +99,13 @@ type Stats struct {
 	// Epoch counts Scan calls on this engine (1-based).
 	Epoch int
 	// FullScan reports that no prior epoch state was usable: a first scan,
-	// a fingerprint invalidation, or a shard-count change.
+	// a fingerprint invalidation, a shard-count change, or a source error
+	// in the previous Scan.
 	FullScan bool
 	// Invalidated reports that prior state existed but was discarded
-	// because the matcher fingerprint or the store's shard count changed.
+	// because the matcher fingerprint or the source's shard count changed.
 	Invalidated bool
-	// ShardsSkipped / ShardsRescanned partition the store's shards.
+	// ShardsSkipped / ShardsRescanned partition the source's shards.
 	ShardsSkipped, ShardsRescanned int
 	// RecordsWalked is the number of records the matcher ran on, and
 	// CacheMisses the same number. CacheHits counts the records of
@@ -96,6 +117,10 @@ type Stats struct {
 	CandidatesReused int
 	// Duration is the wall time of the Scan call.
 	Duration time.Duration
+	// Err is the error of the first shard, in shard order, the source
+	// failed to read. Scan then returned nil and dropped the engine's
+	// state, so the next Scan is a full scan.
+	Err error
 }
 
 // SkipRatio is the fraction of shards skipped wholesale.
@@ -118,7 +143,7 @@ type metrics struct {
 
 // Engine is a persistent incremental scanner. It is bound to one logical
 // snapshot lineage (successive epochs of "the DNS") and one matcher
-// configuration at a time; feed it successive stores via Scan. An Engine
+// configuration at a time; feed it successive sources via Scan. An Engine
 // serialises its own Scan calls; Scan results are plain value slices and
 // safe to retain.
 type Engine struct {
@@ -202,13 +227,14 @@ func (e *Engine) Provenance(domain string) (Provenance, bool) {
 	return Provenance{Epoch: e.epoch, ComputedEpoch: at, Cached: at < e.epoch}, true
 }
 
-// Scan matches every record of store against m, reusing the previous
-// epoch's work wherever the store is provably unchanged. The returned
-// slice is sorted by domain and byte-identical to a cold full scan
-// (core.ScanStore) of the same store with the same matcher, at any workers
-// value (<= 0 means GOMAXPROCS; 1 runs the same worker loop on one
-// goroutine).
-func (e *Engine) Scan(store *dnsx.Store, m *squat.Matcher, workers int) []squat.Candidate {
+// Scan matches every name of src against m, reusing the previous epoch's
+// work wherever src is provably unchanged. The shards to rescan go to
+// workers goroutines (<= 0 means GOMAXPROCS, at most one per shard; 1 runs
+// the same loop on one goroutine). The returned slice is sorted by domain
+// and byte-identical to the serial reference (match every record, sort by
+// domain) at any workers value. If src fails to read a shard, Scan returns
+// nil, drops the engine's state and reports the error in Stats.Err.
+func (e *Engine) Scan(src Source, m *squat.Matcher, workers int) []squat.Candidate {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	sw := obs.StartStopwatch()
@@ -218,7 +244,7 @@ func (e *Engine) Scan(store *dnsx.Store, m *squat.Matcher, workers int) []squat.
 
 	st := Stats{Epoch: e.epoch + 1}
 	fp := m.Fingerprint()
-	n := store.NumShards()
+	n := src.NumShards()
 	if e.shards == nil || e.fp != fp || len(e.shards) != n {
 		st.FullScan = true
 		st.Invalidated = e.shards != nil
@@ -228,15 +254,15 @@ func (e *Engine) Scan(store *dnsx.Store, m *squat.Matcher, workers int) []squat.
 
 	// Partition shards into skips and rescans on the name checksum: a
 	// verdict is a pure function of the name, so a re-point changes
-	// nothing here. A skipped shard's state answers for the current store
-	// as it stands, so it adopts that store and mark — without that, every
+	// nothing here. A skipped shard's state answers for the current source
+	// as it stands, so it adopts that source and mark — without that, every
 	// shard would re-match in full after a Load.
 	var rescan []int
 	for i := range e.shards {
 		sh := &e.shards[i]
-		now := store.ShardNameMark(i)
+		now := src.ShardNameMark(i)
 		if !st.FullScan && sh.mark.Sum == now.Sum {
-			sh.store, sh.mark = store, now
+			sh.src, sh.mark = src, now
 			st.ShardsSkipped++
 			st.CandidatesReused += len(sh.cands)
 			continue
@@ -256,16 +282,25 @@ func (e *Engine) Scan(store *dnsx.Store, m *squat.Matcher, workers int) []squat.
 			defer wg.Done()
 			var sc squat.Scratch
 			for ri := int(next.Add(1)) - 1; ri < len(rescan); ri = int(next.Add(1)) - 1 {
-				walks[ri] = e.shards[rescan[ri]].rescan(store, rescan[ri], m, &sc, st.Epoch)
+				walks[ri] = e.shards[rescan[ri]].rescan(src, rescan[ri], m, &sc, st.Epoch)
 			}
 		}()
 	}
 	wg.Wait()
 
-	var fresh []cand
+	// fresh is sized once: grown by append it left as much garbage as it
+	// kept, which a full scan's peak RSS showed.
+	nfresh := 0
+	for ri, i := range rescan {
+		nfresh += len(e.shards[i].cands) - walks[ri].from
+	}
+	fresh := make([]cand, 0, nfresh)
 	var drop []bool
 	for ri, i := range rescan {
 		w := walks[ri]
+		if st.Err == nil {
+			st.Err = w.err
+		}
 		st.RecordsWalked += w.matched
 		st.CacheHits += w.carried
 		if w.dropped {
@@ -277,7 +312,11 @@ func (e *Engine) Scan(store *dnsx.Store, m *squat.Matcher, workers int) []squat.
 		fresh = append(fresh, e.shards[i].cands[w.from:]...)
 	}
 	st.CacheMisses = st.RecordsWalked
-	e.merge(fresh, drop)
+	if st.Err != nil {
+		e.shards, e.out = nil, e.out[:0]
+	} else {
+		e.merge(fresh, drop)
+	}
 
 	var out []squat.Candidate
 	if len(e.out) > 0 {
@@ -316,27 +355,33 @@ func (e *Engine) report(st Stats) {
 
 // walk is what rescanning one shard did: the records the matcher ran on,
 // the records carried without it, where in the shard's candidates this
-// scan's begin, and whether the shard's previous candidates were dropped.
+// scan's begin, whether the shard's previous candidates were dropped, and
+// the source's error.
 type walk struct {
 	matched, carried, from int
 	dropped                bool
+	err                    error
 }
 
-// rescan brings one shard's state up to date with store. On the store it
+// rescan brings one shard's state up to date with src. On the source it
 // last read, it matches only the tail inserted since its mark and keeps
 // the result if the tail's names account exactly for the move of the
-// shard's name checksum; otherwise it re-matches the whole shard. epoch
-// stamps the candidates it finds.
-func (sh *shardState) rescan(store *dnsx.Store, shard int, m *squat.Matcher, sc *squat.Scratch, epoch int) (w walk) {
-	match := func(r dnsx.Record) {
+// shard's checksum; otherwise it re-matches the whole shard. epoch stamps
+// the candidates it finds.
+func (sh *shardState) rescan(src Source, shard int, m *squat.Matcher, sc *squat.Scratch, epoch int) (w walk) {
+	match := func(name []byte) {
 		w.matched++
-		if c, ok := m.MatchString(r.Domain, sc); ok {
+		if c, ok := m.MatchBytes(name, sc); ok {
 			sh.cands = append(sh.cands, cand{c, int32(shard), int32(epoch)})
 		}
 	}
-	if sh.store == store {
+	if sh.src == src {
 		w.from = len(sh.cands)
-		visited, now := store.TailShard(shard, sh.mark.Next, match)
+		visited, now, err := src.TailShard(shard, sh.mark.Next, match)
+		if err != nil {
+			w.err = err
+			return w
+		}
 		if visited == now.Sum-sh.mark.Sum {
 			w.carried = sh.mark.Len
 			sh.mark = now
@@ -346,8 +391,8 @@ func (sh *shardState) rescan(store *dnsx.Store, shard int, m *squat.Matcher, sc 
 	}
 	w.from, w.dropped = 0, len(sh.cands) > 0
 	sh.cands = sh.cands[:0]
-	_, sh.mark = store.TailShard(shard, 0, match)
-	sh.store = store
+	_, sh.mark, w.err = src.TailShard(shard, 0, match)
+	sh.src = src
 	return w
 }
 
@@ -357,16 +402,20 @@ func (sh *shardState) rescan(store *dnsx.Store, shard int, m *squat.Matcher, sc 
 // full, whose old entries leave. Each fresh candidate's place in the old
 // output is found by binary search, and the runs between those places are
 // copied — whole, or filtered by shard tag when some shard is dropped —
-// into the spare buffer, which then becomes the output. A full scan is the
-// same pass over an empty old output.
+// into the spare buffer, which then becomes the output. Over an empty old
+// output (a full scan) the sorted fresh slice itself becomes the output.
 //
-// Candidate domains are unique within a store, so the order is total and
-// equal to core.ScanStore's.
+// Candidate domains are unique within a source, so the order is total and
+// equal to the serial reference's.
 func (e *Engine) merge(fresh []cand, drop []bool) {
 	if len(fresh) == 0 && drop == nil {
 		return
 	}
 	slices.SortFunc(fresh, cmpDomain)
+	if len(e.out) == 0 {
+		e.out, e.spare = fresh, e.out
+		return
+	}
 	next, old := e.spare[:0], e.out
 	keep := func(run []cand) {
 		if drop == nil {

@@ -16,8 +16,7 @@ import (
 )
 
 // fullScan is the serial reference the engine must reproduce byte for
-// byte: match every record, sort by domain. It mirrors core.ScanStore
-// (not imported to keep the package dependency-light).
+// byte: match every record, sort by domain.
 func fullScan(store *dnsx.Store, m *squat.Matcher) []squat.Candidate {
 	var out []squat.Candidate
 	store.Range(func(r dnsx.Record) bool {
@@ -30,8 +29,8 @@ func fullScan(store *dnsx.Store, m *squat.Matcher) []squat.Candidate {
 	return out
 }
 
-// sortCandidates sorts by domain (unique within a store) — the output
-// order contract shared with core.ScanStore.
+// sortCandidates sorts by domain (unique within a store) — the engine's
+// output order.
 func sortCandidates(cs []squat.Candidate) {
 	sort.Slice(cs, func(i, j int) bool { return cs[i].Domain < cs[j].Domain })
 }
@@ -421,54 +420,6 @@ func TestMetricsCounters(t *testing.T) {
 	if snap.Histograms["deltascan.scan_ms"].Count != 2 {
 		t.Errorf("scan_ms observations = %d, want 2", snap.Histograms["deltascan.scan_ms"].Count)
 	}
-}
-
-func TestDiffMatchesGlobalDiff(t *testing.T) {
-	rng := simrand.New(23)
-	model := seedModel(rng, 400)
-	oldS := buildStore(model, rng.Split("a"))
-
-	model["brand-new.com"] = [4]byte{1, 1, 1, 1}
-	delete(model, pickDomain(model, "brand-new.com"))
-	for d := range model {
-		ip := model[d]
-		ip[0] ^= 1
-		model[d] = ip
-		break
-	}
-	newS := buildStore(model, rng.Split("b"))
-
-	want := dnsx.Diff(oldS, newS)
-	got, st := DiffWithStats(oldS, newS)
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("shard diff = %+v, global diff = %+v", got, want)
-	}
-	if st.ShardsSkipped+st.ShardsCompared != newS.NumShards() {
-		t.Fatalf("diff stats don't cover all shards: %+v", st)
-	}
-	if st.ShardsSkipped == 0 {
-		t.Fatalf("diff skipped no shards on a 3-record delta: %+v", st)
-	}
-
-	// Mismatched shard counts fall back to the global diff.
-	wide := dnsx.NewShardedStore(8)
-	for d, ip := range model {
-		wide.Add(d, ip)
-	}
-	if got := Diff(oldS, wide); !reflect.DeepEqual(got, dnsx.Diff(oldS, wide)) {
-		t.Fatal("fallback diff diverged from dnsx.Diff")
-	}
-}
-
-// pickDomain returns a deterministic non-excluded domain from the model.
-func pickDomain(model map[string][4]byte, exclude string) string {
-	best := ""
-	for d := range model {
-		if d != exclude && (best == "" || d < best) {
-			best = d
-		}
-	}
-	return best
 }
 
 func TestSaveLoadRoundTrip(t *testing.T) {

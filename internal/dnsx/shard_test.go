@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"squatphi/internal/simrand"
@@ -56,47 +55,6 @@ func TestShardLayoutInvariance(t *testing.T) {
 	}
 }
 
-// TestParallelRangeMatchesRange checks that ParallelRange visits exactly
-// the record set of Range, at several worker counts.
-func TestParallelRangeMatchesRange(t *testing.T) {
-	s := GenerateSnapshot(SnapshotSpec{Planted: []string{"paypal-login.com"}, NoiseRecords: 2000, Seed: 3})
-	want := map[string][4]byte{}
-	s.Range(func(r Record) bool {
-		want[r.Domain] = r.IP
-		return true
-	})
-	for _, workers := range []int{1, 2, 8} {
-		var mu sync.Mutex
-		got := map[string][4]byte{}
-		s.ParallelRange(workers, func(r Record) bool {
-			mu.Lock()
-			got[r.Domain] = r.IP
-			mu.Unlock()
-			return true
-		})
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("workers=%d: ParallelRange visited %d records, Range %d", workers, len(got), len(want))
-		}
-	}
-}
-
-// TestParallelRangeStops checks that a false return terminates the whole
-// iteration without visiting every record.
-func TestParallelRangeStops(t *testing.T) {
-	s := GenerateSnapshot(SnapshotSpec{NoiseRecords: 5000, Seed: 4})
-	var mu sync.Mutex
-	visited := 0
-	s.ParallelRange(4, func(Record) bool {
-		mu.Lock()
-		visited++
-		mu.Unlock()
-		return false
-	})
-	if visited == 0 || visited >= s.Len() {
-		t.Fatalf("stop after first record visited %d of %d", visited, s.Len())
-	}
-}
-
 // TestGenerateSnapshotWorkerInvariance is the determinism contract of the
 // parallel generator: the same spec yields byte-identical snapshots (same
 // records, same IPs, same order) at any worker count.
@@ -137,9 +95,8 @@ func TestStoreAddAfterGenerate(t *testing.T) {
 	}
 }
 
-// TestStoreConcurrentAccess exercises Add/Lookup/ParallelRange/Len/
-// WriteSnapshot concurrently; run under -race it is the store's
-// thread-safety proof.
+// TestStoreConcurrentAccess exercises Add/Lookup/RangeShard/Len
+// concurrently; run under -race it is the store's thread-safety proof.
 func TestStoreConcurrentAccess(t *testing.T) {
 	s := NewStore()
 	var wg sync.WaitGroup
@@ -168,11 +125,9 @@ func TestStoreConcurrentAccess(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 5; i++ {
-			var n atomic.Int64
-			s.ParallelRange(3, func(Record) bool {
-				n.Add(1)
-				return true
-			})
+			for shard := 0; shard < s.NumShards(); shard++ {
+				s.RangeShard(shard, func(Record) bool { return true })
+			}
 		}
 	}()
 	wg.Wait()
@@ -322,7 +277,8 @@ func TestTailShardVisitsOnlyNewNames(t *testing.T) {
 		t.Fatal("test premise: no new name landed in the shard")
 	}
 	var got []string
-	visited, now := s.TailShard(shard, then.Next, func(rec Record) { got = append(got, rec.Domain) })
+	visit := func(name []byte) { got = append(got, string(name)) }
+	visited, now, _ := s.TailShard(shard, then.Next, visit)
 	if !reflect.DeepEqual(got, added) {
 		t.Fatalf("tail walk visited %v, want the new names %v", got, added)
 	}
@@ -330,8 +286,8 @@ func TestTailShardVisitsOnlyNewNames(t *testing.T) {
 		t.Fatalf("visited sum %x, checksum moved by %x; Len %d → %d with %d added", visited, now.Sum-then.Sum, then.Len, now.Len, len(added))
 	}
 	got = got[:0]
-	visited, _ = s.TailShard(shard, 0, func(rec Record) { got = append(got, rec.Domain) })
-	if visited != now.Sum || len(got) != now.Len {
+	visited, _, _ = s.TailShard(shard, 0, visit)
+	if _, names := recomputedSums(s, shard); visited != now.Sum || visited != names || len(got) != now.Len {
 		t.Fatalf("a walk from 0 visited %d of %d records, sum %x of %x", len(got), now.Len, visited, now.Sum)
 	}
 }
@@ -354,7 +310,7 @@ func TestTailShardMissesNameBelowMark(t *testing.T) {
 	s.addAt(15, "late-below-mark.com", [4]byte{3, 3, 3, 3})
 	s.addAt(30, "after-mark.com", [4]byte{4, 4, 4, 4})
 	var got []string
-	visited, now := s.TailShard(0, then.Next, func(r Record) { got = append(got, r.Domain) })
+	visited, now, _ := s.TailShard(0, then.Next, func(name []byte) { got = append(got, string(name)) })
 	if !reflect.DeepEqual(got, []string{"after-mark.com"}) {
 		t.Fatalf("tail walk visited %v, want only after-mark.com", got)
 	}

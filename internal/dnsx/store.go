@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -251,7 +250,7 @@ type ShardMark struct {
 	// collision) equal sets of names whatever they resolve to, so anything
 	// that is a pure function of the names — a match verdict — is
 	// unchanged; ShardChecksum stays the key for what also depends on
-	// addresses (deltascan.Diff, snapfmt segments).
+	// addresses (snapfmt segment checksums).
 	Sum uint64
 	// Next is above the sequence number of every name in the shard, so a
 	// TailShard from it visits only names inserted after the reading.
@@ -269,32 +268,43 @@ func (s *Store) ShardNameMark(shard int) ShardMark {
 	return ShardMark{Sum: sh.nsum, Next: sh.next, Len: len(sh.order)}
 }
 
-// TailShard calls fn, in insertion order, for every record of one shard
-// whose sequence number is at least from, and returns the sum of the
-// visited names' checksum terms with the shard's mark, both read under the
-// one read lock the walk holds; from 0 walks the whole shard. A store never
+// TailShard calls fn, in insertion order, with the name of every record of
+// one shard whose sequence number is at least from, and returns the sum of
+// the visited names' checksum terms with the shard's mark, both read under
+// the one read lock the walk holds; from 0 walks the whole shard, whose
+// sum is the mark's own, so no name is hashed. fn gets the name copied
+// into a buffer the walk reuses, valid only for the call. A store never
 // drops a name and a name's sequence number only ever falls, so against an
 // earlier reading then, TailShard(then.Next) visits exactly the names added
 // since if and only if (up to hash collision) visited == now.Sum-then.Sum.
 // The identity fails when a concurrent writer's name arrived with a
 // sequence number below then.Next: the walk cannot see it, the checksum
-// can. fn must not mutate the store.
-func (s *Store) TailShard(shard int, from uint64, fn func(Record)) (visited uint64, now ShardMark) {
+// can. fn must not mutate the store. The error is always nil; it is there
+// for the sources that read a file (deltascan.Source).
+func (s *Store) TailShard(shard int, from uint64, fn func(name []byte)) (visited uint64, now ShardMark, err error) {
 	sh := &s.shards[shard]
 	sh.ensureSorted()
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
+	now = ShardMark{Sum: sh.nsum, Next: sh.next, Len: len(sh.order)}
 	order := sh.order
 	if sh.sorted { // else a writer got in after ensureSorted: filter it all
 		order = order[sort.Search(len(order), func(i int) bool { return order[i].firstSeq >= from }):]
 	}
+	buf := make([]byte, 0, 64)
 	for _, e := range order {
 		if e.firstSeq >= from {
-			visited += nameMix(fnvName(e.domain))
-			fn(Record{Domain: e.domain, IP: e.ip})
+			if from > 0 {
+				visited += nameMix(fnvName(e.domain))
+			}
+			buf = append(buf[:0], e.domain...)
+			fn(buf)
 		}
 	}
-	return visited, ShardMark{Sum: sh.nsum, Next: sh.next, Len: len(sh.order)}
+	if from == 0 {
+		visited = now.Sum
+	}
+	return visited, now, nil
 }
 
 // Checksums returns all per-shard checksums. The slice is a copy.
@@ -389,47 +399,6 @@ func (s *Store) RangeShard(shard int, fn func(Record) bool) {
 			return
 		}
 	}
-}
-
-// ParallelRange calls fn for every record, distributing shards over up to
-// workers goroutines (workers <= 0 means GOMAXPROCS). fn may be called
-// concurrently and observes no particular order; returning false stops the
-// whole iteration promptly (records already in flight may still be
-// delivered). fn must be safe for concurrent calls and must not mutate the
-// store.
-func (s *Store) ParallelRange(workers int, fn func(Record) bool) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(s.shards) {
-		workers = len(s.shards)
-	}
-	var next atomic.Int64
-	var stop atomic.Bool
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for !stop.Load() {
-				i := int(next.Add(1)) - 1
-				if i >= len(s.shards) {
-					return
-				}
-				s.RangeShard(i, func(r Record) bool {
-					if stop.Load() {
-						return false
-					}
-					if !fn(r) {
-						stop.Store(true)
-						return false
-					}
-					return true
-				})
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // Domains returns all domain names in insertion order.

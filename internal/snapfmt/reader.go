@@ -205,6 +205,43 @@ func (s *Snapshot) VisitShardDomains(shard int, fn func(domain []byte) bool) err
 	return nil
 }
 
+// ShardNameMark reads one segment's mark, which never moves: its checksum,
+// and its record count as both Next and Len. Equal segment checksums mean
+// equal records, hence equal names, so a scan engine may skip a segment
+// whose checksum it has seen (deltascan.Source).
+//
+//squat:hot
+func (s *Snapshot) ShardNameMark(shard int) dnsx.ShardMark {
+	sv := &s.segs[shard]
+	return dnsx.ShardMark{Sum: sv.checksum, Next: uint64(sv.count), Len: sv.count}
+}
+
+// TailShard is the scan engine's walk of one segment (deltascan.Source):
+// it calls fn with the domain of every record in segment order and returns
+// the segment's checksum as the visited sum, with its mark. A snapshot has
+// no tail: from at or past the mark visits nothing, and any other from
+// walks the whole segment, whose sum is the checksum without a record
+// being hashed. Aliasing and error contract as VisitShard.
+//
+//squat:hot
+func (s *Snapshot) TailShard(shard int, from uint64, fn func(domain []byte)) (visited uint64, now dnsx.ShardMark, err error) {
+	if now = s.ShardNameMark(shard); from >= now.Next {
+		return 0, now, nil
+	}
+	sv := &s.segs[shard]
+	offs, arena := sv.offsets, sv.arena
+	prev := uint32(0)
+	for i := 0; i < sv.count; i++ {
+		next := le.Uint32(offs[(i+1)*4:])
+		if next < prev || next > uint32(len(arena)) {
+			return 0, now, corruptf("segment %d: record %d offsets [%d, %d) not monotonic in arena of %d", shard, i, prev, next, len(arena))
+		}
+		fn(arena[prev:next])
+		prev = next
+	}
+	return now.Sum, now, nil
+}
+
 // Visit calls fn for every record, segment by segment. See VisitShard for
 // the aliasing and error contract.
 func (s *Snapshot) Visit(fn func(domain []byte, ip [4]byte) bool) error {

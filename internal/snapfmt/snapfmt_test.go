@@ -213,6 +213,40 @@ func TestStreamingWriterChecksums(t *testing.T) {
 	}
 }
 
+// TestTailShard pins the snapshot's side of the scan-engine source: a
+// segment's mark is (checksum, count, count); a walk from 0 visits the
+// segment's domains in segment order and reports the checksum as its sum;
+// a walk from the mark visits nothing.
+func TestTailShard(t *testing.T) {
+	var buf bytes.Buffer
+	if _, err := WriteStore(&buf, randomStore(13, 400)); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := OpenBytes(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < snap.NumShards(); i++ {
+		var want, got []string
+		if err := snap.VisitShardDomains(i, func(d []byte) bool { want = append(want, string(d)); return true }); err != nil {
+			t.Fatal(err)
+		}
+		mark := snap.ShardNameMark(i)
+		if mark != (dnsx.ShardMark{Sum: snap.Checksum(i), Next: uint64(len(want)), Len: len(want)}) {
+			t.Fatalf("segment %d: mark %+v, want (checksum, %d, %d)", i, mark, len(want), len(want))
+		}
+		visit := func(d []byte) { got = append(got, string(d)) }
+		visited, now, err := snap.TailShard(i, 0, visit)
+		if err != nil || now != mark || visited != mark.Sum || !reflect.DeepEqual(got, want) {
+			t.Fatalf("segment %d: walk from 0 = (%d names, sum %x, %+v, %v), want the %d names and the checksum", i, len(got), visited, now, err, len(want))
+		}
+		got = nil
+		if visited, _, err := snap.TailShard(i, mark.Next, visit); err != nil || visited != 0 || got != nil {
+			t.Fatalf("segment %d: walk from the mark visited %d names, sum %x, %v", i, len(got), visited, err)
+		}
+	}
+}
+
 // TestOpenBytesRejectsCorruption flips bytes and truncates a valid file at
 // every prefix length: OpenBytes+Visit must error or succeed, never panic,
 // and structural damage to the header or table must be detected.
