@@ -105,10 +105,13 @@ bench-all:
 # and a warm epoch matches only the names it added and allocates at most
 # 1.25x the slice it returns, so a per-name string, value or structure
 # cannot come back unnoticed. And the matcher's footprint: one matcher over
-# the real brand universe retains at most 28 MB of live heap.
+# the real brand universe retains at most 28 MB of live heap. And squatd's:
+# a warmed serve coordinator retains heap for its candidates only, never a
+# verdict per record.
 bench-check:
 	$(GO) test -run '^TestMatchMissZeroAlloc' -count=1 ./internal/squat
 	$(GO) test -run '^TestUniverseMatcherHeap$$' -count=1 -v .
+	$(GO) test -run '^TestWarmRetainsOnlyCandidates$$' -count=1 -v ./internal/serve
 	$(GO) test -run '^(TestRecognizeAllocBudget|TestSpellcheckZeroAlloc)$$' -count=1 ./internal/ocr
 	$(GO) test -run '^(TestLoadAllocBudget|TestWarmEpochWalksOnlyNewNames)$$' -count=1 -v ./internal/deltascan
 	@out=$$($(GO) test -run '^$$' -bench '^BenchmarkMatchMiss' -benchmem ./internal/squat .); \

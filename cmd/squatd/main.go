@@ -7,8 +7,9 @@
 // generated synthetic world with -gen), scans it through the
 // incremental delta-scan engine — with -state, engine state recovered
 // from the previous run's spill makes the boot scan incremental — and
-// warms per-shard hot verdict state behind a coordinator that routes by
-// the repository-wide domain-shard convention (dnsx.ShardIndex).
+// warms per-shard candidate maps behind a coordinator that routes by
+// the repository-wide domain-shard convention (dnsx.ShardIndex); whether
+// a name is known is read from the store itself.
 //
 // The daemon serves on ONE hardened listener (internal/obs: header,
 // read and idle timeouts, graceful drain):

@@ -338,6 +338,20 @@ func (s *Store) Lookup(domain string) ([4]byte, bool) {
 	return ip, true
 }
 
+// Name returns the store's own copy of a domain's normalised name, so
+// state keyed by name can share the store's bytes instead of holding a
+// second copy.
+func (s *Store) Name(domain string) (string, bool) {
+	d := Normalize(domain)
+	sh := s.shardOf(d)
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	if e := sh.records[d]; e != nil {
+		return e.domain, true
+	}
+	return "", false
+}
+
 // Len returns the number of records.
 func (s *Store) Len() int { return int(s.length.Load()) }
 

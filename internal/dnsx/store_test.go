@@ -20,6 +20,12 @@ func TestStoreAddLookup(t *testing.T) {
 	if _, ok := s.Lookup("missing.com"); ok {
 		t.Fatal("Lookup of missing domain succeeded")
 	}
+	if name, ok := s.Name("EXAMPLE.com."); !ok || name != "example.com" {
+		t.Fatalf("Name = %q, %v", name, ok)
+	}
+	if _, ok := s.Name("missing.com"); ok {
+		t.Fatal("Name of missing domain succeeded")
+	}
 	s.Add("example.com", [4]byte{5, 6, 7, 8})
 	if s.Len() != 1 {
 		t.Fatalf("Len after overwrite = %d", s.Len())

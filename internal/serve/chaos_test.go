@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"squatphi/internal/core"
 	"squatphi/internal/obs"
 	"squatphi/internal/retry"
 	"squatphi/internal/simrand"
@@ -127,12 +126,12 @@ func TestChaosShardKillExactCounters(t *testing.T) {
 	}
 
 	// Post-recovery equivalence: the hot sweep must be byte-identical
-	// to a cold serial scan of the store, which absorbed every update —
+	// to a serial scan of the store, which absorbed every update —
 	// including the ones applied while the victim shard was down.
 	got := c.Candidates()
-	want := core.ScanStore(store, m, 1, nil)
+	want := serialCandidates(store, m)
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("post-recovery sweep diverged from cold scan: %d vs %d candidates", len(got), len(want))
+		t.Fatalf("post-recovery sweep diverged from the serial reference: %d vs %d candidates", len(got), len(want))
 	}
 	if down := c.Down(); len(down) != 0 {
 		t.Fatalf("shards still down after recovery: %v", down)

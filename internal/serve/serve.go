@@ -2,8 +2,8 @@
 // daemon half of the paper's deployment posture (§7). Where the scan
 // pipeline answers "which of these N hundred million records are
 // squatting domains" as a batch, serve answers "is THIS domain a
-// squatting domain" interactively, at lookup rates, from hot per-shard
-// state warmed out of a snapshot scan.
+// squatting domain" interactively, at lookup rates, from the snapshot
+// store plus per-shard candidates warmed out of a scan of it.
 //
 // The coordinator partitions the domain space into shards with the
 // repository-wide convention (dnsx.ShardIndex over the normalised
@@ -36,8 +36,8 @@ import (
 type Verdict struct {
 	// Domain is the normalised form the verdict applies to.
 	Domain string `json:"domain"`
-	// Known reports the domain is present in the warmed snapshot shard.
-	// Degraded answers cannot know this and leave it false.
+	// Known reports the domain is present in the store the shard was
+	// warmed from. Degraded answers cannot know this and leave it false.
 	Known bool `json:"known"`
 	// Matched reports the domain is a squatting candidate.
 	Matched bool `json:"matched"`
@@ -70,32 +70,40 @@ type Config struct {
 	Breaker retry.Policy
 }
 
-// entry is one warmed verdict: the domain is in the snapshot, and it
-// either matched (cand set) or did not.
-type entry struct {
-	cand squat.Candidate
-	ok   bool
+// shard is one lock domain of hot serving state: the squatting candidates
+// among its store shard's names and the store they came from. Whether a
+// name is Known is read from that store, so nothing here grows with the
+// records that did not match. A shard being "down" models its worker
+// having died (chaos) or being mid-handoff; the coordinator answers for it
+// statelessly until it is restarted.
+//
+// Lock order: a shard's lock, then the store's. Apply writes the store
+// under the shard's write lock and Lookup reads it under the read lock, so
+// no reader sees a name Known without the candidate it matched.
+type shard struct {
+	mu    sync.RWMutex
+	cands map[string]hit // keyed by the store's own copy of the name
+	store *dnsx.Store    // source of truth for Known and updates; set by Warm
+	up    bool
+	epoch int
 }
 
-// shard is one lock domain of hot verdict state. A shard being "down"
-// models its worker having died (chaos) or being mid-handoff; the
-// coordinator answers for it statelessly until it is restarted.
-type shard struct {
-	mu       sync.RWMutex
-	verdicts map[string]entry
-	up       bool
-	epoch    int
+// hit is what a shard keeps of one candidate besides its name: the brand's
+// index in the matcher's brand list and the squatting type, 8 bytes where
+// a squat.Candidate is 56.
+type hit struct {
+	brand int32
+	typ   int32
 }
 
 // Coordinator routes lookups and updates to per-shard hot state.
 // All methods are safe for concurrent use.
 type Coordinator struct {
-	shards  []*shard
-	matcher *squat.Matcher
-	breaker *retry.Retrier
-
-	mu    sync.Mutex  // guards store
-	store *dnsx.Store // source of truth for updates; set by Warm
+	shards   []*shard
+	matcher  *squat.Matcher
+	brands   []squat.Brand // the matcher's, indexed by hit.brand
+	brandIdx map[squat.Brand]int32
+	breaker  *retry.Retrier
 
 	lookups, bulk, updates, degraded *obs.Counter
 	lookupUS, bulkMS, updateUS       *obs.Histogram
@@ -115,6 +123,8 @@ func New(cfg Config) *Coordinator {
 	c := &Coordinator{
 		shards:   make([]*shard, n),
 		matcher:  cfg.Matcher,
+		brands:   cfg.Matcher.Brands(),
+		brandIdx: make(map[squat.Brand]int32),
 		breaker:  retry.New(cfg.Breaker, "serve", reg),
 		lookups:  reg.Counter("serve.lookups"),
 		bulk:     reg.Counter("serve.lookups.bulk"),
@@ -124,10 +134,26 @@ func New(cfg Config) *Coordinator {
 		bulkMS:   reg.Histogram("serve.bulk_ms", obs.MillisBuckets),
 		updateUS: reg.Histogram("serve.update_us", obs.MicrosBuckets),
 	}
+	for i, b := range c.brands {
+		c.brandIdx[b] = int32(i)
+	}
 	for i := range c.shards {
 		c.shards[i] = &shard{}
 	}
 	return c
+}
+
+// hitOf packs a candidate into a hit. It fails only for a brand the
+// coordinator's matcher does not have, which none of its own Match results
+// carries.
+func (c *Coordinator) hitOf(cand squat.Candidate) (hit, bool) {
+	b, ok := c.brandIdx[cand.Brand]
+	return hit{brand: b, typ: int32(cand.Type)}, ok
+}
+
+// candidate unpacks the hit a shard keeps for name d.
+func (c *Coordinator) candidate(d string, h hit) squat.Candidate {
+	return squat.Candidate{Domain: d, Type: squat.Type(h.typ), Brand: c.brands[h.brand]}
 }
 
 // NumShards returns the coordinator's shard count.
@@ -142,49 +168,46 @@ func (c *Coordinator) ShardFor(domain string) int {
 // shardHost is the breaker key for shard i.
 func shardHost(i int) string { return fmt.Sprintf("shard-%d", i) }
 
-// Warm loads hot state for every shard from a store and its scan
-// result (e.g. deltascan.Engine.Scan or core.ScanStore output — the
-// two are byte-identical). The store's shard partition must equal the
-// coordinator's. Warm is the reload path too: each shard's replacement
-// map is built off-lock and swapped in under the write lock, so
-// in-flight readers drain on the RWMutex and the handoff is atomic per
-// shard — a reader sees entirely old or entirely new state, never a mix.
+// Warm brings every shard up on a store and its scan result (e.g.
+// deltascan.Engine.Scan or core.ScanStore output), which must be the
+// store's candidates under the coordinator's matcher: a name of the store
+// absent from cands answers Matched false, and a candidate the store does
+// not hold is an error. The store's shard partition must equal the
+// coordinator's. Each shard keys its candidates by the store's own copy
+// of the name, so a name is held once. Warm is the reload path too: each
+// shard's candidate map is built off-lock and swapped in with the store
+// under the write lock, so in-flight readers drain on the RWMutex and the
+// handoff is atomic per shard — a reader sees entirely old or entirely new
+// state, never a mix.
 func (c *Coordinator) Warm(store *dnsx.Store, cands []squat.Candidate) error {
-	if store.NumShards() != len(c.shards) {
+	n := len(c.shards)
+	if store.NumShards() != n {
 		return fmt.Errorf("serve: store has %d shards, coordinator %d; the shard partitions must agree for handoff",
-			store.NumShards(), len(c.shards))
+			store.NumShards(), n)
 	}
-	c.mu.Lock()
-	c.store = store
-	c.mu.Unlock()
-	byShard := make([][]squat.Candidate, len(c.shards))
+	sizes := make([]int, n)
 	for _, cand := range cands {
-		i := dnsx.ShardIndex(cand.Domain, len(c.shards))
-		byShard[i] = append(byShard[i], cand)
+		sizes[dnsx.ShardIndex(cand.Domain, n)]++
 	}
-	for i := range c.shards {
-		c.warmShard(i, store, byShard[i])
+	byShard := make([]map[string]hit, n)
+	for i := range byShard {
+		byShard[i] = make(map[string]hit, sizes[i])
+	}
+	for _, cand := range cands {
+		name, known := store.Name(cand.Domain)
+		h, ok := c.hitOf(cand)
+		if !known || !ok {
+			return fmt.Errorf("serve: candidate %q is not a store name matched by the coordinator's matcher", cand.Domain)
+		}
+		byShard[dnsx.ShardIndex(name, n)][name] = h
+	}
+	for i, sh := range c.shards {
+		sh.mu.Lock()
+		sh.cands, sh.store, sh.up = byShard[i], store, true
+		sh.epoch++
+		sh.mu.Unlock()
 	}
 	return nil
-}
-
-// warmShard rebuilds shard i's verdict map from the store shard and the
-// candidates that hash to it, then swaps it live.
-func (c *Coordinator) warmShard(i int, store *dnsx.Store, cands []squat.Candidate) {
-	m := make(map[string]entry)
-	store.RangeShard(i, func(r dnsx.Record) bool {
-		m[r.Domain] = entry{}
-		return true
-	})
-	for _, cand := range cands {
-		m[cand.Domain] = entry{cand: cand, ok: true}
-	}
-	sh := c.shards[i]
-	sh.mu.Lock()
-	sh.verdicts = m
-	sh.up = true
-	sh.epoch++
-	sh.mu.Unlock()
 }
 
 // StopShard marks shard i down, as if its worker died. Lookups routed
@@ -193,31 +216,31 @@ func (c *Coordinator) StopShard(i int) {
 	sh := c.shards[i]
 	sh.mu.Lock()
 	sh.up = false
-	sh.verdicts = nil
+	sh.cands = nil
 	sh.mu.Unlock()
 }
 
-// RestartShard rewarms shard i from the coordinator's store (the source
+// RestartShard re-derives shard i's candidates from its store (the source
 // of truth, which keeps absorbing updates while the shard is down) and
-// brings it back up. The next admitted lookup is the breaker's
-// half-open probe; its success closes the circuit.
+// brings it back up. The walk runs under the shard's write lock, so no
+// Apply lands between the walk and the swap. The next admitted lookup is
+// the breaker's half-open probe; its success closes the circuit.
 func (c *Coordinator) RestartShard(i int) error {
-	c.mu.Lock()
-	store := c.store
-	c.mu.Unlock()
-	if store == nil {
+	sh := c.shards[i]
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if sh.store == nil {
 		return fmt.Errorf("serve: RestartShard(%d) before Warm: no store to rewarm from", i)
 	}
-	// Re-derive the shard's candidates statelessly: the store shard is
-	// the authority, the matcher is deterministic.
-	var cands []squat.Candidate
-	store.RangeShard(i, func(r dnsx.Record) bool {
+	cands := make(map[string]hit)
+	sh.store.RangeShard(i, func(r dnsx.Record) bool {
 		if cand, ok := c.matcher.Match(r.Domain); ok {
-			cands = append(cands, cand)
+			cands[r.Domain], _ = c.hitOf(cand)
 		}
 		return true
 	})
-	c.warmShard(i, store, cands)
+	sh.cands, sh.up = cands, true
+	sh.epoch++
 	return nil
 }
 
@@ -243,27 +266,39 @@ func (c *Coordinator) lookup(d string) Verdict {
 	}
 	sh := c.shards[i]
 	sh.mu.RLock()
-	up := sh.up
-	e, known := sh.verdicts[d]
-	epoch := sh.epoch
+	up, epoch := sh.up, sh.epoch
+	h, ok := sh.cands[d]
+	known := ok
+	if up && !ok {
+		_, known = sh.store.Lookup(d)
+	}
 	sh.mu.RUnlock()
 	if !up {
 		c.breaker.Report(host, false)
 		return c.degradedAnswer(i, d)
 	}
 	c.breaker.Report(host, true)
-	v := Verdict{Domain: d, Known: known, Shard: i, Epoch: epoch}
-	if !known {
+	var cand squat.Candidate
+	if ok {
+		cand = c.candidate(d, h)
+	} else if !known {
 		// Not in the snapshot: answer Matched statelessly, the same way
 		// the degraded path and Apply do, so a domain's Matched bit never
 		// depends on which path answered or whether its shard was up.
-		e.cand, e.ok = c.matcher.Match(d)
+		cand, ok = c.matcher.Match(d)
 	}
-	if e.ok {
-		v.Matched = true
-		v.Type = e.cand.Type.String()
-		v.Brand = e.cand.Brand.Name
-		v.TLD = e.cand.Brand.TLD
+	v := answer(d, i, cand, ok)
+	v.Known, v.Epoch = known, epoch
+	return v
+}
+
+// answer is the verdict for d on shard i with the match result filled in.
+func answer(d string, i int, cand squat.Candidate, ok bool) Verdict {
+	v := Verdict{Domain: d, Shard: i, Matched: ok}
+	if ok {
+		v.Type = cand.Type.String()
+		v.Brand = cand.Brand.Name
+		v.TLD = cand.Brand.TLD
 	}
 	return v
 }
@@ -273,13 +308,9 @@ func (c *Coordinator) lookup(d string) Verdict {
 // shards); what is lost is Known and the epoch provenance.
 func (c *Coordinator) degradedAnswer(i int, d string) Verdict {
 	c.degraded.Inc()
-	v := Verdict{Domain: d, Shard: i, Degraded: true}
-	if cand, ok := c.matcher.Match(d); ok {
-		v.Matched = true
-		v.Type = cand.Type.String()
-		v.Brand = cand.Brand.Name
-		v.TLD = cand.Brand.TLD
-	}
+	cand, ok := c.matcher.Match(d)
+	v := answer(d, i, cand, ok)
+	v.Degraded = true
 	return v
 }
 
@@ -298,48 +329,40 @@ func (c *Coordinator) LookupBatch(domains []string) []Verdict {
 
 // Apply absorbs one streaming record update (a new registration or a
 // changed resolution). The store — the source of truth — is always
-// updated, so a later rewarm recovers the record even if its shard is
-// down right now; the hot shard state is updated only when the shard is
-// up (a downed shard counts the miss under core.degraded.serve and its
-// breaker, and RestartShard reconciles it from the store).
+// updated, so a later restart recovers the record even if its shard is
+// down right now; an up shard also takes the name's candidate, in the
+// same critical section as the store write. A downed shard counts the
+// update under core.degraded.serve and its breaker, and RestartShard
+// reconciles it from the store.
 func (c *Coordinator) Apply(domain string, ip [4]byte) Verdict {
 	sw := obs.StartStopwatch()
 	c.updates.Inc()
 	d := dnsx.Normalize(domain)
-	c.mu.Lock()
-	store := c.store
-	c.mu.Unlock()
-	if store != nil {
-		store.Add(d, ip)
-	}
 	i := dnsx.ShardIndex(d, len(c.shards))
-	host := shardHost(i)
-	v := Verdict{Domain: d, Known: true, Shard: i}
 	cand, ok := c.matcher.Match(d)
-	if ok {
-		v.Matched = true
-		v.Type = cand.Type.String()
-		v.Brand = cand.Brand.Name
-		v.TLD = cand.Brand.TLD
-	}
-	if err := c.breaker.Allow(host); err != nil {
-		c.degraded.Inc()
-		v.Known, v.Degraded = false, true
-		c.updateUS.Observe(sw.Micros())
-		return v
-	}
 	sh := c.shards[i]
 	sh.mu.Lock()
-	up := sh.up
-	if up {
-		sh.verdicts[d] = entry{cand: cand, ok: ok}
-		v.Epoch = sh.epoch
+	up, epoch := sh.up, sh.epoch
+	if up && ok {
+		sh.cands[d], _ = c.hitOf(cand)
+	}
+	if sh.store != nil {
+		sh.store.Add(d, ip)
 	}
 	sh.mu.Unlock()
-	c.breaker.Report(host, up)
-	if !up {
+
+	v := answer(d, i, cand, ok)
+	host := shardHost(i)
+	if err := c.breaker.Allow(host); err == nil {
+		c.breaker.Report(host, up)
+	} else {
+		up = false
+	}
+	if up {
+		v.Known, v.Epoch = true, epoch
+	} else {
 		c.degraded.Inc()
-		v.Known, v.Degraded = false, true
+		v.Degraded = true
 	}
 	c.updateUS.Observe(sw.Micros())
 	return v
@@ -353,10 +376,8 @@ func (c *Coordinator) Candidates() []squat.Candidate {
 	var out []squat.Candidate
 	for _, sh := range c.shards {
 		sh.mu.RLock()
-		for _, e := range sh.verdicts {
-			if e.ok {
-				out = append(out, e.cand)
-			}
+		for d, h := range sh.cands {
+			out = append(out, c.candidate(d, h))
 		}
 		sh.mu.RUnlock()
 	}

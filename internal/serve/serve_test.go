@@ -96,9 +96,13 @@ func TestWarmLookup(t *testing.T) {
 		t.Fatalf("Lookup(%q) not normalised: %+v", string(up)+".", v)
 	}
 
-	// The warmed sweep equals the cold scan byte-for-byte.
+	// The warmed sweep equals the engine's scan it was warmed from, and
+	// both equal the serial reference byte-for-byte.
 	if got := c.Candidates(); !reflect.DeepEqual(got, cands) {
-		t.Fatalf("Candidates() diverged from cold scan: %d vs %d", len(got), len(cands))
+		t.Fatalf("Candidates() diverged from the warm input: %d vs %d", len(got), len(cands))
+	}
+	if want := serialCandidates(store, m); !reflect.DeepEqual(cands, want) {
+		t.Fatalf("engine scan diverged from the serial reference: %d vs %d", len(cands), len(want))
 	}
 }
 
@@ -107,6 +111,19 @@ func TestWarmShardMismatch(t *testing.T) {
 	c := New(Config{Shards: 4, Matcher: m})
 	if err := c.Warm(store, cands); err == nil {
 		t.Fatal("Warm accepted a store with a different shard partition")
+	}
+	// A candidate the store does not hold, or of a brand the matcher does
+	// not have, is not the store's scan result.
+	c = New(Config{Shards: store.NumShards(), Matcher: m})
+	stray := cands[0]
+	stray.Domain = "paypa1-not-in-store.com"
+	if err := c.Warm(store, []squat.Candidate{stray}); err == nil {
+		t.Fatal("Warm accepted a candidate the store does not hold")
+	}
+	stray = cands[0]
+	stray.Brand = squat.NewBrand("example.org")
+	if err := c.Warm(store, []squat.Candidate{stray}); err == nil {
+		t.Fatal("Warm accepted a candidate of a brand the matcher does not have")
 	}
 }
 
@@ -129,9 +146,9 @@ func TestApplyUpdatesHotState(t *testing.T) {
 	if _, ok := store.Lookup("paypa1.com"); !ok {
 		t.Fatal("Apply did not reach the store")
 	}
-	// The sweep now equals a cold scan of the mutated store.
-	if got, want := c.Candidates(), core.ScanStore(store, m, 1, nil); !reflect.DeepEqual(got, want) {
-		t.Fatalf("Candidates() after Apply diverged from cold scan: %d vs %d", len(got), len(want))
+	// The sweep now equals a serial scan of the mutated store.
+	if got, want := c.Candidates(), serialCandidates(store, m); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Candidates() after Apply diverged from the serial reference: %d vs %d", len(got), len(want))
 	}
 }
 
@@ -163,8 +180,8 @@ func TestDegradedAnswerWhenShardDown(t *testing.T) {
 	if v := c.Lookup(target); v.Degraded || !v.Known || !v.Matched {
 		t.Fatalf("post-restart Lookup = %+v", v)
 	}
-	if got, want := c.Candidates(), core.ScanStore(store, m, 1, nil); !reflect.DeepEqual(got, want) {
-		t.Fatalf("post-restart Candidates() diverged from cold scan")
+	if got, want := c.Candidates(), serialCandidates(store, m); !reflect.DeepEqual(got, want) {
+		t.Fatalf("post-restart Candidates() diverged from the serial reference")
 	}
 }
 
