@@ -107,9 +107,11 @@ bench-all:
 # cannot come back unnoticed. And the matcher's footprint: one matcher over
 # the real brand universe retains at most 28 MB of live heap. And squatd's:
 # a warmed serve coordinator retains heap for its candidates only, never a
-# verdict per record.
+# verdict per record. And the store's: a generated dnsx.Store retains at
+# most 80 B of live heap per record.
 bench-check:
 	$(GO) test -run '^TestMatchMissZeroAlloc' -count=1 ./internal/squat
+	$(GO) test -run '^TestStoreRetainedBytes$$' -count=1 -v ./internal/dnsx
 	$(GO) test -run '^TestUniverseMatcherHeap$$' -count=1 -v .
 	$(GO) test -run '^TestWarmRetainsOnlyCandidates$$' -count=1 -v ./internal/serve
 	$(GO) test -run '^(TestRecognizeAllocBudget|TestSpellcheckZeroAlloc)$$' -count=1 ./internal/ocr
@@ -135,6 +137,7 @@ fuzz-smoke:
 	$(GO) test -fuzz '^FuzzAnalyze$$' -fuzztime 30s ./internal/jsx/
 	$(GO) test -fuzz '^FuzzUnpack$$' -fuzztime 30s ./internal/dnsx/
 	$(GO) test -fuzz '^FuzzParseZone$$' -fuzztime 30s ./internal/dnsx/
+	$(GO) test -fuzz '^FuzzStoreVsModel$$' -fuzztime 30s ./internal/dnsx/
 	$(GO) test -fuzz '^FuzzDecode$$' -fuzztime 30s ./internal/punycode/
 	$(GO) test -fuzz '^FuzzEncodeRoundTrip$$' -fuzztime 30s ./internal/punycode/
 	$(GO) test -fuzz '^FuzzToUnicode$$' -fuzztime 30s ./internal/punycode/

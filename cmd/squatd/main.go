@@ -43,6 +43,7 @@ import (
 	"log"
 	"net/http"
 	"os"
+	"runtime"
 	"syscall"
 	"time"
 
@@ -148,6 +149,13 @@ func main() {
 			return nil
 		})
 	}
+
+	// Collect the boot's garbage before serving: the boot scan's result,
+	// and the delta engine unless a -state spill keeps it, are dead by
+	// now. Without this the next collection's goal can be set from the
+	// boot scan's transient heap, and serving's garbage grows to twice
+	// that before anything collects it.
+	runtime.GC()
 
 	dbg, err := obs.Serve(*addr, reg, nil, coord.Routes()...)
 	if err != nil {

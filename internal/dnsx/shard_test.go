@@ -39,7 +39,8 @@ func firstDiff(a, b []string) string {
 }
 
 // TestShardLayoutInvariance checks that the shard count never changes the
-// store's observable contents or order.
+// store's observable contents or Range order, for serial Adds and for a
+// generator whose workers reach each shard out of sequence order.
 func TestShardLayoutInvariance(t *testing.T) {
 	build := func(shards int) *Store {
 		s := NewShardedStore(shards)
@@ -49,10 +50,30 @@ func TestShardLayoutInvariance(t *testing.T) {
 		}
 		return s
 	}
-	a, b := build(1), build(64)
-	if !reflect.DeepEqual(a.Domains(), b.Domains()) {
-		t.Fatal("iteration order depends on shard count")
+	generate := func(shards int) *Store {
+		return GenerateSnapshot(SnapshotSpec{Planted: []string{"faceb00k.com"}, NoiseRecords: 20_000, Seed: 4, Workers: 4, Shards: shards})
 	}
+	records := func(s *Store) (out []Record) {
+		s.Range(func(r Record) bool { out = append(out, r); return true })
+		return out
+	}
+	for _, mk := range []func(int) *Store{build, generate} {
+		want := records(mk(1))
+		for _, shards := range []int{32, 2048} {
+			if got := records(mk(shards)); !reflect.DeepEqual(got, want) {
+				t.Fatalf("shards=%d: Range order or contents differ from one shard's (%d vs %d records, first diff near %q)",
+					shards, len(got), len(want), firstDiff(domainsOf(got), domainsOf(want)))
+			}
+		}
+	}
+}
+
+func domainsOf(recs []Record) []string {
+	out := make([]string, len(recs))
+	for i, r := range recs {
+		out[i] = r.Domain
+	}
+	return out
 }
 
 // TestGenerateSnapshotWorkerInvariance is the determinism contract of the
@@ -76,6 +97,12 @@ func TestGenerateSnapshotWorkerInvariance(t *testing.T) {
 			if !ok || ip != r.IP {
 				t.Fatalf("workers=%d: record %s differs from workers=1", spec.Workers, r.Domain)
 			}
+			// The workers filled the shards out of order, so the store
+			// sorted them and rebuilt their slot tables: every record must
+			// still be found in its own store.
+			if own, ok := s.Lookup(r.Domain); !ok || own != r.IP {
+				t.Fatalf("workers=%d: Lookup(%s) = %v, %t in its own store", spec.Workers, r.Domain, own, ok)
+			}
 			return true
 		})
 	}
@@ -95,10 +122,13 @@ func TestStoreAddAfterGenerate(t *testing.T) {
 	}
 }
 
-// TestStoreConcurrentAccess exercises Add/Lookup/RangeShard/Len
-// concurrently; run under -race it is the store's thread-safety proof.
+// TestStoreConcurrentAccess exercises Add/Lookup/Name/RangeShard/
+// TailShard/Len concurrently, with the writers growing every shard's slot
+// table several times over while the readers probe it; run under -race it
+// is the store's thread-safety proof.
 func TestStoreConcurrentAccess(t *testing.T) {
 	s := NewStore()
+	name := func(g int, r *simrand.RNG) string { return fmt.Sprintf("w%d-%s.com", g, r.Letters(6)) }
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
@@ -106,10 +136,45 @@ func TestStoreConcurrentAccess(t *testing.T) {
 			defer wg.Done()
 			r := simrand.New(uint64(g))
 			for i := 0; i < 300; i++ {
-				s.Add(fmt.Sprintf("w%d-%s.com", g, r.Letters(6)), RandomIP(r))
+				s.Add(name(g, r), RandomIP(r))
 			}
 		}(g)
 	}
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) { // replays writer g's names
+			defer wg.Done()
+			r := simrand.New(uint64(g))
+			for i := 0; i < 300; i++ {
+				d := name(g, r)
+				RandomIP(r)
+				if got, ok := s.Name(d); ok && got != d {
+					t.Errorf("Name(%q) = %q", d, got)
+				}
+			}
+		}(g)
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		// A concurrent Add may land below a mark already read, so only the
+		// walk from 0 is held to the mark it returns.
+		marks := make([]ShardMark, s.NumShards())
+		for i := 0; i < 5; i++ {
+			for shard := range marks {
+				_, now, _ := s.TailShard(shard, marks[shard].Next, func(b []byte) {
+					if ShardIndex(string(b), len(marks)) != shard {
+						t.Errorf("TailShard(%d) visited %q of another shard", shard, b)
+					}
+				})
+				n := 0
+				if visited, all, _ := s.TailShard(shard, 0, func([]byte) { n++ }); visited != all.Sum || n != all.Len {
+					t.Errorf("shard %d: walk from 0 visited %d names (sum %x), mark %+v", shard, n, visited, all)
+				}
+				marks[shard] = now
+			}
+		}
+	}()
 	for g := 0; g < 2; g++ {
 		wg.Add(1)
 		go func(g int) {

@@ -4,6 +4,8 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -30,24 +32,19 @@ func (r Record) IPString() string {
 // stores that must absorb very wide concurrent write loads.
 const DefaultShards = 32
 
-// entry is one stored record plus the bookkeeping that keeps sharded
-// iteration deterministic: firstSeq fixes the record's position in global
-// insertion order, lastSeq arbitrates overwrites (the highest sequence
-// number's IP wins, reproducing serial last-write-wins semantics no matter
-// in which order concurrent writers actually reach the shard).
-type entry struct {
-	domain   string
-	ip       [4]byte
-	firstSeq uint64
-	lastSeq  uint64
-}
-
-// storeShard is one lock domain of the store.
+// storeShard is one lock domain of the store. Its records are parallel
+// columns: record i is names[i] at ips[i], and first[i]/last[i] are the
+// bookkeeping that keeps sharded iteration deterministic. first fixes the
+// record's position in global insertion order; last arbitrates overwrites
+// (the highest sequence number's IP wins, reproducing serial
+// last-write-wins semantics no matter in which order concurrent writers
+// actually reach the shard). slots is an open-addressed table of record
+// numbers + 1 (0 = empty), probed linearly from the top bits of the name's
+// mixed FNV-1a hash, whose low bits chose the shard. A record costs its
+// name, 36 bytes of columns and a slot: no heap object, map bucket or
+// pointer of its own (TestStoreRetainedBytes).
 type storeShard struct {
-	mu      sync.RWMutex
-	records map[string]*entry
-	order   []*entry // insertion entries; sorted by firstSeq when sorted
-	sorted  bool
+	mu sync.RWMutex
 	// csum is the shard's rolling content checksum: the wrapping sum of
 	// RecordHash over the shard's current records. It is maintained
 	// incrementally on every write, so reading it is O(1), and it depends
@@ -64,10 +61,92 @@ type storeShard struct {
 	// next is one above the largest sequence number a name entered the
 	// shard with: the shard's mark (ShardMark.Next).
 	next uint64
+	// The columns follow what a mark reads (mu, the sums, next and
+	// len(names)), so a mark reads the shard's first 64 bytes only.
+	names  []string // the store's one copy of each name
+	ips    [][4]byte
+	first  []uint64 // ascending when sorted
+	last   []uint64
+	slots  []uint32 // power-of-two length, load ≤ maxLoadNum/maxLoadDen
+	shift  uint     // 64 - log2(len(slots))
+	sorted bool
 }
 
-// ensureSorted restores the order-by-firstSeq invariant after out-of-order
-// sequence numbers landed in the shard (concurrent generation).
+// A shard's slot table doubles before its load passes
+// maxLoadNum/maxLoadDen.
+const maxLoadNum, maxLoadDen = 3, 4
+
+// slotBits is log2 of the smallest slot table (never fewer than 8 slots)
+// that holds n records without growing.
+func slotBits(n int) uint {
+	bits := uint(3)
+	for n*maxLoadDen > (1<<bits)*maxLoadNum {
+		bits++
+	}
+	return bits
+}
+
+// reserve sizes an empty shard for n records.
+func (sh *storeShard) reserve(n int) {
+	sh.names = make([]string, 0, n)
+	sh.ips = make([][4]byte, 0, n)
+	sh.first = make([]uint64, 0, n)
+	sh.last = make([]uint64, 0, n)
+	sh.resize(slotBits(n))
+}
+
+// fit sorts a shard that concurrent writers filled and gives back what its
+// reservation left spare: the columns are cut to their length and the slot
+// table to the size its records need.
+func (sh *storeShard) fit() {
+	sh.ensureSorted()
+	sh.names, sh.ips = slices.Clone(sh.names), slices.Clone(sh.ips)
+	sh.first, sh.last = slices.Clone(sh.first), slices.Clone(sh.last)
+	sh.resize(slotBits(len(sh.names)))
+}
+
+// find returns the slot holding domain, whose fnvName is h, or the empty
+// slot where it would be inserted.
+//
+//squat:hot
+func (sh *storeShard) find(domain string, h uint64) uint64 {
+	mask := uint64(len(sh.slots) - 1)
+	for i := mix64(h) >> sh.shift; ; i = (i + 1) & mask {
+		if s := sh.slots[i]; s == 0 || sh.names[s-1] == domain {
+			return i
+		}
+	}
+}
+
+// record returns domain's record number, or -1 if the shard lacks it.
+func (sh *storeShard) record(domain string, h uint64) int {
+	return int(sh.slots[sh.find(domain, h)]) - 1
+}
+
+// resize replaces the slot table with an empty one of 2^bits slots and
+// reinserts every record.
+func (sh *storeShard) resize(bits uint) {
+	sh.slots, sh.shift = make([]uint32, 1<<bits), 64-bits
+	for k, d := range sh.names {
+		sh.slots[sh.find(d, fnvName(d))] = uint32(k) + 1
+	}
+}
+
+// byFirst sorts a shard's columns together by first sequence number.
+type byFirst struct{ *storeShard }
+
+func (b byFirst) Len() int           { return len(b.first) }
+func (b byFirst) Less(i, j int) bool { return b.first[i] < b.first[j] }
+func (b byFirst) Swap(i, j int) {
+	b.names[i], b.names[j] = b.names[j], b.names[i]
+	b.ips[i], b.ips[j] = b.ips[j], b.ips[i]
+	b.first[i], b.first[j] = b.first[j], b.first[i]
+	b.last[i], b.last[j] = b.last[j], b.last[i]
+}
+
+// ensureSorted restores the order-by-first invariant after out-of-order
+// sequence numbers landed in the shard (concurrent generation): it sorts
+// the columns and rebuilds the slot table over the new record numbers.
 func (sh *storeShard) ensureSorted() {
 	sh.mu.RLock()
 	ok := sh.sorted
@@ -77,7 +156,8 @@ func (sh *storeShard) ensureSorted() {
 	}
 	sh.mu.Lock()
 	if !sh.sorted {
-		sort.Slice(sh.order, func(i, j int) bool { return sh.order[i].firstSeq < sh.order[j].firstSeq })
+		sort.Sort(byFirst{sh})
+		sh.resize(64 - sh.shift)
 		sh.sorted = true
 	}
 	sh.mu.Unlock()
@@ -104,13 +184,23 @@ func NewStore() *Store { return NewShardedStore(DefaultShards) }
 // NewShardedStore returns an empty store with n shards (n <= 0 falls back
 // to DefaultShards). The shard count affects only contention, never the
 // store's observable contents or iteration order.
-func NewShardedStore(n int) *Store {
+func NewShardedStore(n int) *Store { return newSizedStore(n, 0) }
+
+// newSizedStore is NewShardedStore with every shard reserved for its
+// share of up to records records: the mean plus four standard deviations
+// of a uniform hash's spread, so a shard rarely outgrows its columns and
+// slot table while they are filled.
+func newSizedStore(n, records int) *Store {
 	if n <= 0 {
 		n = DefaultShards
 	}
+	per := records / n
+	if per > 0 {
+		per += 4*int(math.Sqrt(float64(per))) + 8
+	}
 	s := &Store{shards: make([]storeShard, n)}
 	for i := range s.shards {
-		s.shards[i].records = make(map[string]*entry)
+		s.shards[i].reserve(per)
 		s.shards[i].sorted = true
 	}
 	return s
@@ -160,9 +250,11 @@ func recordMix(h uint64, ip [4]byte) uint64 {
 // apart from recordMix of any address, which only reaches the low 32 bits.
 func nameMix(h uint64) uint64 { return mix64(h ^ 0x9e3779b97f4a7c15) }
 
-// shardOf hashes a normalised domain to its shard (ShardIndex).
-func (s *Store) shardOf(domain string) *storeShard {
-	return &s.shards[ShardIndex(domain, len(s.shards))]
+// shardOf hashes a normalised domain to its shard (ShardIndex) and returns
+// the hash too, for the shard's slot table.
+func (s *Store) shardOf(domain string) (*storeShard, uint64) {
+	h := fnvName(domain)
+	return &s.shards[h%uint64(len(s.shards))], h
 }
 
 // Add inserts or overwrites a record. Domains are normalised to lower case
@@ -177,19 +269,19 @@ func (s *Store) Add(domain string, ip [4]byte) {
 // the same store state regardless of arrival order: a record's position is
 // its smallest sequence number, its IP the one written with the largest.
 func (s *Store) addAt(seq uint64, domain string, ip [4]byte) {
-	h := fnvName(domain)
-	sh := &s.shards[h%uint64(len(s.shards))]
+	sh, h := s.shardOf(domain)
 	sh.mu.Lock()
-	if e := sh.records[domain]; e != nil {
-		if seq < e.firstSeq {
-			e.firstSeq = seq
+	i := sh.find(domain, h)
+	if r := int(sh.slots[i]) - 1; r >= 0 {
+		if seq < sh.first[r] {
+			sh.first[r] = seq
 			sh.sorted = false
 		}
-		if seq >= e.lastSeq {
-			e.lastSeq = seq
-			if e.ip != ip {
-				sh.csum += recordMix(h, ip) - recordMix(h, e.ip)
-				e.ip = ip
+		if seq >= sh.last[r] {
+			sh.last[r] = seq
+			if old := sh.ips[r]; old != ip {
+				sh.csum += recordMix(h, ip) - recordMix(h, old)
+				sh.ips[r] = ip
 			}
 		}
 		sh.mu.Unlock()
@@ -197,14 +289,20 @@ func (s *Store) addAt(seq uint64, domain string, ip [4]byte) {
 	}
 	sh.csum += recordMix(h, ip)
 	sh.nsum += nameMix(h)
-	e := &entry{domain: domain, ip: ip, firstSeq: seq, lastSeq: seq}
-	sh.records[domain] = e
 	if seq < sh.next {
 		sh.sorted = false
 	} else {
 		sh.next = seq + 1
 	}
-	sh.order = append(sh.order, e)
+	if (len(sh.names)+1)*maxLoadDen > len(sh.slots)*maxLoadNum {
+		sh.resize(64 - sh.shift + 1)
+		i = sh.find(domain, h)
+	}
+	sh.names = append(sh.names, domain)
+	sh.ips = append(sh.ips, ip)
+	sh.first = append(sh.first, seq)
+	sh.last = append(sh.last, seq)
+	sh.slots[i] = uint32(len(sh.names))
 	sh.mu.Unlock()
 	s.length.Add(1)
 }
@@ -265,7 +363,7 @@ func (s *Store) ShardNameMark(shard int) ShardMark {
 	sh := &s.shards[shard]
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	return ShardMark{Sum: sh.nsum, Next: sh.next, Len: len(sh.order)}
+	return ShardMark{Sum: sh.nsum, Next: sh.next, Len: len(sh.names)}
 }
 
 // TailShard calls fn, in insertion order, with the name of every record of
@@ -286,18 +384,18 @@ func (s *Store) TailShard(shard int, from uint64, fn func(name []byte)) (visited
 	sh.ensureSorted()
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	now = ShardMark{Sum: sh.nsum, Next: sh.next, Len: len(sh.order)}
-	order := sh.order
+	now = ShardMark{Sum: sh.nsum, Next: sh.next, Len: len(sh.names)}
+	start := 0
 	if sh.sorted { // else a writer got in after ensureSorted: filter it all
-		order = order[sort.Search(len(order), func(i int) bool { return order[i].firstSeq >= from }):]
+		start = sort.Search(len(sh.first), func(i int) bool { return sh.first[i] >= from })
 	}
 	buf := make([]byte, 0, 64)
-	for _, e := range order {
-		if e.firstSeq >= from {
+	for i := start; i < len(sh.names); i++ {
+		if sh.first[i] >= from {
 			if from > 0 {
-				visited += nameMix(fnvName(e.domain))
+				visited += nameMix(fnvName(sh.names[i]))
 			}
-			buf = append(buf[:0], e.domain...)
+			buf = append(buf[:0], sh.names[i]...)
 			fn(buf)
 		}
 	}
@@ -326,16 +424,13 @@ func (s *Store) ShardOf(domain string) int {
 // Lookup returns the address for a domain.
 func (s *Store) Lookup(domain string) ([4]byte, bool) {
 	d := Normalize(domain)
-	sh := s.shardOf(d)
+	sh, h := s.shardOf(d)
 	sh.mu.RLock()
-	e := sh.records[d]
-	if e == nil {
-		sh.mu.RUnlock()
-		return [4]byte{}, false
+	defer sh.mu.RUnlock()
+	if r := sh.record(d, h); r >= 0 {
+		return sh.ips[r], true
 	}
-	ip := e.ip
-	sh.mu.RUnlock()
-	return ip, true
+	return [4]byte{}, false
 }
 
 // Name returns the store's own copy of a domain's normalised name, so
@@ -343,11 +438,11 @@ func (s *Store) Lookup(domain string) ([4]byte, bool) {
 // second copy.
 func (s *Store) Name(domain string) (string, bool) {
 	d := Normalize(domain)
-	sh := s.shardOf(d)
+	sh, h := s.shardOf(d)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	if e := sh.records[d]; e != nil {
-		return e.domain, true
+	if r := sh.record(d, h); r >= 0 {
+		return sh.names[r], true
 	}
 	return "", false
 }
@@ -375,28 +470,48 @@ func (s *Store) Range(fn func(Record) bool) {
 			s.shards[i].mu.RUnlock()
 		}
 	}()
-	// K-way merge of the per-shard sequences; with a few dozen shards a
-	// linear min-scan per record beats heap bookkeeping.
+	// K-way merge of the per-shard sequences: a binary min-heap of the
+	// non-empty shards keyed by the first sequence number at their head,
+	// so a record costs O(log shards), not a scan of every head.
 	heads := make([]int, len(s.shards))
-	for {
-		best := -1
-		var bestSeq uint64
-		for i := range s.shards {
-			if heads[i] >= len(s.shards[i].order) {
-				continue
+	heap := make([]int32, 0, len(s.shards))
+	key := func(k int) uint64 { i := heap[k]; return s.shards[i].first[heads[i]] }
+	down := func(k int) {
+		for {
+			c := 2*k + 1
+			if c >= len(heap) {
+				return
 			}
-			if e := s.shards[i].order[heads[i]]; best == -1 || e.firstSeq < bestSeq {
-				best, bestSeq = i, e.firstSeq
+			if c+1 < len(heap) && key(c+1) < key(c) {
+				c++
 			}
+			if key(k) <= key(c) {
+				return
+			}
+			heap[k], heap[c] = heap[c], heap[k]
+			k = c
 		}
-		if best == -1 {
+	}
+	for i := range s.shards {
+		if len(s.shards[i].names) > 0 {
+			heap = append(heap, int32(i))
+		}
+	}
+	for k := len(heap)/2 - 1; k >= 0; k-- {
+		down(k)
+	}
+	for len(heap) > 0 {
+		i := heap[0]
+		sh := &s.shards[i]
+		r := heads[i]
+		if !fn(Record{Domain: sh.names[r], IP: sh.ips[r]}) {
 			return
 		}
-		e := s.shards[best].order[heads[best]]
-		heads[best]++
-		if !fn(Record{Domain: e.domain, IP: e.ip}) {
-			return
+		if heads[i]++; heads[i] == len(sh.names) {
+			heap[0] = heap[len(heap)-1]
+			heap = heap[:len(heap)-1]
 		}
+		down(0)
 	}
 }
 
@@ -408,8 +523,8 @@ func (s *Store) RangeShard(shard int, fn func(Record) bool) {
 	sh.ensureSorted()
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	for _, e := range sh.order {
-		if !fn(Record{Domain: e.domain, IP: e.ip}) {
+	for i, d := range sh.names {
+		if !fn(Record{Domain: d, IP: sh.ips[i]}) {
 			return
 		}
 	}
@@ -433,8 +548,8 @@ func (s *Store) WriteSnapshot(w io.Writer) error {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.RLock()
-		for _, e := range sh.order {
-			recs = append(recs, Record{Domain: e.domain, IP: e.ip})
+		for j, d := range sh.names {
+			recs = append(recs, Record{Domain: d, IP: sh.ips[j]})
 		}
 		sh.mu.RUnlock()
 	}
