@@ -315,15 +315,12 @@ func BenchmarkMatcherThroughput(b *testing.B) {
 	b.ReportMetric(float64(len(domains)), "records/op")
 }
 
-// BenchmarkMatchMissUniverse is the miss path as scan-zone runs it: the
-// full brand universe (850 brands, a 489K-key label index) against noise
-// records served from one flat arena, the way snapfmt hands them over. The
-// five-brand BenchmarkMatchMiss in internal/squat never leaves L1; this one
-// is the number a scan pays. make bench-check gates its allocs/op at 0.
-func BenchmarkMatchMissUniverse(b *testing.B) {
-	m := squat.NewMatcher(brands.Select(brands.DefaultConfig()).SquatBrands())
-	var arena []byte
-	var ends []int
+// missArena returns the matcher over the full brand universe (850 brands,
+// a 489K-key label index) and the noise records it misses, laid end to end
+// in one flat arena the way snapfmt hands them over: record i is
+// arena[ends[i-1]:ends[i]], with ends[-1] = 0.
+func missArena() (m *squat.Matcher, arena []byte, ends []int) {
+	m = squat.NewMatcher(brands.Select(brands.DefaultConfig()).SquatBrands())
 	var s squat.Scratch
 	dnsx.StreamSnapshot(dnsx.SnapshotSpec{NoiseRecords: 1 << 18, Seed: 1}, func(domain string, _ [4]byte) bool {
 		if _, hit := m.MatchBytes([]byte(domain), &s); !hit {
@@ -332,6 +329,16 @@ func BenchmarkMatchMissUniverse(b *testing.B) {
 		}
 		return true
 	})
+	return m, arena, ends
+}
+
+// BenchmarkMatchMissUniverse is the miss path as scan-zone runs it: the
+// universe matcher against missArena's records. The five-brand
+// BenchmarkMatchMiss in internal/squat never leaves L1; this one is the
+// number a scan pays. TestMatchMissUniverseZeroAlloc is its allocation gate.
+func BenchmarkMatchMissUniverse(b *testing.B) {
+	m, arena, ends := missArena()
+	var s squat.Scratch
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i, lo := 0, 0; i < b.N; i++ {
@@ -343,7 +350,7 @@ func BenchmarkMatchMissUniverse(b *testing.B) {
 
 // --- parallel-spine benchmarks (scan, scoring, forest training) ---
 
-// scanWorkerCounts is the sweep ISSUE'd for BENCH_scan: serial, half the
+// scanWorkerCounts is the scan benchmarks' worker sweep: serial, half the
 // cores, all cores (deduplicated on small machines).
 func scanWorkerCounts() []int {
 	ncpu := runtime.GOMAXPROCS(0)

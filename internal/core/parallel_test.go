@@ -81,28 +81,58 @@ func TestScanStoreParallelEquivalence(t *testing.T) {
 	}
 }
 
-// TestScanSnapshotEquivalence extends the equivalence contract to the
-// binary snapshot path: scanning the mmap-format serialisation of a store
-// returns the exact candidate slice of the serial reference over the store
-// itself, at every worker count including workers <= 0 (GOMAXPROCS).
-func TestScanSnapshotEquivalence(t *testing.T) {
-	store, m := scanFixture(t, 5000)
-	want := serialScan(store, m)
-	if len(want) == 0 {
-		t.Fatal("store scan found no candidates")
-	}
-	snap, err := snapfmt.OpenBytes(snapshotBytes(t, store))
-	if err != nil {
+// streamedSnapshotBytes writes spec's record stream straight into a
+// snapfmt file, the way a scan-scale snapshot is built without a store in
+// memory. Nothing deduplicates on that path: a name the stream repeats is
+// in the file twice.
+func streamedSnapshotBytes(t *testing.T, spec dnsx.SnapshotSpec) []byte {
+	t.Helper()
+	w := snapfmt.NewWriter(0)
+	dnsx.StreamSnapshot(spec, func(domain string, ip [4]byte) bool {
+		w.Add(domain, ip)
+		return true
+	})
+	var buf bytes.Buffer
+	if _, err := w.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{0, 1, 2, 4, 64} {
-		got, err := ScanSnapshot(snap, m, workers, nil)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+	return buf.Bytes()
+}
+
+// TestScanSnapshotEquivalence extends the equivalence contract to the
+// binary snapshot path: scanning a snapfmt file returns the exact candidate
+// slice of the serial reference over the store it describes, at every
+// worker count including workers <= 0 (GOMAXPROCS). The files are a
+// store's serialisation, and a streamed spec that lists one planted squat
+// twice, which the scan must report once.
+func TestScanSnapshotEquivalence(t *testing.T) {
+	store, m := scanFixture(t, 5000)
+	spec := dnsx.SnapshotSpec{Planted: []string{"paypa1.com", "paypa1.com", "faceb00k.com"}, NoiseRecords: 2000, Seed: 7}
+	for _, in := range []struct {
+		name  string
+		store *dnsx.Store
+		data  []byte
+	}{
+		{"store", store, snapshotBytes(t, store)},
+		{"streamed", dnsx.GenerateSnapshot(spec), streamedSnapshotBytes(t, spec)},
+	} {
+		want := serialScan(in.store, m)
+		if len(want) == 0 {
+			t.Fatalf("%s: store scan found no candidates", in.name)
 		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("workers=%d: snapshot scan differs from the serial reference (%d vs %d candidates)",
-				workers, len(got), len(want))
+		snap, err := snapfmt.OpenBytes(in.data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{0, 1, 2, 4, 64} {
+			got, err := ScanSnapshot(snap, m, workers, nil)
+			if err != nil {
+				t.Fatalf("%s, workers=%d: %v", in.name, workers, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s, workers=%d: snapshot scan differs from the serial reference (%d vs %d candidates)",
+					in.name, workers, len(got), len(want))
+			}
 		}
 	}
 }

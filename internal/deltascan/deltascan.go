@@ -38,6 +38,7 @@
 package deltascan
 
 import (
+	"cmp"
 	"runtime"
 	"slices"
 	"strings"
@@ -79,8 +80,14 @@ type cand struct {
 	epoch int32
 }
 
-// cmpDomain orders the retained output.
-func cmpDomain(a, b cand) int { return strings.Compare(a.Domain, b.Domain) }
+// cmpDomain orders the retained output: by domain, then by walk shard, for
+// the records in two shards that the matcher reports under one domain.
+func cmpDomain(a, b cand) int {
+	if c := strings.Compare(a.Domain, b.Domain); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.shard, b.shard)
+}
 
 // shardState is the engine's memory of one source shard: its candidates in
 // walk order, and the reading of its names (dnsx.ShardMark) they answer
@@ -405,13 +412,16 @@ func (sh *shardState) rescan(src Source, shard int, m *squat.Matcher, sc *squat.
 // into the spare buffer, which then becomes the output. Over an empty old
 // output (a full scan) the sorted fresh slice itself becomes the output.
 //
-// Candidate domains are unique within a source, so the order is total and
-// equal to the serial reference's.
+// A snapshot file may list a record twice (snapfmt.Writer keeps both), in
+// one shard with one verdict: fresh keeps one copy of a domain per shard.
+// One domain from records in two shards ("a.com" and "a.com..") stays
+// twice, as in the serial reference.
 func (e *Engine) merge(fresh []cand, drop []bool) {
 	if len(fresh) == 0 && drop == nil {
 		return
 	}
 	slices.SortFunc(fresh, cmpDomain)
+	fresh = slices.CompactFunc(fresh, func(a, b cand) bool { return a.Domain == b.Domain && a.shard == b.shard })
 	if len(e.out) == 0 {
 		e.out, e.spare = fresh, e.out
 		return

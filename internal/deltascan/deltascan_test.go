@@ -29,8 +29,9 @@ func fullScan(store *dnsx.Store, m *squat.Matcher) []squat.Candidate {
 	return out
 }
 
-// sortCandidates sorts by domain (unique within a store) — the engine's
-// output order.
+// sortCandidates sorts by domain — the engine's output order. Two records
+// the matcher reports under one domain give equal candidates, so their
+// order does not show.
 func sortCandidates(cs []squat.Candidate) {
 	sort.Slice(cs, func(i, j int) bool { return cs[i].Domain < cs[j].Domain })
 }
@@ -254,12 +255,21 @@ func TestNoCandidatesIsNil(t *testing.T) {
 // different shards. The merge must drop and re-add that candidate by the
 // shard it was walked in, the spill must carry the matcher's name, and
 // Provenance must find the candidate under the name Scan returned it by,
-// with the epoch that matched it — live and after Save/Load.
+// with the epoch that matched it — live and after Save/Load. The second
+// run keeps "paypa1.com" in the store too: one domain from two records in
+// two shards, which every scan reports twice, as fullScan does.
 func TestCandidateKeepsItsWalkShard(t *testing.T) {
+	t.Run("alone", func(t *testing.T) { candidateKeepsItsWalkShard(t, false) })
+	t.Run("beside paypa1.com", func(t *testing.T) { candidateKeepsItsWalkShard(t, true) })
+}
+
+func candidateKeepsItsWalkShard(t *testing.T, both bool) {
 	rng := simrand.New(15)
 	m := testMatcher()
 	model := seedModel(rng, 300)
-	delete(model, "paypa1.com")
+	if !both {
+		delete(model, "paypa1.com")
+	}
 	e := NewEngine()
 	build := func(split string) *dnsx.Store {
 		s := buildStore(model, rng.Split(split))
@@ -271,9 +281,14 @@ func TestCandidateKeepsItsWalkShard(t *testing.T) {
 	if walkShard == s1.ShardOf("paypa1.com") {
 		t.Fatalf("test premise: both names land in shard %d", walkShard)
 	}
-	e.Scan(s1, m, 2)
+	if got := e.Scan(s1, m, 2); !reflect.DeepEqual(got, fullScan(s1, m)) {
+		t.Fatal("first scan diverged from full scan")
+	}
 	assertComputed := func(e *Engine, when string, epoch int) {
 		t.Helper()
+		if both {
+			return // Provenance answers for one of the two records
+		}
 		pr, ok := e.Provenance("paypa1.com")
 		if !ok || pr.ComputedEpoch != epoch || pr.Cached != (epoch < pr.Epoch) {
 			t.Fatalf("%s: Provenance(paypa1.com) = %+v, %t; want computed at epoch %d", when, pr, ok, epoch)

@@ -6,7 +6,6 @@ import (
 	"io"
 	"math"
 	"os"
-	"slices"
 
 	"squatphi/internal/fsx"
 	"squatphi/internal/recfile"
@@ -157,11 +156,11 @@ func Load(r io.Reader) (*Engine, error) {
 	for _, sh := range e.shards {
 		n += len(sh.cands)
 	}
-	e.out = make([]cand, 0, n)
+	all := make([]cand, 0, n)
 	for _, sh := range e.shards {
-		e.out = append(e.out, sh.cands...)
+		all = append(all, sh.cands...)
 	}
-	slices.SortFunc(e.out, cmpDomain)
+	e.merge(all, nil)
 	return e, nil
 }
 

@@ -76,3 +76,42 @@ func TestPropertySnapshotSource(t *testing.T) {
 		}
 	}
 }
+
+// TestSnapshotListingANameTwice: a snapfmt file may list a name twice
+// (snapfmt.Writer does not deduplicate). The engine reports it once, like
+// the serial reference over the store that collapses the two, on its first
+// scan and again after a spill round trip.
+func TestSnapshotListingANameTwice(t *testing.T) {
+	m := testMatcher()
+	w := snapfmt.NewWriter(0)
+	store := dnsx.NewStore()
+	for i, d := range []string{"paypa1.com", "example.com", "paypa1.com", "faceb00k.com", "example.com"} {
+		ip := [4]byte{10, 0, 0, byte(i)}
+		w.Add(d, ip)
+		store.Add(d, ip)
+	}
+	var file bytes.Buffer
+	if _, err := w.WriteTo(&file); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := snapfmt.OpenBytes(file.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fullScan(store, m)
+	e := NewEngine()
+	if got := e.Scan(snap, m, 2); !reflect.DeepEqual(got, want) {
+		t.Fatalf("first scan: %v, reference %v", got, want)
+	}
+	var spill bytes.Buffer
+	if err := e.Save(&spill); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := Load(&spill)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := loaded.Scan(snap, m, 2); !reflect.DeepEqual(got, want) {
+		t.Fatalf("scan after Load: %v, reference %v", got, want)
+	}
+}

@@ -14,10 +14,9 @@ import (
 // the store-compatible shard hash as they arrive, held as flat columns
 // (no per-record boxing), and flushed sequentially.
 //
-// Writer does not deduplicate: callers feeding it must present each
-// domain once (the snapshot generator does by construction; WriteStore
-// iterates a store, whose records are unique). Writer is not safe for
-// concurrent use.
+// Writer does not deduplicate: a domain added twice is in the file twice
+// (dnsx.StreamSnapshot repeats names). Writer is not safe for concurrent
+// use.
 type Writer struct {
 	shards []writerShard
 	n      uint64

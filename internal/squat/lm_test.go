@@ -233,8 +233,8 @@ func TestMatchMissZeroAllocACE(t *testing.T) {
 	}
 }
 
-// BenchmarkMatchMissACE measures the benign-IDN miss; its name puts it
-// under the bench-check allocation gate.
+// BenchmarkMatchMissACE measures the benign-IDN miss;
+// TestMatchMissZeroAllocACE is its allocation gate.
 func BenchmarkMatchMissACE(b *testing.B) {
 	m := parityMatcher()
 	m.AttachLM(lmModel(), 0)
@@ -247,8 +247,8 @@ func BenchmarkMatchMissACE(b *testing.B) {
 }
 
 // BenchmarkMatchMissLM measures the miss path with the LM attached — the
-// per-record cost of generated-squat detection at scan scale. Picked up
-// by the bench-check allocation gate alongside BenchmarkMatchMiss.
+// per-record cost of generated-squat detection at scan scale.
+// TestMatchMissZeroAllocLM is its allocation gate.
 func BenchmarkMatchMissLM(b *testing.B) {
 	m := parityMatcher()
 	m.AttachLM(lmModel(), 0)

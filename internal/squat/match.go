@@ -95,8 +95,7 @@ func (m *Matcher) InstrumentMetrics(reg *obs.Registry) {
 
 // InstrumentTrace points the matcher's scan-provenance sink at col (nil
 // detaches). Like InstrumentMetrics, call it before sharing the matcher
-// across goroutines. The hot-path cost for unsampled domains is one FNV
-// hash — see the scanbench provenance entry for the measured overhead.
+// across goroutines. An unsampled domain costs one FNV hash.
 func (m *Matcher) InstrumentTrace(col *trace.Collector) { m.trace = col }
 
 // NewMatcher indexes the given brands for bulk classification.

@@ -122,7 +122,8 @@ var missCorpus = [][]byte{
 
 // TestMatchMissZeroAlloc pins the tentpole contract: the classification
 // miss path performs zero allocations per record once scratch buffers
-// reach steady state. Gated again, with -benchmem, by make bench-check.
+// reach steady state. It is the allocation gate of BenchmarkMatchMiss and
+// BenchmarkMatchMissClean; make bench-check runs it.
 func TestMatchMissZeroAlloc(t *testing.T) {
 	m := parityMatcher()
 	var s Scratch

@@ -92,6 +92,23 @@ func TestUniverseMatcherHeap(t *testing.T) {
 	}
 }
 
+// TestMatchMissUniverseZeroAlloc is BenchmarkMatchMissUniverse as a plain
+// test: the universe matcher classifies every record of the noise arena,
+// in every run, without one allocation. make bench-check runs it.
+func TestMatchMissUniverseZeroAlloc(t *testing.T) {
+	m, arena, ends := missArena()
+	var s squat.Scratch
+	if n := testing.AllocsPerRun(2, func() {
+		lo := 0
+		for _, hi := range ends {
+			m.MatchBytes(arena[lo:hi:hi], &s)
+			lo = hi
+		}
+	}); n != 0 {
+		t.Errorf("MatchBytes allocated %.1f times per run over %d arena records, want 0", n, len(ends))
+	}
+}
+
 // universeModelFingerprint is Model.Fingerprint() of the default model over
 // the paper's brand universe (commit 1803f1b). The benchmark's env block
 // carries it and the matcher folds it into its own: the scoring table is
