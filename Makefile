@@ -60,8 +60,9 @@ race: chaos
 # label index and gate, the model's scoring table, the scan pools, the
 # deltascan shard state, the squatd shards, the sharded store and the
 # snapshot mapping the scan workers read, the metrics registry and span
-# collector, the crawler pool; deltascan's Scans racing Store.Add writers),
-# short mode, one run.
+# collector, the crawler pool and the detection scoring its visit hook runs
+# on the crawl workers; deltascan's Scans racing Store.Add writers), short
+# mode, one run.
 # `race` above is the full, slow one.
 race-short:
 	$(GO) test -race -short -count=1 -timeout 10m \
@@ -107,10 +108,13 @@ bench-all:
 # the real brand universe retains at most 28 MB of live heap. And squatd's:
 # a warmed serve coordinator retains heap for its candidates only, never a
 # verdict per record. And the store's: a generated dnsx.Store retains at
-# most 80 B of live heap per record.
+# most 80 B of live heap per record. And detection's: DetectInWild over all
+# four snapshots retains at most 32 KB per candidate per crawled snapshot,
+# at two world sizes, so a cached crawl that keeps its screenshots fails.
 bench-check:
 	$(GO) test -run '^TestMatchMissZeroAlloc' -count=1 ./internal/squat
 	$(GO) test -run '^TestStoreRetainedBytes$$' -count=1 -v ./internal/dnsx
+	$(GO) test -run '^TestDetectRetainsNoPixels$$' -count=1 -v ./internal/core
 	$(GO) test -run '^(TestMatchMissUniverseZeroAlloc|TestUniverseMatcherHeap)$$' -count=1 -v .
 	$(GO) test -run '^TestWarmRetainsOnlyCandidates$$' -count=1 -v ./internal/serve
 	$(GO) test -run '^(TestRecognizeAllocBudget|TestSpellcheckZeroAlloc)$$' -count=1 ./internal/ocr

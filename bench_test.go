@@ -257,7 +257,7 @@ func BenchmarkAblationCrawlWorkers(b *testing.B) {
 			c := &crawler.Crawler{Client: e.P.Server.Client(), Workers: workers, SkipRender: true}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := c.Crawl(e.Ctx, domains); err != nil {
+				if _, err := c.Crawl(e.Ctx, domains, nil); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -198,8 +198,20 @@ monitor:
 		matchSpan.End()
 		mCandidates.Add(int64(len(domains)))
 
-		// The crawler opens its own child span under the round.
-		results, err := c.Crawl(roundCtx, domains)
+		// The crawler opens its own child span under the round. Each
+		// domain's pages are classified on its crawl worker into
+		// per-index slots (-1: not scored) and their pixels dropped there;
+		// the alerts are then encoded serially in crawl order.
+		scores := make([][2]float64, len(domains))
+		results, err := c.Crawl(roundCtx, domains, func(i int, r *crawler.Result) {
+			for pi, cap := range [2]*crawler.Capture{&r.Web, &r.Mobile} {
+				scores[i][pi] = -1
+				if cap.Live && !cap.Redirected() {
+					scores[i][pi] = core.ClassifyCapture(clf, *cap)
+				}
+				cap.Shot = nil
+			}
+		})
 		if err != nil {
 			if ctx.Err() != nil { // interrupted mid-crawl: flush, don't fatal
 				span.End()
@@ -210,23 +222,16 @@ monitor:
 
 		_, classifySpan := obs.StartSpan(roundCtx, "classify")
 		roundAlerts := 0
-		for _, res := range results {
-			for _, profile := range []struct {
-				cap    crawler.Capture
-				name   string
-				mobile bool
-			}{{res.Web, "web", false}, {res.Mobile, "mobile", true}} {
-				if !profile.cap.Live || profile.cap.Redirected() {
-					continue
-				}
-				score := core.ClassifyCapture(clf, profile.cap)
+		for i, res := range results {
+			for pi, profile := range []string{"web", "mobile"} {
+				score := scores[i][pi]
 				if score < 0.5 {
 					continue
 				}
 				cand := byDomain[res.Domain]
 				if err := enc.Encode(Alert{
 					Round: round, Domain: res.Domain, Brand: cand.Brand.Name,
-					SquatType: cand.Type.String(), Score: score, Profile: profile.name,
+					SquatType: cand.Type.String(), Score: score, Profile: profile,
 				}); err != nil {
 					log.Fatal(err)
 				}

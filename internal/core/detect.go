@@ -71,23 +71,12 @@ func (p *Pipeline) DetectInWild(ctx context.Context, clf *Classifier, snapshot i
 }
 
 func (p *Pipeline) detectInWild(ctx context.Context, clf *Classifier, snapshot int) (*Detection, error) {
-	results, err := p.Crawl(ctx, snapshot)
+	// Score every live page, then assemble the flag lists serially in
+	// crawl order so the output is identical at any worker count.
+	results, scores, err := p.crawl(ctx, snapshot, clf)
 	if err != nil {
 		return nil, fmt.Errorf("core: crawl for detection: %w", err)
 	}
-	// Score every live page on the bounded pool (feature extraction plus
-	// forest inference is the compute bottleneck), then assemble the flag
-	// lists serially in crawl order so the output is identical to the
-	// serial path. A negative score marks a page that was skipped.
-	scores := make([][2]float64, len(results))
-	p.scoreParallel(len(results), func(i int) {
-		for pi, cap := range [2]crawler.Capture{results[i].Web, results[i].Mobile} {
-			scores[i][pi] = -1
-			if cap.Live && !cap.Redirected() {
-				scores[i][pi] = ClassifySample(clf, p.sampleFor(results[i].Domain, cap))
-			}
-		}
-	})
 	det := &Detection{}
 	for i, r := range results {
 		for pi, mobile := range []bool{false, true} {
@@ -127,15 +116,28 @@ func ClassifySample(clf *Classifier, s features.Sample) float64 {
 
 // ClassifyCapture scores one capture with a trained classifier. It carries
 // no domain-model score; pipeline scan paths use sampleFor so the LMScore
-// feature is populated when Config.DomLM is on.
+// feature is populated when Config.DomLM is on. A capture of a cached
+// crawl is rendered again (Capture.Screenshot).
 func ClassifyCapture(clf *Classifier, cap crawler.Capture) float64 {
-	return ClassifySample(clf, features.Sample{HTML: cap.HTML, Shot: cap.Shot})
+	return ClassifySample(clf, features.Sample{HTML: cap.HTML, Shot: cap.Screenshot()})
 }
 
 // sampleFor builds the feature sample of one capture, including the
 // brand-language-model score of its domain when the model is attached.
-func (p *Pipeline) sampleFor(domain string, cap crawler.Capture) features.Sample {
-	return features.Sample{HTML: cap.HTML, Shot: cap.Shot, LMScore: p.LMScore(domain)}
+func (p *Pipeline) sampleFor(domain string, cap *crawler.Capture) features.Sample {
+	return features.Sample{HTML: cap.HTML, Shot: cap.Screenshot(), LMScore: p.LMScore(domain)}
+}
+
+// pageScores scores the web and mobile pages of one crawled domain. A page
+// detection skips, dead or redirected to someone else's content, scores -1.
+func (p *Pipeline) pageScores(clf *Classifier, r *crawler.Result) [2]float64 {
+	scores := [2]float64{-1, -1}
+	for pi, cap := range [2]*crawler.Capture{&r.Web, &r.Mobile} {
+		if cap.Live && !cap.Redirected() {
+			scores[pi] = ClassifySample(clf, p.sampleFor(r.Domain, cap))
+		}
+	}
+	return scores
 }
 
 // MonitorLiveness re-crawls the confirmed phishing domains at each
@@ -147,23 +149,16 @@ func (p *Pipeline) MonitorLiveness(ctx context.Context, clf *Classifier, confirm
 	web = make([]int, webworld.Snapshots)
 	mobile = make([]int, webworld.Snapshots)
 	for snap := 0; snap < webworld.Snapshots; snap++ {
-		results, err := p.CrawlDomains(ctx, snap, confirmed)
-		if err != nil {
+		// Each re-crawled page is classified on its crawl worker.
+		visit, scores := p.scoreHook(clf, len(confirmed))
+		if _, err := p.crawlDomains(ctx, snap, confirmed, visit); err != nil {
 			return nil, nil, err
 		}
-		// Re-classification of each crawled page is independent; run it on
-		// the scoring pool and tally the per-index verdicts afterwards.
-		live := make([][2]bool, len(results))
-		p.scoreParallel(len(results), func(i int) {
-			r := results[i]
-			live[i][0] = r.Web.Live && !r.Web.Redirected() && ClassifySample(clf, p.sampleFor(r.Domain, r.Web)) >= 0.5
-			live[i][1] = r.Mobile.Live && !r.Mobile.Redirected() && ClassifySample(clf, p.sampleFor(r.Domain, r.Mobile)) >= 0.5
-		})
-		for _, l := range live {
-			if l[0] {
+		for _, s := range scores {
+			if s[0] >= 0.5 {
 				web[snap]++
 			}
-			if l[1] {
+			if s[1] >= 0.5 {
 				mobile[snap]++
 			}
 		}

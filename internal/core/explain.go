@@ -130,7 +130,7 @@ func (p *Pipeline) explainRecord(domain string, ec *explainCtx) *trace.Record {
 			}
 			verdict := &trace.VerdictEvidence{}
 			if ec.clf != nil && cap.Live && !cap.Redirected() {
-				pe.ML = mlEvidence(ec.clf, p.sampleFor(ex.Domain, cap))
+				pe.ML = mlEvidence(ec.clf, p.sampleFor(ex.Domain, &cap))
 				verdict.Score = pe.ML.Score
 				verdict.Flagged = pe.ML.Score >= 0.5
 			}

@@ -233,45 +233,65 @@ func TestScorePoolCoversAllIndices(t *testing.T) {
 	}
 }
 
-// TestDetectionParallelDeterministic runs the classify-and-verify stage in
-// two identical worlds, one scoring serially and one on a wide pool, and
-// requires identical flag lists — the equivalence contract for the scoring
-// side of the spine.
+// TestDetectionParallelDeterministic is the equivalence contract for the
+// scoring side of the spine. Detection scores a fresh crawl on the crawl
+// workers (the visit hook) and a cached crawl on the scoring pool; one
+// crawl worker against eight, and each of those against a second
+// detection over the crawl the first one cached, must all give the same
+// flag lists. The world flags pages, so the comparison is not vacuous. The
+// -short world is small enough for make race-short to run the hook
+// concurrently under -race.
 func TestDetectionParallelDeterministic(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds two full pipelines")
-	}
 	cfg := Config{
 		World:           webworld.Config{SquattingDomains: 700, NonSquattingPhish: 120, Seed: 42},
 		DNSNoiseRecords: 1500,
 		ForestTrees:     10,
 		Seed:            9,
 	}
-	run := func(scoreWorkers int) *Detection {
+	benign := 150
+	if testing.Short() {
+		cfg.World = webworld.Config{SquattingDomains: 150, NonSquattingPhish: 40, Seed: 8}
+		cfg.ForestTrees, benign = 5, 40
+	}
+	run := func(workers int) (fresh, cached *Detection) {
 		c := cfg
-		c.ScoreWorkers = scoreWorkers
+		c.CrawlWorkers, c.ScoreWorkers = workers, workers
 		p, err := New(c)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer p.Close()
 		ctx := context.Background()
-		gt, err := p.BuildGroundTruth(ctx, 150)
+		gt, err := p.BuildGroundTruth(ctx, benign)
 		if err != nil {
 			t.Fatal(err)
 		}
 		clf := p.TrainClassifier(gt, features.AllFeatures())
-		det, err := p.DetectInWild(ctx, clf, 0)
-		if err != nil {
+		if fresh, err = p.DetectInWild(ctx, clf, 0); err != nil {
 			t.Fatal(err)
 		}
-		return det
+		if cached, err = p.DetectInWild(ctx, clf, 0); err != nil {
+			t.Fatal(err)
+		}
+		if got := p.Obs.Gauge("core.score.inflight").Value(); got != 0 {
+			t.Fatalf("workers=%d: core.score.inflight = %v after detection, want 0", workers, got)
+		}
+		return fresh, cached
 	}
-	serial := run(1)
-	parallel := run(8)
-	if !reflect.DeepEqual(serial, parallel) {
-		t.Fatalf("detection differs across scoring widths: serial %d+%d flags, parallel %d+%d",
-			len(serial.FlaggedWeb), len(serial.FlaggedMobile),
-			len(parallel.FlaggedWeb), len(parallel.FlaggedMobile))
+	serial, serialCached := run(1)
+	if len(serial.FlaggedWeb)+len(serial.FlaggedMobile) == 0 {
+		t.Fatal("the world flags no page; the comparison would be vacuous")
 	}
+	parallel, parallelCached := run(8)
+	for _, c := range []struct {
+		name string
+		det  *Detection
+	}{{"1 worker, cached crawl", serialCached}, {"8 workers", parallel}, {"8 workers, cached crawl", parallelCached}} {
+		if !reflect.DeepEqual(serial, c.det) {
+			t.Fatalf("%s: detection differs from 1 worker's fresh crawl: %d+%d flags vs %d+%d",
+				c.name, len(c.det.FlaggedWeb), len(c.det.FlaggedMobile),
+				len(serial.FlaggedWeb), len(serial.FlaggedMobile))
+		}
+	}
+	t.Logf("%d web + %d mobile flags, identical on every path", len(serial.FlaggedWeb), len(serial.FlaggedMobile))
 }

@@ -44,7 +44,7 @@ func (p *Pipeline) Reinforce(ctx context.Context, gt *GroundTruth, det *Detectio
 		already[f.Domain] = true
 		enlarged.Samples = append(enlarged.Samples, LabeledSample{
 			Domain:   f.Domain,
-			Sample:   p.sampleFor(f.Domain, cap),
+			Sample:   p.sampleFor(f.Domain, &cap),
 			Phishing: f.Confirmed,
 		})
 	}

@@ -6,9 +6,10 @@ import (
 )
 
 // scoreParallel runs fn(i) for every i in [0, n) on a bounded pool of
-// Config.ScoreWorkers goroutines, the shared scoring pool behind page
-// classification and feature extraction (image-hash/OCR scoring is the
-// compute bottleneck of the pipeline, so it must scale with cores).
+// Config.ScoreWorkers goroutines, the shared scoring pool behind feature
+// extraction and detection over a cached crawl (image-hash/OCR scoring is
+// the compute bottleneck of the pipeline, so it must scale with cores). A
+// fresh crawl is scored on its crawl workers instead (scoreHook).
 //
 // In-flight work is tracked in the core.score.inflight gauge. fn must be
 // safe for concurrent calls on distinct indices and should write its result

@@ -42,15 +42,18 @@ type Config struct {
 	DNSNoiseRecords int
 	// ForestTrees is the random-forest size (default 40).
 	ForestTrees int
-	// CrawlWorkers is the crawler pool width (default 16).
+	// CrawlWorkers is the crawler pool width (default 16). On a fresh
+	// crawl, detection and liveness score each page on these workers
+	// right after it is captured.
 	CrawlWorkers int
 	// ScanWorkers is the DNS scan and snapshot-generation parallelism:
 	// store shards are scanned by this many goroutines. <= 0 means
 	// GOMAXPROCS. The scan result is identical for every value.
 	ScanWorkers int
-	// ScoreWorkers bounds the classifier-scoring pool used by detection,
-	// liveness monitoring, and feature extraction (<= 0 means GOMAXPROCS;
-	// 1 forces serial scoring). Results are identical for every value.
+	// ScoreWorkers bounds the classifier-scoring pool used by feature
+	// extraction and by detection over an already cached crawl (<= 0
+	// means GOMAXPROCS; 1 forces serial scoring); a fresh crawl is scored
+	// on the crawl workers instead. Results are identical for every value.
 	ScoreWorkers int
 	// DomLM trains a brand-language model (internal/domlm) over the
 	// monitored brand universe and attaches it to the matcher: scan
@@ -411,34 +414,78 @@ func countDegraded(results []crawler.Result) int {
 }
 
 // Crawl crawls all candidate squatting domains (web + mobile) at the given
-// snapshot date, with caching (paper §3.2). Domains the substrate swallowed
-// entirely are counted under core.degraded.crawl; the partial result set is
-// returned (with the error, if the context was cancelled) rather than
-// discarded.
+// snapshot date, with caching (paper §3.2). The cached crawl keeps no
+// pixels: each capture's Shot is dropped once the domain is captured, and
+// Capture.Screenshot draws it again on demand. Domains the substrate
+// swallowed entirely are counted under core.degraded.crawl; the partial
+// result set is returned (with the error, if the context was cancelled)
+// rather than discarded.
 func (p *Pipeline) Crawl(ctx context.Context, snapshot int) ([]crawler.Result, error) {
+	results, _, err := p.crawl(ctx, snapshot, nil)
+	return results, err
+}
+
+// crawl is Crawl that, with clf non-nil, also scores every page (see
+// pageScores) into per-index slots: on the crawl worker right after each
+// domain is captured when the crawl is fresh, or on the scoring pool over
+// a cached crawl.
+func (p *Pipeline) crawl(ctx context.Context, snapshot int, clf *Classifier) ([]crawler.Result, [][2]float64, error) {
 	if cached, ok := p.crawls[snapshot]; ok {
-		return cached, nil
+		var scores [][2]float64
+		if clf != nil {
+			scores = make([][2]float64, len(cached))
+			p.scoreParallel(len(cached), func(i int) { scores[i] = p.pageScores(clf, &cached[i]) })
+		}
+		return cached, scores, nil
 	}
 	domains := p.CandidateDomains()
 	ctx, done := p.stageSpan(ctx, "crawl")
 	p.Server.SetSnapshot(snapshot)
-	results, err := p.crawlerByProfile.Crawl(ctx, domains)
+	visit, scores := p.scoreHook(clf, len(domains))
+	results, err := p.crawlerByProfile.Crawl(ctx, domains, visit)
 	done(err)
 	p.Degraded("crawl", countDegraded(results), len(results))
 	if err != nil {
-		return results, err
+		return results, scores, err
 	}
 	p.crawls[snapshot] = results
-	return results, nil
+	return results, scores, nil
+}
+
+// scoreHook returns a crawl visit hook over n domains that scores each
+// domain's pages with clf (when non-nil) into the returned per-index slots,
+// counted in core.score.inflight, and then drops both screenshots, so no
+// crawled raster outlives its scoring.
+func (p *Pipeline) scoreHook(clf *Classifier, n int) (func(i int, r *crawler.Result), [][2]float64) {
+	var scores [][2]float64
+	if clf != nil {
+		scores = make([][2]float64, n)
+	}
+	inflight := p.Obs.Gauge("core.score.inflight")
+	return func(i int, r *crawler.Result) {
+		if clf != nil {
+			inflight.Add(1)
+			scores[i] = p.pageScores(clf, r)
+			inflight.Add(-1)
+		}
+		r.Web.Shot, r.Mobile.Shot = nil, nil
+	}, scores
 }
 
 // CrawlDomains crawls an arbitrary domain list at a snapshot (used for the
-// feed's ground-truth collection and liveness re-checks), with the same
+// feed's ground-truth collection and evasion analysis), with the same
 // degraded-stage accounting as Crawl under core.degraded.crawl_domains.
+// Its captures keep their Shots.
 func (p *Pipeline) CrawlDomains(ctx context.Context, snapshot int, domains []string) ([]crawler.Result, error) {
+	return p.crawlDomains(ctx, snapshot, domains, nil)
+}
+
+// crawlDomains is CrawlDomains with a crawl visit hook (liveness re-checks
+// pass scoreHook's).
+func (p *Pipeline) crawlDomains(ctx context.Context, snapshot int, domains []string, visit func(i int, r *crawler.Result)) ([]crawler.Result, error) {
 	ctx, done := p.stageSpan(ctx, "crawl_domains")
 	p.Server.SetSnapshot(snapshot)
-	results, err := p.crawlerByProfile.Crawl(ctx, domains)
+	results, err := p.crawlerByProfile.Crawl(ctx, domains, visit)
 	done(err)
 	p.Degraded("crawl_domains", countDegraded(results), len(results))
 	return results, err

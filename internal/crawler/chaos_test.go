@@ -150,7 +150,7 @@ func TestChaosCrawlExactCountersAnyWorkerCount(t *testing.T) {
 				SkipRender: true,
 				Metrics:    reg,
 			}
-			if _, err := c.Crawl(context.Background(), domains); err != nil {
+			if _, err := c.Crawl(context.Background(), domains, nil); err != nil {
 				t.Fatalf("seed %d workers %d: %v", seed, workers, err)
 			}
 			if got := snapshotCounts(reg); got != want {
@@ -180,7 +180,7 @@ func TestChaosBreakerOpensAndFastFails(t *testing.T) {
 	}
 	// Web profile burns attempts 1-2, mobile's first attempt is failure 3:
 	// the circuit opens and the mobile retry is rejected without a fetch.
-	if _, err := c.Crawl(context.Background(), []string{"dead.chaos.test"}); err != nil {
+	if _, err := c.Crawl(context.Background(), []string{"dead.chaos.test"}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if st := c.Retrier().State("dead.chaos.test"); st != retry.Open {
@@ -210,7 +210,7 @@ func TestChaosHostRetryBudget(t *testing.T) {
 		SkipRender: true,
 		Metrics:    reg,
 	}
-	if _, err := c.Crawl(context.Background(), []string{"dead.chaos.test"}); err != nil {
+	if _, err := c.Crawl(context.Background(), []string{"dead.chaos.test"}, nil); err != nil {
 		t.Fatal(err)
 	}
 	s := reg.Snapshot().Counters
@@ -289,7 +289,7 @@ func TestCrawlerRetriesConvention(t *testing.T) {
 		SkipRender: true,
 		Metrics:    reg,
 	}
-	if _, err := c.Crawl(context.Background(), []string{"x.chaos.test"}); err != nil {
+	if _, err := c.Crawl(context.Background(), []string{"x.chaos.test"}, nil); err != nil {
 		t.Fatal(err)
 	}
 	s := reg.Snapshot().Counters

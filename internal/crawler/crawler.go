@@ -52,8 +52,31 @@ type Capture struct {
 	// Assets maps image src paths to their text payloads.
 	Assets map[string]string
 	// Shot is the rendered screenshot (nil when not Live or rendering is
-	// disabled).
+	// disabled). A pipeline's cached crawl drops it once the page is
+	// scored, so read the pixels through Screenshot.
 	Shot *render.Raster
+
+	// rendered reports that a screenshot was taken, and noiseLevel and
+	// noiseSeed are the capture noise it was drawn with, so Screenshot can
+	// draw it again once Shot is dropped.
+	rendered   bool
+	noiseLevel float64
+	noiseSeed  uint64
+}
+
+// Screenshot returns Shot, or, when Shot was dropped, renders it again
+// from HTML and Assets with the capture's own noise: the raster is byte
+// for byte the one the crawl took. It is nil when Shot was never taken.
+// The re-rendered raster is not kept.
+func (c *Capture) Screenshot() *render.Raster {
+	if c.Shot != nil || !c.rendered {
+		return c.Shot
+	}
+	return render.Screenshot(c.HTML, c.renderOptions())
+}
+
+func (c *Capture) renderOptions() render.Options {
+	return render.Options{Assets: c.Assets, NoiseLevel: c.noiseLevel, NoiseSeed: c.noiseSeed}
 }
 
 // Redirected reports whether the capture left its original host.
@@ -230,8 +253,11 @@ func (c *Crawler) bodyLimit() int64 {
 func (c *Crawler) retries() int { return retry.Resolve(c.Retries, 1) }
 
 // Crawl visits every domain with both profiles using the worker pool.
-// Results are returned in input order.
-func (c *Crawler) Crawl(ctx context.Context, domains []string) ([]Result, error) {
+// Results are returned in input order. visit, when non-nil, runs on the
+// worker right after both profiles of domains[i] are captured, with a
+// pointer to results[i]; it may edit the result (drop its Shots, say) and
+// must be safe for concurrent calls on distinct indices.
+func (c *Crawler) Crawl(ctx context.Context, domains []string, visit func(i int, r *Result)) ([]Result, error) {
 	st := c.statsInit()
 	ctx, span := obs.StartSpan(ctx, "crawler.crawl")
 	span.SetAttr("domains", fmt.Sprint(len(domains)))
@@ -258,6 +284,9 @@ func (c *Crawler) Crawl(ctx context.Context, domains []string) ([]Result, error)
 					Mobile: c.CaptureProfile(ctx, d, true),
 				}
 				st.inflight.Add(-1)
+				if visit != nil {
+					visit(i, &results[i])
+				}
 			}
 		}()
 	}
@@ -343,9 +372,9 @@ func (c *Crawler) CaptureProfile(ctx context.Context, domain string, mobile bool
 	}
 
 	if !c.SkipRender {
-		opts := render.Options{Assets: cap.Assets}
+		cap.rendered = true
 		if n := c.noise(); n > 0 {
-			opts.NoiseLevel = n
+			cap.noiseLevel = n
 			// Per-(domain, profile) deterministic capture noise.
 			seed := uint64(1)
 			for i := 0; i < len(domain); i++ {
@@ -354,9 +383,9 @@ func (c *Crawler) CaptureProfile(ctx context.Context, domain string, mobile bool
 			if mobile {
 				seed ^= 0x5a5a
 			}
-			opts.NoiseSeed = seed
+			cap.noiseSeed = seed
 		}
-		cap.Shot = render.RenderPage(page, opts)
+		cap.Shot = render.RenderPage(page, cap.renderOptions())
 	}
 	return cap
 }

@@ -1,6 +1,7 @@
 package crawler
 
 import (
+	"bytes"
 	"context"
 	"io"
 	"net/http"
@@ -116,7 +117,7 @@ func TestCrawlBulkStatistics(t *testing.T) {
 	if len(domains) > 400 {
 		domains = domains[:400]
 	}
-	results, err := c.Crawl(context.Background(), domains)
+	results, err := c.Crawl(context.Background(), domains, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +149,7 @@ func TestCrawlContextCancel(t *testing.T) {
 	w, _, c := testEnv(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := c.Crawl(ctx, w.SquattingDomains[:50])
+	_, err := c.Crawl(ctx, w.SquattingDomains[:50], nil)
 	if err == nil {
 		t.Fatal("cancelled crawl returned nil error")
 	}
@@ -190,8 +191,66 @@ func TestSkipRender(t *testing.T) {
 	_, _, c := testEnv(t)
 	c.SkipRender = true
 	cap := c.CaptureProfile(context.Background(), "paypal.com", false)
-	if cap.Shot != nil {
+	if cap.Shot != nil || cap.Screenshot() != nil {
 		t.Fatal("SkipRender still rendered")
+	}
+}
+
+// TestScreenshotRedrawsDroppedShot is the contract a cached crawl rests
+// on: for every live capture of a crawl, web and mobile, Screenshot after
+// Shot is dropped in the visit hook returns the crawl's raster byte for
+// byte. The domains include every phishing site, so pages with image
+// assets and with a layout-seed meta are both covered.
+func TestScreenshotRedrawsDroppedShot(t *testing.T) {
+	w, _, c := testEnv(t)
+	domains := append([]string{"paypal.com"}, w.SquattingDomains[:120]...)
+	for _, s := range w.PhishingSites() {
+		domains = append(domains, s.Domain)
+	}
+	diffs := make([][2]bool, len(domains))
+	results, err := c.Crawl(context.Background(), domains, func(i int, r *Result) {
+		for pi, cap := range []*Capture{&r.Web, &r.Mobile} {
+			shot := cap.Shot
+			cap.Shot = nil
+			again := cap.Screenshot()
+			if (shot == nil) != (again == nil) ||
+				shot != nil && (shot.W != again.W || shot.H != again.H || !bytes.Equal(shot.Pix, again.Pix)) {
+				diffs[i][pi] = true
+			}
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var live, assets, layout [2]int
+	for i, r := range results {
+		for pi, cap := range []*Capture{&r.Web, &r.Mobile} {
+			if diffs[i][pi] {
+				t.Errorf("%s (profile %d): the redrawn screenshot differs from the crawl's", r.Domain, pi)
+			}
+			if cap.Shot != nil {
+				t.Fatalf("%s: the visit hook's edit did not reach the result", r.Domain)
+			}
+			if !cap.Live {
+				if cap.Screenshot() != nil {
+					t.Errorf("%s: a dead capture has a screenshot", r.Domain)
+				}
+				continue
+			}
+			live[pi]++
+			if len(cap.Assets) > 0 {
+				assets[pi]++
+			}
+			if strings.Contains(cap.HTML, `name="layout-seed"`) {
+				layout[pi]++
+			}
+		}
+	}
+	for pi, name := range []string{"web", "mobile"} {
+		t.Logf("%s: %d live captures, %d with image assets, %d with a layout seed", name, live[pi], assets[pi], layout[pi])
+		if assets[pi] == 0 || layout[pi] == 0 {
+			t.Errorf("%s: the crawl covers no page with image assets or no page with a layout seed", name)
+		}
 	}
 }
 
@@ -320,7 +379,7 @@ func TestCrawlMetrics(t *testing.T) {
 	if len(domains) > 100 {
 		domains = domains[:100]
 	}
-	if _, err := c.Crawl(context.Background(), domains); err != nil {
+	if _, err := c.Crawl(context.Background(), domains, nil); err != nil {
 		t.Fatal(err)
 	}
 	snap := reg.Snapshot()
@@ -358,6 +417,6 @@ func BenchmarkCrawl100(b *testing.B) {
 	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, _ = c.Crawl(ctx, domains)
+		_, _ = c.Crawl(ctx, domains, nil)
 	}
 }

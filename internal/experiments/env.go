@@ -68,7 +68,6 @@ type Env struct {
 	clf       *core.Classifier
 	modelEval map[string]ml.Evaluation
 	det       *core.Detection
-	crawl0    []crawler.Result
 }
 
 // NewEnv builds a pipeline for the experiments.
@@ -125,18 +124,14 @@ func (e *Env) ModelEvals() (map[string]ml.Evaluation, error) {
 	return e.modelEval, nil
 }
 
-// Crawl0 lazily crawls all candidates at the first snapshot.
+// Crawl0 returns the crawl of all candidates at the first snapshot. It is
+// detection's crawl: detection scores each page as it is captured, while a
+// crawl cached before it would be rendered a second time to be scored.
 func (e *Env) Crawl0() ([]crawler.Result, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.crawl0 == nil {
-		res, err := e.P.Crawl(e.Ctx, 0)
-		if err != nil {
-			return nil, err
-		}
-		e.crawl0 = res
+	if _, err := e.Detection(); err != nil {
+		return nil, err
 	}
-	return e.crawl0, nil
+	return e.P.Crawl(e.Ctx, 0)
 }
 
 // Detection lazily runs the in-the-wild scan.

@@ -180,10 +180,13 @@ func ExpFigure12(e *Env) (*Result, error) {
 		return out
 	}
 	web, mob := count(det.FlaggedWeb), count(det.FlaggedMobile)
-	for name, m := range map[string]map[squat.Type]int{"web": web, "mobile": mob} {
-		s := report.NewSeries("Confirmed phishing by squatting type ("+name+")", "type", "# domains")
+	for _, prof := range []struct {
+		name string
+		m    map[squat.Type]int
+	}{{"web", web}, {"mobile", mob}} {
+		s := report.NewSeries("Confirmed phishing by squatting type ("+prof.name+")", "type", "# domains")
 		for _, t := range squat.AllTypes {
-			s.Add(t.String(), float64(m[t]))
+			s.Add(t.String(), float64(prof.m[t]))
 		}
 		r.Series = append(r.Series, s)
 	}
@@ -415,9 +418,12 @@ func ExpFigure17(e *Env) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	for name, series := range map[string][]int{"web": web, "mobile": mobile} {
-		s := report.NewSeries("Live phishing pages ("+name+")", "snapshot", "# live")
-		for i, c := range series {
+	for _, prof := range []struct {
+		name   string
+		series []int
+	}{{"web", web}, {"mobile", mobile}} {
+		s := report.NewSeries("Live phishing pages ("+prof.name+")", "snapshot", "# live")
+		for i, c := range prof.series {
 			s.Add(crawler.SnapshotDates[i], float64(c))
 		}
 		r.Series = append(r.Series, s)
