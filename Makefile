@@ -99,7 +99,8 @@ bench-all:
 # 850 brands over every record of a noise arena. hotpath
 # (make lint) is the static half of the same contract. Beside it, the back
 # half's allocation budgets: one OCR pass over a full-page capture stays
-# under 256 KB, and a spell-check miss allocates nothing. And the warm
+# under 256 KB, a spell-check miss allocates nothing, and the capture
+# noise pass over a 480x800 raster allocates nothing. And the warm
 # rescan's, on a benchmark-shaped deltascan fixture (233K records, 2,048
 # shards): loading its spill allocates at most 0.5 objects per candidate,
 # and a warm epoch matches only the names it added and allocates at most
@@ -118,6 +119,7 @@ bench-check:
 	$(GO) test -run '^(TestMatchMissUniverseZeroAlloc|TestUniverseMatcherHeap)$$' -count=1 -v .
 	$(GO) test -run '^TestWarmRetainsOnlyCandidates$$' -count=1 -v ./internal/serve
 	$(GO) test -run '^(TestRecognizeAllocBudget|TestSpellcheckZeroAlloc)$$' -count=1 ./internal/ocr
+	$(GO) test -run '^TestAddNoiseZeroAlloc$$' -count=1 ./internal/render
 	$(GO) test -run '^(TestLoadAllocBudget|TestWarmEpochWalksOnlyNewNames)$$' -count=1 -v ./internal/deltascan
 
 # The benchmark is its own module (benchmark/go.mod), so the root
@@ -151,6 +153,7 @@ fuzz-smoke:
 	$(GO) test -fuzz '^FuzzOpenBytes$$' -fuzztime 30s ./internal/snapfmt/
 	$(GO) test -fuzz '^FuzzLoad$$' -fuzztime 30s ./internal/deltascan/
 	$(GO) test -fuzz '^FuzzRecognizeParity$$' -fuzztime 30s ./internal/ocr/
+	$(GO) test -fuzz '^FuzzSparseVsLoop$$' -fuzztime 30s ./internal/simrand/
 
 # Per-package coverage with a floor: the detection spine (dnsx store +
 # codec, snapfmt snapshot, squat matcher, core pipeline, deltascan engine

@@ -99,8 +99,9 @@ type Crawler struct {
 	Workers int
 	// MaxRedirects bounds redirect chains (default 5).
 	MaxRedirects int
-	// Render disables screenshots when false... inverted: screenshots are
-	// taken unless SkipRender is set (ablation and redirect-only scans).
+	// SkipRender turns screenshots off: a capture then carries HTML,
+	// assets and redirect metadata but no Shot, and Screenshot() returns
+	// nil (ablation and redirect-only scans). The zero value renders.
 	SkipRender bool
 	// NoiseLevel adds rendering noise, reproducing real-browser capture
 	// imperfections the OCR must tolerate (default 0.002; negative

@@ -20,6 +20,9 @@ type RNG struct {
 	state uint64
 }
 
+// gamma is SplitMix64's state increment, one per draw.
+const gamma = 0x9e3779b97f4a7c15
+
 // New returns a generator seeded with seed.
 func New(seed uint64) *RNG { return &RNG{state: seed} }
 
@@ -27,7 +30,7 @@ func New(seed uint64) *RNG { return &RNG{state: seed} }
 // disturbing r's own stream. Two splits with different labels produce
 // uncorrelated streams; the same label always produces the same stream.
 func (r *RNG) Split(label string) *RNG {
-	h := r.state + 0x9e3779b97f4a7c15
+	h := r.state + gamma
 	for i := 0; i < len(label); i++ {
 		h ^= uint64(label[i])
 		h *= 0x100000001b3
@@ -47,10 +50,64 @@ func mix(z uint64) uint64 {
 	return z ^ (z >> 31)
 }
 
+// premix is mix without its last xorshift, which leaves the top 31 bits
+// as they are: mix(z)>>33 == premix(z)>>33. It repeats mix's first two
+// steps rather than mix calling it, so mix compiles as it always has.
+func premix(z uint64) uint64 {
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	return (z ^ (z >> 27)) * 0x94d049bb133111eb
+}
+
 // Uint64 returns the next 64 pseudo-random bits.
 func (r *RNG) Uint64() uint64 {
-	r.state += 0x9e3779b97f4a7c15
+	r.state += gamma
 	return mix(r.state)
+}
+
+// Sparse calls hit(i), in increasing i, for each i in [0, n) whose draw
+// falls below p. It consumes exactly the stream of
+//
+//	for i := 0; i < n; i++ {
+//		if r.Float64() < p {
+//			hit(i)
+//		}
+//	}
+//
+// and hit may draw from r itself: the state is written back before each
+// call and read again after it. The loop keeps the state in a local and
+// compares integers, because Float64() < p holds exactly when
+// Uint64()>>11 < ceil(p·2⁵³) (u/2⁵³ and p·2⁵³ are both exact). So p <= 0
+// or NaN hits nothing and still advances the state by n draws, and p >= 1
+// hits every draw. The cost is one SplitMix64 mix per element, less its
+// last xorshift: that step leaves the top 31 bits alone, so they decide
+// the compare unless they tie with the bound's, and only a tie (one draw
+// in 2³¹) finishes the mix.
+func (r *RNG) Sparse(n int, p float64, hit func(i int)) {
+	if n <= 0 {
+		return
+	}
+	if !(p > 0) {
+		r.state += uint64(n) * gamma
+		return
+	}
+	// Hit when mix(s) < lim<<11, i.e. Uint64()>>11 < lim. hi is the
+	// bound's top 31 bits; at p >= 1 it is past every value z>>33 takes.
+	lim := uint64(1 << 53)
+	if p < 1 {
+		lim = uint64(math.Ceil(p * (1 << 53)))
+	}
+	bound, hi := lim<<11, lim>>22
+	s := r.state
+	for i := 0; i < n; i++ {
+		s += gamma
+		z := premix(s)
+		if h := z >> 33; h < hi || h == hi && z^z>>31 < bound {
+			r.state = s
+			hit(i)
+			s = r.state
+		}
+	}
+	r.state = s
 }
 
 // Intn returns a uniform int in [0, n). It panics if n <= 0.
