@@ -78,7 +78,7 @@ race-short:
 chaos: lint
 	$(GO) test -race -count=1 -timeout 10m \
 		./internal/faultx ./internal/retry ./internal/crawler \
-		./internal/dnsx ./internal/whois ./internal/serve
+		./internal/dnsx ./internal/whois
 
 # The benchmark: all five workloads (scan-zone, scan-zone-lm, rescan-delta,
 # serve-mixed, detect-pages), each printing its metrics and a JSON result

@@ -17,12 +17,8 @@
 //	GET  /verdict?domain=D    one verdict
 //	POST /verdicts            bulk: JSON array of domains
 //	POST /update              streaming record updates
-//	GET  /healthz             shard health
+//	GET  /healthz             {"shards":N} once warmed and serving
 //	/metrics /spans /debug/pprof   the obs debug surface
-//
-// Failure posture: a downed shard degrades to stateless matcher
-// answers behind a circuit breaker (core.degraded.serve,
-// serve.breaker.*) instead of failing lookups.
 //
 // SIGINT/SIGTERM shut the daemon down gracefully: the listener drains
 // in-flight requests, the delta-scan spill is saved atomically (so the
@@ -51,7 +47,6 @@ import (
 	"squatphi/internal/dnsx"
 	"squatphi/internal/fsx"
 	"squatphi/internal/obs"
-	"squatphi/internal/retry"
 	"squatphi/internal/serve"
 	"squatphi/internal/snapfmt"
 	"squatphi/internal/squat"
@@ -70,7 +65,6 @@ func main() {
 	metricsPath := flag.String("metrics", "", "write the final metrics snapshot to this file on shutdown")
 	grace := flag.Duration("grace", obs.ShutdownGrace, "how long shutdown waits for in-flight requests and flushes")
 	smoke := flag.Bool("smoke", false, "boot, answer one self-lookup, then exit through the full graceful-shutdown path")
-	pol := retry.RegisterFlags(nil) // -breaker-* flags shared with the other binaries
 	flag.Parse()
 	if flag.NArg() == 0 {
 		log.Fatal("no brands given; usage: squatd [-snap FILE | -gen N] [-addr :8787] BRAND_DOMAIN...")
@@ -109,14 +103,10 @@ func main() {
 	log.Printf("boot scan: %d candidates in %.1fms (full=%v, %d/%d shards rescanned)",
 		len(cands), sw.Millis(), st.FullScan, st.ShardsRescanned, st.ShardsRescanned+st.ShardsSkipped)
 
-	if pol.BreakerThreshold == 0 {
-		pol.BreakerThreshold = 3
-	}
 	coord := serve.New(serve.Config{
 		Shards:  store.NumShards(),
 		Matcher: matcher,
 		Metrics: reg,
-		Breaker: *pol,
 	})
 	if err := coord.Warm(store, cands); err != nil {
 		log.Fatal(err)

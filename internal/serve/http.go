@@ -19,7 +19,7 @@ const maxBulkBody = 8 << 20
 //	GET  /verdict?domain=D   one verdict (JSON)
 //	POST /verdicts           JSON array of domains -> array of verdicts
 //	POST /update             JSON array of {"domain","ip"} records
-//	GET  /healthz            shard health (503 when any shard is down)
+//	GET  /healthz            {"shards":N}, always 200 once serving
 func (c *Coordinator) Routes() []obs.Route {
 	return []obs.Route{
 		{Pattern: "/verdict", Handler: http.HandlerFunc(c.handleVerdict)},
@@ -84,20 +84,9 @@ func (c *Coordinator) handleUpdate(w http.ResponseWriter, r *http.Request) {
 }
 
 func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	down := c.Down()
-	status := http.StatusOK
-	if len(down) > 0 {
-		status = http.StatusServiceUnavailable
-	}
-	if down == nil {
-		down = []int{}
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(map[string]any{
-		"shards": len(c.shards),
-		"down":   down,
-	})
+	writeJSON(w, struct {
+		Shards int `json:"shards"`
+	}{len(c.shards)})
 }
 
 func writeJSON(w http.ResponseWriter, v any) {

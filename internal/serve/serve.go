@@ -10,15 +10,6 @@
 // domain), the exact partition the store and the delta-scan engine use,
 // so a warmed shard corresponds one-to-one to a store shard and state
 // hands off between the systems shard by shard.
-//
-// Failure posture: each shard is fronted by a circuit breaker
-// (internal/retry). A lookup routed to a downed shard is never an
-// error — it degrades to a stateless matcher answer (the verdict is
-// still correct; what is lost is the "known in snapshot" bit and the
-// cached-epoch provenance), counted under core.degraded.serve exactly
-// like the pipeline's degraded stages. Once the breaker opens, lookups
-// fast-fail to the degraded path without touching the shard until the
-// cooldown admits a half-open probe.
 package serve
 
 import (
@@ -28,7 +19,6 @@ import (
 
 	"squatphi/internal/dnsx"
 	"squatphi/internal/obs"
-	"squatphi/internal/retry"
 	"squatphi/internal/squat"
 )
 
@@ -37,7 +27,7 @@ type Verdict struct {
 	// Domain is the normalised form the verdict applies to.
 	Domain string `json:"domain"`
 	// Known reports the domain is present in the store the shard was
-	// warmed from. Degraded answers cannot know this and leave it false.
+	// warmed from (false before Warm).
 	Known bool `json:"known"`
 	// Matched reports the domain is a squatting candidate.
 	Matched bool `json:"matched"`
@@ -47,12 +37,8 @@ type Verdict struct {
 	TLD   string `json:"tld,omitempty"`
 	// Shard is the shard the domain routes to (dnsx.ShardIndex).
 	Shard int `json:"shard"`
-	// Epoch is the warm epoch of the answering shard (0 for degraded
-	// answers: no shard state was consulted).
+	// Epoch is the warm epoch of the answering shard (0 before Warm).
 	Epoch int `json:"epoch,omitempty"`
-	// Degraded marks a stateless fallback answer served while the
-	// domain's shard was down or its breaker open.
-	Degraded bool `json:"degraded,omitempty"`
 }
 
 // Config configures a Coordinator.
@@ -60,22 +46,17 @@ type Config struct {
 	// Shards is the shard count; it must equal the NumShards of every
 	// store warmed into the coordinator (<= 0 selects dnsx.DefaultShards).
 	Shards int
-	// Matcher answers both warmed and degraded lookups. Required.
+	// Matcher classifies every name the coordinator answers for. Required.
 	Matcher *squat.Matcher
-	// Metrics receives serve.* and core.degraded.serve metrics (nil-tolerant).
+	// Metrics receives serve.* metrics (nil-tolerant).
 	Metrics *obs.Registry
-	// Breaker is the per-shard circuit policy (retry.Policy). A zero
-	// policy disables the breaker: downed shards are probed on every
-	// lookup. BreakerThreshold/BreakerCooldown/Now behave as in retry.
-	Breaker retry.Policy
 }
 
 // shard is one lock domain of hot serving state: the squatting candidates
 // among its store shard's names and the store they came from. Whether a
 // name is Known is read from that store, so nothing here grows with the
-// records that did not match. A shard being "down" models its worker
-// having died (chaos) or being mid-handoff; the coordinator answers for it
-// statelessly until it is restarted.
+// records that did not match. Until Warm sets its store a shard holds
+// nothing and answers every name unknown, with Matched from the matcher.
 //
 // Lock order: a shard's lock, then the store's. Apply writes the store
 // under the shard's write lock and Lookup reads it under the read lock, so
@@ -84,7 +65,6 @@ type shard struct {
 	mu    sync.RWMutex
 	cands map[string]hit // keyed by the store's own copy of the name
 	store *dnsx.Store    // source of truth for Known and updates; set by Warm
-	up    bool
 	epoch int
 }
 
@@ -103,14 +83,13 @@ type Coordinator struct {
 	matcher  *squat.Matcher
 	brands   []squat.Brand // the matcher's, indexed by hit.brand
 	brandIdx map[squat.Brand]int32
-	breaker  *retry.Retrier
 
-	lookups, bulk, updates, degraded *obs.Counter
-	lookupUS, bulkMS, updateUS       *obs.Histogram
+	lookups, bulk, updates     *obs.Counter
+	lookupUS, bulkMS, updateUS *obs.Histogram
 }
 
-// New builds a Coordinator with all shards down; call Warm to bring
-// them up from a scanned store.
+// New builds a Coordinator with empty shards; call Warm to fill them
+// from a scanned store.
 func New(cfg Config) *Coordinator {
 	if cfg.Matcher == nil {
 		panic("serve: Config.Matcher is required")
@@ -125,11 +104,9 @@ func New(cfg Config) *Coordinator {
 		matcher:  cfg.Matcher,
 		brands:   cfg.Matcher.Brands(),
 		brandIdx: make(map[squat.Brand]int32),
-		breaker:  retry.New(cfg.Breaker, "serve", reg),
 		lookups:  reg.Counter("serve.lookups"),
 		bulk:     reg.Counter("serve.lookups.bulk"),
 		updates:  reg.Counter("serve.updates"),
-		degraded: reg.Counter("core.degraded.serve"),
 		lookupUS: reg.Histogram("serve.lookup_us", obs.MicrosBuckets),
 		bulkMS:   reg.Histogram("serve.bulk_ms", obs.MillisBuckets),
 		updateUS: reg.Histogram("serve.update_us", obs.MicrosBuckets),
@@ -156,29 +133,28 @@ func (c *Coordinator) candidate(d string, h hit) squat.Candidate {
 	return squat.Candidate{Domain: d, Type: squat.Type(h.typ), Brand: c.brands[h.brand]}
 }
 
-// NumShards returns the coordinator's shard count.
-func (c *Coordinator) NumShards() int { return len(c.shards) }
-
 // ShardFor returns the shard a domain routes to: the repository-wide
 // convention, dnsx.ShardIndex over the normalised domain.
 func (c *Coordinator) ShardFor(domain string) int {
 	return dnsx.ShardIndex(dnsx.Normalize(domain), len(c.shards))
 }
 
-// shardHost is the breaker key for shard i.
-func shardHost(i int) string { return fmt.Sprintf("shard-%d", i) }
-
-// Warm brings every shard up on a store and its scan result (e.g.
+// Warm fills every shard from a store and its scan result (e.g.
 // deltascan.Engine.Scan or core.ScanStore output), which must be the
 // store's candidates under the coordinator's matcher: a name of the store
 // absent from cands answers Matched false, and a candidate the store does
 // not hold is an error. The store's shard partition must equal the
 // coordinator's. Each shard keys its candidates by the store's own copy
-// of the name, so a name is held once. Warm is the reload path too: each
-// shard's candidate map is built off-lock and swapped in with the store
-// under the write lock, so in-flight readers drain on the RWMutex and the
-// handoff is atomic per shard — a reader sees entirely old or entirely new
-// state, never a mix.
+// of the name, so a name is held once.
+//
+// Warm is the reload path too: each shard's candidate map is built
+// off-lock and swapped in with the store under the write lock, so
+// in-flight readers drain on the RWMutex and a reader sees entirely old or
+// entirely new state, never a mix. A reload's cands must be a scan of the
+// store as it stands when Warm swaps it in: an Apply that lands between
+// the caller's scan and the swap adds its name to the store but not to
+// cands, and that name then answers Known without Matched. Callers that
+// reload while updates stream in must hold them off across scan and Warm.
 func (c *Coordinator) Warm(store *dnsx.Store, cands []squat.Candidate) error {
 	n := len(c.shards)
 	if store.NumShards() != n {
@@ -203,49 +179,14 @@ func (c *Coordinator) Warm(store *dnsx.Store, cands []squat.Candidate) error {
 	}
 	for i, sh := range c.shards {
 		sh.mu.Lock()
-		sh.cands, sh.store, sh.up = byShard[i], store, true
+		sh.cands, sh.store = byShard[i], store
 		sh.epoch++
 		sh.mu.Unlock()
 	}
 	return nil
 }
 
-// StopShard marks shard i down, as if its worker died. Lookups routed
-// to it degrade; its breaker opens after the policy's threshold.
-func (c *Coordinator) StopShard(i int) {
-	sh := c.shards[i]
-	sh.mu.Lock()
-	sh.up = false
-	sh.cands = nil
-	sh.mu.Unlock()
-}
-
-// RestartShard re-derives shard i's candidates from its store (the source
-// of truth, which keeps absorbing updates while the shard is down) and
-// brings it back up. The walk runs under the shard's write lock, so no
-// Apply lands between the walk and the swap. The next admitted lookup is
-// the breaker's half-open probe; its success closes the circuit.
-func (c *Coordinator) RestartShard(i int) error {
-	sh := c.shards[i]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if sh.store == nil {
-		return fmt.Errorf("serve: RestartShard(%d) before Warm: no store to rewarm from", i)
-	}
-	cands := make(map[string]hit)
-	sh.store.RangeShard(i, func(r dnsx.Record) bool {
-		if cand, ok := c.matcher.Match(r.Domain); ok {
-			cands[r.Domain], _ = c.hitOf(cand)
-		}
-		return true
-	})
-	sh.cands, sh.up = cands, true
-	sh.epoch++
-	return nil
-}
-
-// Lookup answers for one domain. It never fails: a downed or
-// breaker-open shard yields a degraded (stateless) answer.
+// Lookup answers for one domain.
 func (c *Coordinator) Lookup(domain string) Verdict {
 	sw := obs.StartStopwatch()
 	c.lookups.Inc()
@@ -257,34 +198,22 @@ func (c *Coordinator) Lookup(domain string) Verdict {
 
 func (c *Coordinator) lookup(d string) Verdict {
 	i := dnsx.ShardIndex(d, len(c.shards))
-	host := shardHost(i)
-	if err := c.breaker.Allow(host); err != nil {
-		// Open circuit: fast-fail to the stateless path without
-		// touching the shard (retry counts this under
-		// serve.breaker.rejected).
-		return c.degradedAnswer(i, d)
-	}
 	sh := c.shards[i]
 	sh.mu.RLock()
-	up, epoch := sh.up, sh.epoch
+	epoch := sh.epoch
 	h, ok := sh.cands[d]
 	known := ok
-	if up && !ok {
+	if !ok && sh.store != nil {
 		_, known = sh.store.Lookup(d)
 	}
 	sh.mu.RUnlock()
-	if !up {
-		c.breaker.Report(host, false)
-		return c.degradedAnswer(i, d)
-	}
-	c.breaker.Report(host, true)
 	var cand squat.Candidate
 	if ok {
 		cand = c.candidate(d, h)
 	} else if !known {
 		// Not in the snapshot: answer Matched statelessly, the same way
-		// the degraded path and Apply do, so a domain's Matched bit never
-		// depends on which path answered or whether its shard was up.
+		// Apply does, so a name's Matched bit is the matcher's whether or
+		// not its shard holds it.
 		cand, ok = c.matcher.Match(d)
 	}
 	v := answer(d, i, cand, ok)
@@ -303,17 +232,6 @@ func answer(d string, i int, cand squat.Candidate, ok bool) Verdict {
 	return v
 }
 
-// degradedAnswer is the stateless fallback: run the matcher directly.
-// The verdict is correct (the matcher is the same one that warmed the
-// shards); what is lost is Known and the epoch provenance.
-func (c *Coordinator) degradedAnswer(i int, d string) Verdict {
-	c.degraded.Inc()
-	cand, ok := c.matcher.Match(d)
-	v := answer(d, i, cand, ok)
-	v.Degraded = true
-	return v
-}
-
 // LookupBatch answers for many domains in input order.
 func (c *Coordinator) LookupBatch(domains []string) []Verdict {
 	sw := obs.StartStopwatch()
@@ -328,12 +246,9 @@ func (c *Coordinator) LookupBatch(domains []string) []Verdict {
 }
 
 // Apply absorbs one streaming record update (a new registration or a
-// changed resolution). The store — the source of truth — is always
-// updated, so a later restart recovers the record even if its shard is
-// down right now; an up shard also takes the name's candidate, in the
-// same critical section as the store write. A downed shard counts the
-// update under core.degraded.serve and its breaker, and RestartShard
-// reconciles it from the store.
+// changed resolution): the store — the source of truth — and the name's
+// candidate are written in one critical section. Before Warm there is no
+// store; Apply then writes nothing and answers like Lookup.
 func (c *Coordinator) Apply(domain string, ip [4]byte) Verdict {
 	sw := obs.StartStopwatch()
 	c.updates.Inc()
@@ -342,36 +257,25 @@ func (c *Coordinator) Apply(domain string, ip [4]byte) Verdict {
 	cand, ok := c.matcher.Match(d)
 	sh := c.shards[i]
 	sh.mu.Lock()
-	up, epoch := sh.up, sh.epoch
-	if up && ok {
-		sh.cands[d], _ = c.hitOf(cand)
-	}
-	if sh.store != nil {
+	epoch, warmed := sh.epoch, sh.store != nil
+	if warmed {
+		if ok {
+			sh.cands[d], _ = c.hitOf(cand)
+		}
 		sh.store.Add(d, ip)
 	}
 	sh.mu.Unlock()
 
 	v := answer(d, i, cand, ok)
-	host := shardHost(i)
-	if err := c.breaker.Allow(host); err == nil {
-		c.breaker.Report(host, up)
-	} else {
-		up = false
-	}
-	if up {
-		v.Known, v.Epoch = true, epoch
-	} else {
-		c.degraded.Inc()
-		v.Degraded = true
-	}
+	v.Known, v.Epoch = warmed, epoch
 	c.updateUS.Observe(sw.Micros())
 	return v
 }
 
 // Candidates sweeps all shards and returns the warmed squatting
 // candidates sorted by domain — the same order core.ScanStore and
-// deltascan.Engine.Scan produce, so a post-recovery sweep can be
-// compared byte-for-byte against a cold scan of the store.
+// deltascan.Engine.Scan produce, so a sweep can be compared byte-for-byte
+// against a cold scan of the store.
 func (c *Coordinator) Candidates() []squat.Candidate {
 	var out []squat.Candidate
 	for _, sh := range c.shards {
@@ -383,18 +287,4 @@ func (c *Coordinator) Candidates() []squat.Candidate {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Domain < out[j].Domain })
 	return out
-}
-
-// Down returns the indices of downed shards (empty = all up).
-func (c *Coordinator) Down() []int {
-	var down []int
-	for i, sh := range c.shards {
-		sh.mu.RLock()
-		up := sh.up
-		sh.mu.RUnlock()
-		if !up {
-			down = append(down, i)
-		}
-	}
-	return down
 }

@@ -45,12 +45,10 @@ type Matcher struct {
 	lm     *domlm.Model
 	lmGate domlm.Gate
 
-	// brandHash and rulesFP are computed once at construction; fp is
-	// rulesFP with the attached model folded in. See BrandHash and
-	// Fingerprint.
-	brandHash uint64
-	rulesFP   uint64
-	fp        uint64
+	// rulesFP is computed once at construction; fp is rulesFP with the
+	// attached model folded in. See Fingerprint.
+	rulesFP uint64
+	fp      uint64
 }
 
 // matchRulesVersion versions the classification rules themselves. Bump it
@@ -143,7 +141,6 @@ func NewMatcher(brands []Brand) *Matcher {
 	for _, b := range brands {
 		mixIn(b.Domain())
 	}
-	m.brandHash = bh
 	// Config fingerprint: the brand hash plus the derived index shape and
 	// the rules version. Any change to the generator's edit tables or the
 	// skeleton fold shows up in the index sizes; rule-logic changes must
@@ -154,10 +151,6 @@ func NewMatcher(brands []Brand) *Matcher {
 	m.rulesFP, m.fp = fp, fp
 	return m
 }
-
-// BrandHash identifies the brand universe this matcher was built over. Two
-// matchers over the same ordered brand list share a BrandHash.
-func (m *Matcher) BrandHash() uint64 { return m.brandHash }
 
 // Fingerprint identifies the matcher's full classification configuration:
 // the brand universe plus the derived match indexes, the rules version,
