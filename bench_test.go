@@ -241,7 +241,7 @@ func BenchmarkAblationConfusables(b *testing.B) {
 		recall = float64(hit) / float64(len(planted))
 	}
 	b.ReportMetric(recall, "homograph-recall")
-	b.ReportMetric(float64(confusables.CountVariants('a')), "variants-of-a")
+	b.ReportMetric(float64(len(confusables.Variants('a'))), "variants-of-a")
 }
 
 // BenchmarkAblationCrawlWorkers sweeps the crawler pool width against the

@@ -43,8 +43,6 @@ func main() {
 	seed := flag.Uint64("seed", 2018, "world seed")
 	noise := flag.Int("dnsnoise", 30000, "background DNS records")
 	trees := flag.Int("trees", 40, "random forest size")
-	scanWorkers := flag.Int("scan-workers", 0, "DNS scan/generation parallelism (0 = all cores; same output at every value)")
-	scoreWorkers := flag.Int("score-workers", 0, "classifier scoring parallelism (0 = all cores, 1 = serial)")
 	only := flag.String("only", "", "run a single experiment by id (e.g. \"Table 7\")")
 	shots := flag.String("shots", "", "write case-study screenshot PNGs (Figure 14) to this directory")
 	jsonOut := flag.String("json", "", "additionally write artifacts as JSON lines to this file")
@@ -56,8 +54,6 @@ func main() {
 		World:           webworld.Config{SquattingDomains: *domains, NonSquattingPhish: *phish, Seed: *seed},
 		DNSNoiseRecords: *noise,
 		ForestTrees:     *trees,
-		ScanWorkers:     *scanWorkers,
-		ScoreWorkers:    *scoreWorkers,
 		CrawlRetries:    *crawlRetries,
 		Retry:           *pol,
 		Seed:            *seed,

@@ -61,7 +61,6 @@ func main() {
 	seed := flag.Uint64("seed", 1, "generation seed for -gen")
 	shards := flag.Int("shards", 0, "shard count for -gen stores (0 = dnsx default)")
 	statePath := flag.String("state", "", "delta-scan spill path: recovered on boot (incremental warm), saved atomically on shutdown")
-	workers := flag.Int("workers", 0, "boot-scan parallelism (0 = all cores)")
 	metricsPath := flag.String("metrics", "", "write the final metrics snapshot to this file on shutdown")
 	grace := flag.Duration("grace", obs.ShutdownGrace, "how long shutdown waits for in-flight requests and flushes")
 	smoke := flag.Bool("smoke", false, "boot, answer one self-lookup, then exit through the full graceful-shutdown path")
@@ -98,7 +97,7 @@ func main() {
 	}
 	engine.InstrumentMetrics(reg)
 	sw := obs.StartStopwatch()
-	cands := engine.Scan(store, matcher, *workers)
+	cands := engine.Scan(store, matcher, 0)
 	st := engine.LastStats()
 	log.Printf("boot scan: %d candidates in %.1fms (full=%v, %d/%d shards rescanned)",
 		len(cands), sw.Millis(), st.FullScan, st.ShardsRescanned, st.ShardsRescanned+st.ShardsSkipped)
@@ -131,7 +130,7 @@ func main() {
 		lc.OnShutdown("delta-state", func(context.Context) error {
 			// Re-scan before spilling so the saved state covers records
 			// streamed in since boot; unchanged shards make it cheap.
-			engine.Scan(store, matcher, *workers)
+			engine.Scan(store, matcher, 0)
 			if err := engine.SaveFile(*statePath); err != nil {
 				return err
 			}

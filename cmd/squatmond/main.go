@@ -59,7 +59,6 @@ func main() {
 	interval := flag.Duration("interval", 0, "pause between rounds")
 	reportPath := flag.String("report", "", "append alerts as JSONL to this file (default stdout)")
 	newPerRound := flag.Int("new", 400, "world registrations arriving per round (plus 50% random-noise names)")
-	scoreWorkers := flag.Int("score-workers", 0, "classifier scoring parallelism (0 = all cores, 1 = serial)")
 	debugAddr := flag.String("debug-addr", "", "serve /metrics, /spans and pprof on this address (e.g. :6060)")
 	metricsPath := flag.String("metrics", "", "write the final metrics snapshot to this file (default <report>.metrics.json when -report is set)")
 	crawlRetries := flag.Int("crawl-retries", 0, "crawler retries per fetch (negative disables, 0 = default 1)")
@@ -72,7 +71,6 @@ func main() {
 		World:           webworld.Config{SquattingDomains: 3000, NonSquattingPhish: 300, Seed: 7},
 		DNSNoiseRecords: 8000,
 		ForestTrees:     25,
-		ScoreWorkers:    *scoreWorkers,
 		CrawlRetries:    *crawlRetries,
 		Retry:           *pol,
 		Seed:            99,

@@ -48,8 +48,6 @@ func main() {
 	seed := flag.Uint64("seed", 1175, "world seed")
 	trees := flag.Int("trees", 40, "random forest size")
 	noise := flag.Int("dnsnoise", 30000, "background DNS records")
-	scanWorkers := flag.Int("scan-workers", 0, "DNS scan/generation parallelism (0 = all cores; same output at every value)")
-	scoreWorkers := flag.Int("score-workers", 0, "classifier scoring parallelism (0 = all cores, 1 = serial)")
 	debugAddr := flag.String("debug-addr", "", "serve /metrics, /spans and pprof on this address (e.g. :6060)")
 	crawlRetries := flag.Int("crawl-retries", 0, "crawler retries per fetch (negative disables, 0 = default 1)")
 	explain := flag.String("explain", "", "comma-separated domains to explain after detection (verdict provenance, human-readable)")
@@ -77,8 +75,6 @@ func main() {
 		DomLM:            *useDomLM,
 		DomLMThreshold:   *domlmThreshold,
 		ForestTrees:      *trees,
-		ScanWorkers:      *scanWorkers,
-		ScoreWorkers:     *scoreWorkers,
 		CrawlRetries:     *crawlRetries,
 		Retry:            *pol,
 		TraceSampleEvery: *traceSample,

@@ -15,12 +15,10 @@
 // (default ./...). Exit status is 0 when every finding is covered by the
 // baseline, 1 when fresh findings exist, 2 on load/usage errors.
 //
-// Loading and checking are parallel (-workers, default GOMAXPROCS);
-// output is byte-identical at any worker count. When a package fails to
-// type-check the run degrades rather than dying: the broken package is
-// reported as a warning, call-graph analyzers are skipped (a graph with
-// holes would silently under-approximate), and the intraprocedural
-// analyzers still run over everything that loaded.
+// Loading and checking run on GOMAXPROCS workers; output is
+// byte-identical at any worker count. A package that fails to parse or
+// type-check (it fails go build and go vet too) ends the run with exit 2
+// and an error naming it: the call graph needs every package.
 //
 // The baseline workflow: `squatvet ./...` fails on any finding not in
 // the committed squatvet.baseline at the module root. Intentional
@@ -33,12 +31,14 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
 	"time"
 
 	"squatphi/internal/analysis"
+	"squatphi/internal/fsx"
 )
 
 func main() {
@@ -55,7 +55,6 @@ func run(args []string, stdout, stderr *os.File) int {
 		list          = fs.Bool("list", false, "list analyzers and exit")
 		names         = fs.String("analyzers", "", "comma-separated analyzer subset (default: all)")
 		noTests       = fs.Bool("no-tests", false, "skip _test.go files")
-		workers       = fs.Int("workers", runtime.GOMAXPROCS(0), "parallel load/check workers (1 = serial)")
 		showTime      = fs.Bool("time", false, "print per-analyzer wall time and package count to stderr")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -84,37 +83,24 @@ func run(args []string, stdout, stderr *os.File) int {
 		return 2
 	}
 	loader.Tests = !*noTests
-	loader.Workers = *workers
+	loader.Workers = runtime.GOMAXPROCS(0)
 
 	patterns := fs.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	pkgs, broken, err := loader.LoadAll(patterns...)
+	pkgs, err := loader.Load(patterns...)
 	if err != nil {
 		fmt.Fprintln(stderr, "squatvet:", err)
 		return 2
 	}
-	if len(broken) > 0 {
-		for _, b := range broken {
-			fmt.Fprintf(stderr, "squatvet: %s failed to load: %v\n", b.ImportPath, b.Err)
-		}
-		if dropped := len(analyzers) - len(analysis.Intraprocedural(analyzers)); dropped > 0 {
-			fmt.Fprintf(stderr, "squatvet: degrading to intraprocedural analysis (%d call-graph analyzer(s) skipped; a partial graph would under-report)\n", dropped)
-		}
-		analyzers = analysis.Intraprocedural(analyzers)
-		if len(analyzers) == 0 {
-			fmt.Fprintln(stderr, "squatvet: every requested analyzer needs the call graph; refusing to report a clean run having checked nothing")
-			return 2
-		}
-	}
-	diags, timings, err := analysis.RunTimed(pkgs, analyzers)
+	diags, timings, err := analysis.Run(pkgs, analyzers)
 	if err != nil {
 		fmt.Fprintln(stderr, "squatvet:", err)
 		return 2
 	}
 	if *showTime {
-		fmt.Fprintf(stderr, "squatvet: %d package(s), %d worker(s)\n", len(pkgs), *workers)
+		fmt.Fprintf(stderr, "squatvet: %d package(s), %d worker(s)\n", len(pkgs), loader.Workers)
 		for _, t := range timings {
 			fmt.Fprintf(stderr, "squatvet:   %-14s %s\n", t.Name, t.Duration.Round(10*time.Microsecond))
 		}
@@ -125,13 +111,8 @@ func run(args []string, stdout, stderr *os.File) int {
 			fmt.Fprintln(stderr, "squatvet: -write-baseline requires -baseline")
 			return 2
 		}
-		f, err := os.Create(filepath.Join(root, *baselinePath))
-		if err != nil {
-			fmt.Fprintln(stderr, "squatvet:", err)
-			return 2
-		}
-		defer f.Close()
-		if err := analysis.WriteBaseline(f, diags); err != nil {
+		write := func(w io.Writer) error { return analysis.WriteBaseline(w, diags) }
+		if err := fsx.WriteFile(filepath.Join(root, *baselinePath), write); err != nil {
 			fmt.Fprintln(stderr, "squatvet:", err)
 			return 2
 		}
@@ -164,7 +145,7 @@ func run(args []string, stdout, stderr *os.File) int {
 			return ranAnalyzer[analyzer] && analyzedDirs[filepath.ToSlash(filepath.Dir(path))]
 		}
 		var stale []string
-		fresh, stale = baseline.FilterScoped(diags, inScope)
+		fresh, stale = baseline.Filter(diags, inScope)
 		for _, s := range stale {
 			fmt.Fprintf(stderr, "squatvet: stale baseline entry (fixed? remove it): %s\n", s)
 		}

@@ -32,13 +32,13 @@ func TestListAnalyzers(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("run(-list) = %d, want 0", code)
 	}
-	for _, name := range []string{"determinism", "hotalloc", "hotpath", "lifecycleleak", "errflow"} {
+	for _, name := range []string{"determinism", "hotpath", "lifecycleleak", "errflow"} {
 		if !strings.Contains(out, name+" ") {
 			t.Errorf("-list output missing %s", name)
 		}
 	}
-	if lines := strings.Count(out, "\n"); lines != 10 {
-		t.Errorf("-list printed %d lines, want 10", lines)
+	if lines := strings.Count(out, "\n"); lines != 9 {
+		t.Errorf("-list printed %d lines, want 9", lines)
 	}
 }
 
@@ -55,31 +55,41 @@ func TestAnalyzerSubsetStalenessScoped(t *testing.T) {
 	}
 }
 
-// TestBrokenPackageDegrades: a type-check failure downgrades the run to
-// the intraprocedural analyzers instead of aborting.
-func TestBrokenPackageDegrades(t *testing.T) {
-	code, _, stderr := runCapture(t, "-baseline", "",
-		filepath.Join("..", "..", "internal", "analysis", "testdata", "analysis", "broken", "brokenpkg"))
-	if code != 0 {
-		t.Fatalf("run = %d, want 0 (no findings, degraded); stderr:\n%s", code, stderr)
-	}
-	if !strings.Contains(stderr, "failed to load") || !strings.Contains(stderr, "degrading to intraprocedural") {
-		t.Errorf("missing degrade warnings:\n%s", stderr)
-	}
-}
-
-// TestBrokenPackageWithOnlyCallGraphAnalyzers: when degrading drops every
-// requested analyzer, the run must fail (exit 2) instead of going green
-// having checked nothing.
-func TestBrokenPackageWithOnlyCallGraphAnalyzers(t *testing.T) {
-	for _, names := range []string{"hotpath", "hotpath,lifecycleleak"} {
+// TestBrokenPackageExits2: a package that fails to type-check ends the
+// run with exit 2 and an error naming it, whatever analyzers were asked
+// for.
+func TestBrokenPackageExits2(t *testing.T) {
+	for _, names := range []string{"", "determinism", "hotpath"} {
 		code, _, stderr := runCapture(t, "-baseline", "", "-analyzers", names,
 			filepath.Join("..", "..", "internal", "analysis", "testdata", "analysis", "broken", "brokenpkg"))
 		if code != 2 {
-			t.Errorf("run(-analyzers %s, broken pkg) = %d, want 2; stderr:\n%s", names, code, stderr)
+			t.Errorf("run(-analyzers %q, broken pkg) = %d, want 2; stderr:\n%s", names, code, stderr)
 		}
-		if !strings.Contains(stderr, "refusing to report a clean run") {
-			t.Errorf("-analyzers %s: missing empty-set refusal message:\n%s", names, stderr)
+		if !strings.Contains(stderr, "brokenpkg") {
+			t.Errorf("-analyzers %q: error does not name the package:\n%s", names, stderr)
 		}
+	}
+}
+
+// TestWriteBaselineRoundTrip: -write-baseline records every current
+// finding, so a plain run against the file it wrote reports none fresh
+// and none stale.
+func TestWriteBaselineRoundTrip(t *testing.T) {
+	root, err := filepath.Abs(filepath.Join("..", ".."))
+	if err != nil {
+		t.Fatal(err)
+	}
+	baseline, err := filepath.Rel(root, filepath.Join(t.TempDir(), "squatvet.baseline"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fixture := filepath.Join("..", "..", "internal", "analysis", "testdata", "analysis", "src", "hotpath")
+	code, _, stderr := runCapture(t, "-baseline", baseline, "-write-baseline", fixture)
+	if code != 0 || !strings.Contains(stderr, "wrote 10 finding(s)") {
+		t.Fatalf("run(-write-baseline) = %d, want 0 and 10 findings written; stderr:\n%s", code, stderr)
+	}
+	code, stdout, stderr := runCapture(t, "-baseline", baseline, fixture)
+	if code != 0 || stdout != "" || strings.Contains(stderr, "stale") {
+		t.Fatalf("run against the written baseline = %d, want 0 with no fresh or stale findings; stdout:\n%s\nstderr:\n%s", code, stdout, stderr)
 	}
 }

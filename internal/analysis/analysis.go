@@ -67,8 +67,7 @@ type Analyzer struct {
 	Doc string
 	// NeedsCallGraph marks analyzers that consult Pass.Graph. The driver
 	// builds the whole-load call graph once, before any such analyzer
-	// runs; on a partial (degraded) load these analyzers are skipped,
-	// because a graph missing packages would silently under-approximate.
+	// runs.
 	NeedsCallGraph bool
 	// Run inspects one package and reports findings through the pass.
 	Run func(*Pass) error
@@ -113,21 +112,8 @@ func (p *Pass) InTestFile(pos token.Pos) bool {
 
 // All returns every analyzer squatvet ships, in stable order.
 func All() []*Analyzer {
-	return []*Analyzer{Determinism, MetricName, EventName, Transport, RetryConv, LockCheck, HotAlloc,
+	return []*Analyzer{Determinism, MetricName, EventName, Transport, RetryConv, LockCheck,
 		HotPath, LifecycleLeak, ErrFlow}
-}
-
-// Intraprocedural filters out analyzers that need the whole-load call
-// graph; it is the set the driver degrades to when some package failed
-// to load.
-func Intraprocedural(analyzers []*Analyzer) []*Analyzer {
-	var out []*Analyzer
-	for _, a := range analyzers {
-		if !a.NeedsCallGraph {
-			out = append(out, a)
-		}
-	}
-	return out
 }
 
 // ByName resolves a comma-separated analyzer list ("" selects all).
@@ -150,24 +136,19 @@ func ByName(names string) ([]*Analyzer, error) {
 	return out, nil
 }
 
-// Run executes the given analyzers over the loaded packages and returns
-// the findings sorted by position then analyzer name.
-func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
-	diags, _, err := RunTimed(pkgs, analyzers)
-	return diags, err
-}
-
-// Timing is one per-analyzer wall-time entry from RunTimed. The
-// synthetic "callgraph" entry reports the one-time graph construction.
+// Timing is one per-analyzer wall-time entry from Run. The synthetic
+// "callgraph" entry reports the one-time graph construction.
 type Timing struct {
 	Name     string
 	Duration time.Duration
 }
 
-// RunTimed is Run plus per-analyzer wall times, in analyzer order. When
-// any analyzer declares NeedsCallGraph the whole-load call graph is
-// built once, up front, and handed to those analyzers through the pass.
-func RunTimed(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, []Timing, error) {
+// Run executes the given analyzers over the loaded packages and returns
+// the findings, sorted by position then analyzer name, and per-analyzer
+// wall times in analyzer order. When any analyzer declares
+// NeedsCallGraph the whole-load call graph is built once, up front, and
+// handed to those analyzers through the pass.
+func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, []Timing, error) {
 	var timings []Timing
 	var graph *callgraph.Graph
 	needsGraph := false

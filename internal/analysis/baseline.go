@@ -75,18 +75,13 @@ func LoadBaselineFile(path string) (*Baseline, error) {
 
 // Filter splits diags into fresh findings (not covered by the baseline)
 // and reports stale baseline keys whose counted findings no longer all
-// exist — a nudge to shrink the file.
-func (b *Baseline) Filter(diags []Diagnostic) (fresh []Diagnostic, stale []string) {
-	return b.FilterScoped(diags, nil)
-}
-
-// FilterScoped is Filter with a scope predicate over baseline entries:
-// stale entries outside the scope are suppressed. A partial run
+// exist — a nudge to shrink the file. Stale entries outside inScope are
+// suppressed: a partial run
 // (squatvet ./internal/obs, or -analyzers errflow) produces no findings
 // for other packages or other analyzers, so without scoping every entry
 // for an unanalyzed file — or an analyzer that did not run — would be
 // falsely reported as stale. nil means everything is in scope.
-func (b *Baseline) FilterScoped(diags []Diagnostic, inScope func(analyzer, path string) bool) (fresh []Diagnostic, stale []string) {
+func (b *Baseline) Filter(diags []Diagnostic, inScope func(analyzer, path string) bool) (fresh []Diagnostic, stale []string) {
 	remaining := make(map[string]int, len(b.counts))
 	for k, v := range b.counts {
 		remaining[k] = v

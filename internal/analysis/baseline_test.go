@@ -19,7 +19,7 @@ func TestBaselineRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("parse written baseline: %v\n%s", err, buf.String())
 	}
-	fresh, stale := b.Filter(diags)
+	fresh, stale := b.Filter(diags, nil)
 	if len(fresh) != 0 || len(stale) != 0 {
 		t.Fatalf("round trip: fresh=%v stale=%v, want none", fresh, stale)
 	}
@@ -39,7 +39,7 @@ func TestBaselineFilterCountsAndStale(t *testing.T) {
 		{Analyzer: "metricname", Path: "a/b.go", Line: 9, Message: "non-literal name"}, // exceeds count
 		{Analyzer: "determinism", Path: "e/f.go", Line: 3, Message: "clock read"},      // not baselined
 	}
-	fresh, stale := b.Filter(diags)
+	fresh, stale := b.Filter(diags, nil)
 	if len(fresh) != 2 {
 		t.Fatalf("fresh = %v, want the over-count metricname and the determinism finding", fresh)
 	}
@@ -63,7 +63,7 @@ func TestBaselineFilterScoped(t *testing.T) {
 	}
 	// Only directory "a" was analyzed: the unmatched a/b.go entry is
 	// stale, but the c/d.go entry is out of scope and must be silent.
-	fresh, stale := b.FilterScoped(nil, func(analyzer, path string) bool {
+	fresh, stale := b.Filter(nil, func(analyzer, path string) bool {
 		return strings.HasPrefix(path, "a/")
 	})
 	if len(fresh) != 0 {
@@ -74,7 +74,7 @@ func TestBaselineFilterScoped(t *testing.T) {
 	}
 	// Only the transport analyzer ran: the metricname entry must be
 	// silent even though its directory was analyzed.
-	_, stale = b.FilterScoped(nil, func(analyzer, path string) bool {
+	_, stale = b.Filter(nil, func(analyzer, path string) bool {
 		return analyzer == "transport"
 	})
 	if len(stale) != 1 || !strings.Contains(stale[0], "c/d.go") {
@@ -99,7 +99,7 @@ func TestLoadBaselineFileMissing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh, stale := b.Filter([]Diagnostic{{Analyzer: "x", Path: "y.go", Message: "m"}})
+	fresh, stale := b.Filter([]Diagnostic{{Analyzer: "x", Path: "y.go", Message: "m"}}, nil)
 	if len(fresh) != 1 || len(stale) != 0 {
 		t.Fatalf("empty baseline: fresh=%v stale=%v", fresh, stale)
 	}

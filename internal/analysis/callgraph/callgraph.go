@@ -126,9 +126,6 @@ func (n *Node) Pos() token.Pos {
 	return token.NoPos
 }
 
-// IsLit reports whether the node is a function literal.
-func (n *Node) IsLit() bool { return n.Lit != nil }
-
 // Graph is the whole-load call graph. Nodes is in deterministic order:
 // declared functions in unit/file/declaration order, then literals in
 // walk order, so traversals over Nodes are reproducible run to run.
@@ -146,9 +143,6 @@ type Graph struct {
 // NodeOf returns the node for a declared function, nil when the function
 // is outside the analyzed set.
 func (g *Graph) NodeOf(fn *types.Func) *Node { return g.byObj[fn] }
-
-// NodeOfLit returns the node for a function literal.
-func (g *Graph) NodeOfLit(lit *ast.FuncLit) *Node { return g.byLit[lit] }
 
 // InTestFile reports whether the node's body lives in a _test.go file.
 func (g *Graph) InTestFile(n *Node) bool {

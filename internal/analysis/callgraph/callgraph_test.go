@@ -124,7 +124,7 @@ func TestBuildEdges(t *testing.T) {
 	// from g, and it is not address-taken.
 	var lit *Node
 	for _, n := range g.Nodes {
-		if n.IsLit() && n.Name == "fix.g.func" {
+		if n.Lit != nil && n.Name == "fix.g.func" {
 			lit = n
 		}
 	}
@@ -176,7 +176,7 @@ var y = func() func() int {
 `)
 	var lits []*Node
 	for _, n := range g.Nodes {
-		if n.IsLit() {
+		if n.Lit != nil {
 			lits = append(lits, n)
 		}
 	}

@@ -32,7 +32,7 @@ func lifecycleScope(importPath string) bool {
 }
 
 func runLifecycleLeak(pass *Pass) error {
-	if pass.Graph == nil || !lifecycleScope(pass.ImportPath) {
+	if !lifecycleScope(pass.ImportPath) {
 		return nil
 	}
 	for _, file := range pass.Files {

@@ -10,6 +10,7 @@ import (
 	"go/types"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -156,67 +157,33 @@ func modulePath(file string) (string, error) {
 	return "", fmt.Errorf("%s: no module directive", file)
 }
 
-// Fset returns the loader's shared file set.
-func (l *Loader) Fset() *token.FileSet { return l.fset }
-
-// Broken records a directory that failed to parse or type-check during a
-// tolerant load, so the driver can degrade instead of dying.
-type Broken struct {
-	// Dir is the absolute directory that failed.
-	Dir string
-	// ImportPath is the directory's import path ("" when even that could
-	// not be derived).
-	ImportPath string
-	// Err is the parse or type-check failure.
-	Err error
-}
-
 // Load expands the given package patterns (a directory, or a directory
 // followed by /... for the subtree rooted there; both relative to the
 // process working directory) and returns the type-checked packages.
 // Directories named testdata, vendor, or starting with "." or "_" are
 // skipped during subtree expansion but are honoured when named
 // explicitly, so fixture trees can be loaded on purpose without ever
-// polluting a ./... run. Any parse or type-check failure aborts the load.
-func (l *Loader) Load(patterns ...string) ([]*Package, error) {
-	pkgs, broken, err := l.LoadAll(patterns...)
-	if err != nil {
-		return nil, err
-	}
-	if len(broken) > 0 {
-		return nil, broken[0].Err
-	}
-	return pkgs, nil
-}
-
-// LoadAll is the tolerant form of Load: directories that fail to parse
-// or type-check are returned as Broken entries instead of aborting, so
-// the caller can still run intraprocedural analyzers over the healthy
-// packages (the whole-repo call graph, by contrast, needs every package
-// and must be skipped on a partial load).
+// polluting a ./... run. Any parse or type-check failure aborts the load
+// with an error naming the package: such a package also fails go build
+// and go vet, and the whole-repo call graph needs every package.
 //
 // Loading runs in two phases over a pool of Workers goroutines. First
 // every directory is parsed (concurrently — token.FileSet is safe) and
-// its module-internal imports collected; then directories are
-// type-checked in dependency waves, so that by the time a package is
-// checked every module package it imports has already been checked and
-// registered with the importer. That ordering is what gives the whole
+// its module-internal imports collected, along with the module packages
+// those import that the patterns did not name (checked, not returned);
+// then directories are type-checked in dependency waves, so that by the
+// time a package is checked every module package it imports has already
+// been checked and registered with the importer. That ordering is what gives the whole
 // load a single type universe (see lockedImporter). Results are merged
 // in directory order, so the package list — and every diagnostic derived
 // from it — is identical at any worker count.
-func (l *Loader) LoadAll(patterns ...string) ([]*Package, []Broken, error) {
+func (l *Loader) Load(patterns ...string) ([]*Package, error) {
 	dirs, err := l.expand(patterns)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	n := len(dirs)
-	workers := l.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > n {
-		workers = n
-	}
+	workers := max(l.Workers, 1)
 	runPool := func(count int, task func(int)) {
 		if workers <= 1 || count <= 1 {
 			for i := 0; i < count; i++ {
@@ -242,18 +209,40 @@ func (l *Loader) LoadAll(patterns ...string) ([]*Package, []Broken, error) {
 		wg.Wait()
 	}
 
-	// Phase 1: parse everything.
+	// Phase 1: parse the requested directories, then, without their
+	// tests, the module packages they import but did not name, until the
+	// set is closed. Every module package is then checked here exactly
+	// once: none reaches the source importer, which would make a second
+	// copy of a package this load also checks.
 	parsed := make([]parsedDir, n)
-	runPool(n, func(i int) { parsed[i] = l.parseDir(dirs[i]) })
-
-	// Dependency edges among the loaded directories (imports of packages
-	// outside the load go through the source importer as before).
-	idxByPath := make(map[string]int, n)
-	for i := range parsed {
-		if parsed[i].err == nil {
+	runPool(n, func(i int) { parsed[i] = l.parseDir(dirs[i], l.Tests) })
+	idxByPath := map[string]int{}
+	for next := 0; next < len(parsed); {
+		var missing []string
+		for i := next; i < len(parsed); i++ {
+			if parsed[i].err != nil {
+				return nil, parsed[i].err
+			}
 			idxByPath[parsed[i].importPath] = i
 		}
+		for i := next; i < len(parsed); i++ {
+			for p := range parsed[i].deps {
+				if _, ok := idxByPath[p]; !ok && !slices.Contains(missing, p) {
+					missing = append(missing, p)
+				}
+			}
+		}
+		sort.Strings(missing)
+		deps := make([]parsedDir, len(missing))
+		runPool(len(missing), func(i int) {
+			rel := strings.TrimPrefix(strings.TrimPrefix(missing[i], l.Module), "/")
+			deps[i] = l.parseDir(filepath.Join(l.Root, filepath.FromSlash(rel)), false)
+		})
+		next = len(parsed)
+		parsed = append(parsed, deps...)
 	}
+	n = len(parsed)
+
 	unmet := make([]map[int]bool, n)
 	dependents := make([][]int, n)
 	for i := range parsed {
@@ -273,7 +262,9 @@ func (l *Loader) LoadAll(patterns ...string) ([]*Package, []Broken, error) {
 	// Phase 2: type-check in waves (Kahn's algorithm, one parallel pool
 	// per wave). A wave is every not-yet-checked directory whose loaded
 	// dependencies are all done; module dependency chains are shallow, so
-	// the big leaf wave carries most of the parallelism.
+	// the big leaf wave carries most of the parallelism. The load stops
+	// after the first wave with a failure: a package importing a broken
+	// one would only report the knock-on type mismatches.
 	loaded := make([][]*Package, n)
 	errs := make([]error, n)
 	checked := make([]bool, n)
@@ -292,6 +283,9 @@ func (l *Loader) LoadAll(patterns ...string) ([]*Package, []Broken, error) {
 			loaded[i], errs[i] = l.checkDir(parsed[i])
 		})
 		for _, i := range wave {
+			if errs[i] != nil {
+				return nil, errs[i]
+			}
 			checked[i] = true
 			for _, j := range dependents[i] {
 				delete(unmet[j], i)
@@ -299,24 +293,18 @@ func (l *Loader) LoadAll(patterns ...string) ([]*Package, []Broken, error) {
 		}
 	}
 	// Import cycles cannot occur in valid Go, but a broken tree might
-	// contain one: check the leftovers serially rather than deadlocking.
+	// contain one: name the first package left unchecked.
 	for i := range parsed {
 		if !checked[i] {
-			loaded[i], errs[i] = l.checkDir(parsed[i])
+			return nil, fmt.Errorf("import cycle through %s", parsed[i].importPath)
 		}
 	}
 
 	var pkgs []*Package
-	var broken []Broken
-	for i, dir := range dirs {
-		if errs[i] != nil {
-			importPath, _ := l.importPathFor(dir)
-			broken = append(broken, Broken{Dir: dir, ImportPath: importPath, Err: errs[i]})
-			continue
-		}
+	for i := range dirs {
 		pkgs = append(pkgs, loaded[i]...)
 	}
-	return pkgs, broken, nil
+	return pkgs, nil
 }
 
 func (l *Loader) expand(patterns []string) ([]string, error) {
@@ -416,8 +404,9 @@ type parsedDir struct {
 	err        error
 }
 
-// parseDir parses one directory's files, honouring build constraints.
-func (l *Loader) parseDir(dir string) parsedDir {
+// parseDir parses one directory's files, honouring build constraints;
+// _test.go files only when tests is set.
+func (l *Loader) parseDir(dir string, tests bool) parsedDir {
 	pd := parsedDir{dir: dir}
 	pd.importPath, pd.err = l.importPathFor(dir)
 	if pd.err != nil {
@@ -434,7 +423,7 @@ func (l *Loader) parseDir(dir string) parsedDir {
 			continue
 		}
 		isTest := strings.HasSuffix(name, "_test.go")
-		if isTest && !l.Tests {
+		if isTest && !tests {
 			continue
 		}
 		// Honour build constraints (//go:build lines and GOOS/GOARCH file
@@ -476,9 +465,6 @@ func (l *Loader) parseDir(dir string) parsedDir {
 // is then registered with the importer, so later packages see this exact
 // *types.Package) and, when present, the external _test package.
 func (l *Loader) checkDir(pd parsedDir) ([]*Package, error) {
-	if pd.err != nil {
-		return nil, pd.err
-	}
 	var pkgs []*Package
 	if len(pd.prim) > 0 {
 		p, err := l.check(pd.dir, pd.importPath, pd.prim)

@@ -3,7 +3,6 @@ package analysis
 import (
 	"go/build"
 	"path/filepath"
-	"strings"
 	"testing"
 )
 
@@ -27,7 +26,7 @@ func TestLoadBuildConstraints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if name := filepath.Base(l.Fset().Position(p.Files[0].Pos()).Filename); name != "ok.go" {
+	if name := filepath.Base(l.fset.Position(p.Files[0].Pos()).Filename); name != "ok.go" {
 		t.Errorf("loaded file = %s, want ok.go", name)
 	}
 	scope := p.Types.Scope()
@@ -42,34 +41,6 @@ func TestLoadBuildConstraints(t *testing.T) {
 	}
 }
 
-// TestLoadAllBrokenDegrades: a package that fails to type-check becomes
-// a Broken entry while the rest of the load succeeds; the strict Load
-// entry point turns the same situation into an error.
-func TestLoadAllBrokenDegrades(t *testing.T) {
-	l, err := sharedLoader()
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkgs, broken, err := l.LoadAll(
-		filepath.Join("testdata", "analysis", "broken")+"/...",
-		filepath.Join("testdata", "analysis", "src", "constrained"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(broken) != 1 || !strings.HasSuffix(broken[0].ImportPath, "brokenpkg") || broken[0].Err == nil {
-		t.Fatalf("broken = %+v, want exactly the brokenpkg entry with its type error", broken)
-	}
-	if !strings.Contains(broken[0].Err.Error(), "type-check") {
-		t.Errorf("broken error %q does not mention type-check", broken[0].Err)
-	}
-	if len(pkgs) != 1 || filepath.Base(pkgs[0].Dir) != "constrained" {
-		t.Fatalf("pkgs = %v, want just the healthy constrained package", pkgs)
-	}
-	if _, err := l.Load(filepath.Join("testdata", "analysis", "broken") + "/..."); err == nil {
-		t.Fatal("strict Load must fail on a broken package")
-	}
-}
-
 // TestLoadAllSharedTypeUniverse: when one loaded package imports
 // another, the importer must hand back the *same* *types.Package the
 // loader checked — pointer identity is what makes cross-package call
@@ -79,12 +50,9 @@ func TestLoadAllSharedTypeUniverse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkgs, broken, err := l.LoadAll("../squat", "../confusables")
+	pkgs, err := l.Load("../squat", "../confusables")
 	if err != nil {
 		t.Fatal(err)
-	}
-	if len(broken) != 0 {
-		t.Fatalf("broken = %+v", broken)
 	}
 	var squatPkg, confPkg *Package
 	for _, p := range pkgs {
@@ -110,4 +78,44 @@ func TestLoadAllSharedTypeUniverse(t *testing.T) {
 	if !found {
 		t.Fatal("squat does not import confusables; the fixture premise broke")
 	}
+}
+
+// TestLoadChecksUnnamedModuleDeps: a module package the loaded ones import
+// but the patterns do not name is type-checked by the loader too (and not
+// returned), so it shares the loaded packages instead of importing second
+// copies through the source importer: squat imports domlm, and domlm must
+// import the very simrand package the load returned.
+func TestLoadChecksUnnamedModuleDeps(t *testing.T) {
+	l, err := sharedLoader()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkgs, err := l.Load("../squat", "../simrand")
+	if err != nil {
+		t.Fatal(err)
+	}
+	byPath := map[string]*Package{}
+	for _, p := range pkgs {
+		if p.Types.Name() == filepath.Base(p.Dir) {
+			byPath[p.ImportPath] = p
+		}
+	}
+	squatPkg, simPkg := byPath[l.Module+"/internal/squat"], byPath[l.Module+"/internal/simrand"]
+	if squatPkg == nil || simPkg == nil || len(byPath) != 2 {
+		t.Fatalf("loaded %v, want exactly squat and simrand", byPath)
+	}
+	for _, imp := range squatPkg.Types.Imports() {
+		if imp.Path() != l.Module+"/internal/domlm" {
+			continue
+		}
+		for _, dep := range imp.Imports() {
+			if dep.Path() == simPkg.ImportPath {
+				if dep != simPkg.Types {
+					t.Error("domlm imports a different simrand *types.Package than the loaded one")
+				}
+				return
+			}
+		}
+	}
+	t.Fatal("squat → domlm → simrand import chain not found; the fixture premise broke")
 }

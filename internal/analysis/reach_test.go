@@ -1,0 +1,245 @@
+package analysis
+
+import (
+	"fmt"
+	"go/ast"
+	"go/types"
+	"path/filepath"
+	"reflect"
+	"sync"
+	"testing"
+
+	"squatphi/internal/analysis/callgraph"
+)
+
+// reachKeep lists functions no binary reaches that stay on purpose, one
+// reason each, keyed by call-graph node name. A kept function is a root:
+// what it calls stays too.
+var reachKeep = map[string]string{
+	"core.(*Pipeline).Reinforce":       "retraining on confirmed detections, a §7 extension EXPERIMENTS.md cites",
+	"core.(*Pipeline).ReportConfirmed": "reporting confirmed phish to the blacklists, a §7 extension EXPERIMENTS.md cites",
+	"core.(*Pipeline).RescanDNS":       "the golden pipeline test's warm re-scan of the pipeline's own engine",
+	"core.(*Pipeline).DeltaEngine":     "the golden pipeline test reads the warm re-scan's stats through it",
+	"faultx.NewTransport":              "HTTP fault injector the crawler chaos suite drives",
+	"faultx.WrapConn":                  "UDP fault injector the dnsx chaos suite drives",
+	"faultx.Faults.HTTPFault":          "replay oracle the crawler chaos suite computes expected counters from",
+	"retry.(*Retrier).State":           "breaker state the retry tests and the crawler/dnsx/whois chaos suites assert",
+	"features.NewExtractor":            "serial reference TestFitMatchesNewExtractor compares Fit against",
+	"imghash.Average":                  "aHash, compared against pHash by BenchmarkAblationImageHash (DESIGN §4)",
+	"imghash.Difference":               "dHash, compared against pHash by BenchmarkAblationImageHash (DESIGN §4)",
+	"simrand.(*RNG).NormFloat64":       "Gaussian draws the ml tests and the root benchmarks build datasets from",
+}
+
+// programLoader loads packages without their _test.go files: a function
+// only tests call is dead program code.
+var programLoader = sync.OnceValues(func() (*Loader, error) {
+	root, err := FindModuleRoot(".")
+	if err != nil {
+		return nil, err
+	}
+	l, err := NewLoader(root)
+	if err != nil {
+		return nil, err
+	}
+	l.Tests = false
+	return l, nil
+})
+
+// unreachable loads patterns without tests, builds the call graph and
+// returns "path:line: name" for every declared function no root reaches,
+// in graph order. The roots are every init, every main under a cmd/ or
+// benchmark/ path segment, every address-taken function, every function
+// named in a package-level initialiser, every method that implements an
+// interface (the standard library calls String, Len, ImportFrom, ...
+// through interfaces whose call sites the graph does not load), and
+// keep, every entry of which must name a function in the load. A reached
+// function reaches its callees and the function literals in its body.
+func unreachable(t *testing.T, keep map[string]string, patterns ...string) []string {
+	t.Helper()
+	l, err := programLoader()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkgs, err := l.Load(patterns...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var units []*callgraph.Unit
+	for _, p := range pkgs {
+		units = append(units, &callgraph.Unit{ImportPath: p.ImportPath, Files: p.Files, Pkg: p.Types, Info: p.Info})
+	}
+	g := callgraph.Build(l.fset, units)
+	litNode := map[*ast.FuncLit]*callgraph.Node{}
+	for _, n := range g.Nodes {
+		if n.Lit != nil {
+			litNode[n.Lit] = n
+		}
+	}
+
+	stale := map[string]bool{}
+	for name := range keep {
+		stale[name] = true
+	}
+	reached := map[*callgraph.Node]bool{}
+	var queue []*callgraph.Node
+	mark := func(n *callgraph.Node) {
+		if n != nil && !reached[n] {
+			reached[n] = true
+			queue = append(queue, n)
+		}
+	}
+	for _, n := range g.Nodes {
+		if n.Decl == nil {
+			continue
+		}
+		name, path := n.Decl.Name.Name, n.Unit.ImportPath
+		isMain := name == "main" && n.Unit.Pkg.Name() == "main" &&
+			(pathHasSegment(path, "cmd") || pathHasSegment(path, "benchmark"))
+		_, kept := keep[n.Name]
+		if n.Decl.Recv == nil && (name == "init" || isMain) || n.AddrTaken || kept {
+			mark(n)
+		}
+		delete(stale, n.Name)
+	}
+	for name := range stale {
+		t.Errorf("keep entry %s names no function; drop it", name)
+	}
+	for _, p := range pkgs {
+		for _, f := range p.Files {
+			for _, d := range f.Decls {
+				if _, isFunc := d.(*ast.FuncDecl); isFunc {
+					continue
+				}
+				ast.Inspect(d, func(x ast.Node) bool {
+					switch x := x.(type) {
+					case *ast.Ident:
+						if fn, ok := p.Info.Uses[x].(*types.Func); ok {
+							mark(g.NodeOf(fn.Origin()))
+						}
+					case *ast.FuncLit:
+						mark(litNode[x])
+					}
+					return true
+				})
+			}
+		}
+	}
+	for _, fn := range interfaceMethods(pkgs) {
+		mark(g.NodeOf(fn))
+	}
+	for len(queue) > 0 {
+		n := queue[0]
+		queue = queue[1:]
+		for _, e := range n.Out {
+			mark(e.Callee)
+		}
+		if body := n.Body(); body != nil {
+			ast.Inspect(body, func(x ast.Node) bool {
+				if lit, ok := x.(*ast.FuncLit); ok {
+					mark(litNode[lit])
+				}
+				return true
+			})
+		}
+	}
+	var dead []string
+	for _, n := range g.Nodes {
+		if n.Decl != nil && !reached[n] {
+			pos := l.fset.Position(n.Pos())
+			rel, err := filepath.Rel(l.Root, pos.Filename)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dead = append(dead, fmt.Sprintf("%s:%d: %s", filepath.ToSlash(rel), pos.Line, n.Name))
+		}
+	}
+	return dead
+}
+
+// interfaceMethods returns the methods of the loaded packages' named
+// types that implement an interface: a named interface of any package in
+// the import closure, or an interface type written in the loaded code.
+func interfaceMethods(pkgs []*Package) []*types.Func {
+	// Interfaces by the name of their first method, so a type is only
+	// tested against interfaces that share a method name with it.
+	byFirst := map[string][]*types.Interface{}
+	added := map[*types.Interface]bool{}
+	addIface := func(t types.Type) {
+		if it, ok := t.Underlying().(*types.Interface); ok && it.NumMethods() > 0 && !added[it] {
+			added[it] = true
+			byFirst[it.Method(0).Name()] = append(byFirst[it.Method(0).Name()], it)
+		}
+	}
+	seen := map[*types.Package]bool{}
+	var visit func(*types.Package)
+	visit = func(p *types.Package) {
+		if seen[p] {
+			return
+		}
+		seen[p] = true
+		for _, name := range p.Scope().Names() {
+			if tn, ok := p.Scope().Lookup(name).(*types.TypeName); ok {
+				addIface(tn.Type())
+			}
+		}
+		for _, imp := range p.Imports() {
+			visit(imp)
+		}
+	}
+	for _, p := range pkgs {
+		visit(p.Types)
+		for _, tv := range p.Info.Types {
+			if tv.IsType() {
+				addIface(tv.Type)
+			}
+		}
+	}
+	var out []*types.Func
+	for _, p := range pkgs {
+		scope := p.Types.Scope()
+		for _, name := range scope.Names() {
+			tn, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok || types.IsInterface(tn.Type()) {
+				continue
+			}
+			for _, typ := range []types.Type{tn.Type(), types.NewPointer(tn.Type())} {
+				mset := types.NewMethodSet(typ)
+				for i := 0; i < mset.Len(); i++ {
+					for _, it := range byFirst[mset.At(i).Obj().Name()] {
+						if !types.Implements(typ, it) {
+							continue
+						}
+						for j := 0; j < it.NumMethods(); j++ {
+							obj, _, _ := types.LookupFieldOrMethod(typ, true, p.Types, it.Method(j).Name())
+							if fn, ok := obj.(*types.Func); ok {
+								out = append(out, fn.Origin())
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	return out
+}
+
+// TestReachability: every function of the program is reached from a
+// binary, or kept on purpose in reachKeep. Delete what it lists; a
+// helper only tests need belongs in a _test.go file.
+func TestReachability(t *testing.T) {
+	t.Run("fixture", func(t *testing.T) {
+		got := unreachable(t, nil, filepath.Join("testdata", "analysis", "reach")+"/...")
+		want := []string{
+			"internal/analysis/testdata/analysis/reach/lib/lib.go:30: lib.Dead",
+			"internal/analysis/testdata/analysis/reach/lib/lib.go:35: lib.(*counter).unused",
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("unreachable = %q, want %q", got, want)
+		}
+	})
+	t.Run("repo", func(t *testing.T) {
+		for _, d := range unreachable(t, reachKeep, "../../...") {
+			t.Errorf("%s is reached from no binary; delete it or add it to reachKeep with a reason", d)
+		}
+	})
+}

@@ -1,5 +1,5 @@
-// Package brokenpkg fails to type-check on purpose: the loader must
-// degrade to a Broken entry for it instead of dying mid-load.
+// Package brokenpkg fails to type-check on purpose: squatvet must exit 2
+// and name it.
 package brokenpkg
 
 // Bad assigns an untyped int to a string.

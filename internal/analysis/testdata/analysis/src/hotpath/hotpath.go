@@ -1,7 +1,7 @@
-// Package hotpath exercises the hotalloc analyzer: allocation patterns
-// inside //squat:hot functions are flagged, while the allocation-free
-// map-index and comparison conversion forms — and anything in unmarked
-// functions — pass.
+// Package hotpath exercises the hotpath analyzer's allocation patterns:
+// they are flagged inside the //squat:hot root itself and in everything
+// it reaches, while the allocation-free map-index and comparison
+// conversion forms pass.
 package hotpath
 
 import (
@@ -22,18 +22,18 @@ func classify(b []byte) int {
 	if string(b) == "exact" || "other" < string(b) { // comparison forms: no allocation
 		return 1
 	}
-	key := string(b)                      //want:hotalloc
-	raw := []byte(label(b))               //want:hotalloc
-	fmt.Sprintf("%d", len(b))             //want:hotalloc
-	parts := strings.Split(label(b), ".") //want:hotalloc
-	low := strings.ToLower(label(b))      //want:hotalloc
+	key := string(b)                      //want:hotpath
+	raw := []byte(label(b))               //want:hotpath
+	fmt.Sprintf("%d", len(b))             //want:hotpath
+	parts := strings.Split(label(b), ".") //want:hotpath
+	low := strings.ToLower(label(b))      //want:hotpath
 	_, _, _, _ = key, raw, parts, low
 	return 0
 }
 
-// label is not marked hot, so hotalloc ignores it — but hotpath sees it
-// reachable from the hot root classify and flags both the missing
-// annotation and every allocation pattern inside.
+// label is not marked hot, but it is reachable from the hot root
+// classify: hotpath flags both the missing annotation and every
+// allocation pattern inside.
 func label(b []byte) string { //want:hotpath
 	s := strings.ToLower(string(b))                     //want:hotpath //want:hotpath
 	return fmt.Sprintf("%s.", strings.Split(s, ".")[0]) //want:hotpath //want:hotpath

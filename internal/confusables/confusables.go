@@ -203,16 +203,6 @@ func IsConfusable(r rune) bool {
 	return ok
 }
 
-// Fold returns the ASCII prototype for r, or r itself if none is known.
-// Prototypes are fully folded themselves: Fold('з') is "e", not "3",
-// because '3' in turn imitates "e".
-func Fold(r rune) string {
-	if p, ok := fold[r]; ok {
-		return p
-	}
-	return string(r)
-}
-
 // Skeleton folds every confusable character of s to its ASCII prototype and
 // collapses multi-character visual sequences ("rn" -> "m"), producing a
 // canonical form: a homograph domain and its target share a skeleton.
@@ -311,18 +301,13 @@ func collapseSeqs(buf []byte, start int) []byte {
 	}
 }
 
-// SelfSkeletonASCII reports whether b is pure ASCII and already its own
+// selfSkeleton reports whether b is pure ASCII and already its own
 // skeleton: no byte the fold table touches, no upper-case letter, and no
-// multiSeq pair. For such labels a matcher can reuse the label bytes as
+// multiSeq pair. For such labels a caller can reuse the label bytes as
 // the skeleton without computing anything — the common case for the
-// overwhelmingly-ASCII background of a DNS snapshot.
-//
-//squat:hot
-func SelfSkeletonASCII(b []byte) bool { return selfSkeleton(b) }
-
-// selfSkeleton is SelfSkeletonASCII generic over both byte views, so the
-// string-keyed cold paths (Skeleton, matcher construction) share the exact
-// predicate without a conversion.
+// overwhelmingly-ASCII background of a DNS snapshot. It is generic over
+// both byte views, so the string-keyed cold paths (Skeleton, matcher
+// construction) share the exact predicate without a conversion.
 //
 //squat:hot
 func selfSkeleton[T string | []byte](b T) bool {
@@ -366,12 +351,3 @@ func DirtyASCII(prev, c byte) bool {
 	}
 	return false
 }
-
-// SkeletonEqual reports whether two strings are visually confusable with
-// each other under the skeleton transform.
-func SkeletonEqual(a, b string) bool { return Skeleton(a) == Skeleton(b) }
-
-// CountVariants returns the number of confusable substitutes known for the
-// ASCII character c. Used to compare table completeness against legacy tools
-// (ablation in DESIGN.md §4).
-func CountVariants(c rune) int { return len(Variants(c)) }

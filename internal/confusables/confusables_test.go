@@ -5,6 +5,16 @@ import (
 	"testing/quick"
 )
 
+// Fold returns the ASCII prototype for r, or r itself if none is known.
+// Prototypes are fully folded themselves: Fold('з') is "e", not "3",
+// because '3' in turn imitates "e".
+func Fold(r rune) string {
+	if p, ok := fold[r]; ok {
+		return p
+	}
+	return string(r)
+}
+
 func TestFoldKnown(t *testing.T) {
 	cases := []struct {
 		in   rune
@@ -31,8 +41,8 @@ func TestSkeletonHomographs(t *testing.T) {
 		{"vvikipedia.org", "wikipedia.org"},
 	}
 	for _, c := range cases {
-		if !SkeletonEqual(c.a, c.b) {
-			t.Errorf("SkeletonEqual(%q, %q) = false: %q vs %q", c.a, c.b, Skeleton(c.a), Skeleton(c.b))
+		if Skeleton(c.a) != Skeleton(c.b) {
+			t.Errorf("Skeleton(%q) = %q, Skeleton(%q) = %q, want equal", c.a, Skeleton(c.a), c.b, Skeleton(c.b))
 		}
 	}
 }
@@ -44,8 +54,8 @@ func TestSkeletonDistinguishes(t *testing.T) {
 		{"paypal.com", "paypals.com"},
 	}
 	for _, c := range cases {
-		if SkeletonEqual(c.a, c.b) {
-			t.Errorf("SkeletonEqual(%q, %q) = true, want false", c.a, c.b)
+		if Skeleton(c.a) == Skeleton(c.b) {
+			t.Errorf("Skeleton(%q) == Skeleton(%q), want distinct", c.a, c.b)
 		}
 	}
 }
@@ -94,12 +104,12 @@ func TestVariantCoverageBeatsLegacyTools(t *testing.T) {
 	// Our curated table must cover more than that legacy baseline for the
 	// hot vowels, and at least a few options for every ASCII letter that
 	// real squatters target.
-	if n := CountVariants('a'); n <= 13 {
-		t.Errorf("CountVariants('a') = %d, want > 13 (DNSTwist baseline)", n)
+	if n := len(Variants('a')); n <= 13 {
+		t.Errorf("len(Variants('a')) = %d, want > 13 (DNSTwist baseline)", n)
 	}
 	for _, c := range "aeiou" {
-		if CountVariants(c) < 5 {
-			t.Errorf("CountVariants(%q) = %d, want >= 5", c, CountVariants(c))
+		if n := len(Variants(c)); n < 5 {
+			t.Errorf("len(Variants(%q)) = %d, want >= 5", c, n)
 		}
 	}
 }

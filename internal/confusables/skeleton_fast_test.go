@@ -9,7 +9,7 @@ import (
 // skeletonReference is the pre-optimization Skeleton implementation,
 // verbatim: per-call builder, per-call key slice and sort, ReplaceAll
 // fixpoint. The fast paths (precomputed keys, AppendSkeleton, the
-// SelfSkeletonASCII shortcut) must agree with it byte for byte.
+// selfSkeleton shortcut) must agree with it byte for byte.
 func skeletonReference(s string) string {
 	var b strings.Builder
 	b.Grow(len(s))
@@ -67,22 +67,22 @@ func TestSkeletonMatchesReference(t *testing.T) {
 
 func TestSelfSkeletonASCIIAgreesWithSkeleton(t *testing.T) {
 	for _, s := range skeletonCorpus {
-		self := SelfSkeletonASCII([]byte(s))
+		self := selfSkeleton([]byte(s))
 		if self && Skeleton(s) != s {
-			t.Errorf("SelfSkeletonASCII(%q) = true but Skeleton differs: %q", s, Skeleton(s))
+			t.Errorf("selfSkeleton(%q) = true but Skeleton differs: %q", s, Skeleton(s))
 		}
 		// The predicate must never claim false for a string whose skeleton
 		// is itself AND is pure lowercase ASCII without foldables — spot
 		// check the known-clean shapes.
 	}
 	for _, clean := range []string{"", "paypal", "shop-fresh", "qwertyuiop", "a2b4c6"} {
-		if !SelfSkeletonASCII([]byte(clean)) {
-			t.Errorf("SelfSkeletonASCII(%q) = false, want true", clean)
+		if !selfSkeleton([]byte(clean)) {
+			t.Errorf("selfSkeleton(%q) = false, want true", clean)
 		}
 	}
 	for _, dirty := range []string{"paypa1", "g0ogle", "corn", "clip", "Upper", "pаypаl", "5x", "3x"} {
-		if SelfSkeletonASCII([]byte(dirty)) {
-			t.Errorf("SelfSkeletonASCII(%q) = true, want false", dirty)
+		if selfSkeleton([]byte(dirty)) {
+			t.Errorf("selfSkeleton(%q) = true, want false", dirty)
 		}
 	}
 }
@@ -136,8 +136,8 @@ func FuzzSkeletonParity(f *testing.F) {
 		if got := string(AppendSkeleton(nil, []byte(s))); got != want {
 			t.Fatalf("AppendSkeleton(%q) = %q, reference %q", s, got, want)
 		}
-		if SelfSkeletonASCII([]byte(s)) && want != s {
-			t.Fatalf("SelfSkeletonASCII(%q) = true but skeleton is %q", s, want)
+		if selfSkeleton([]byte(s)) && want != s {
+			t.Fatalf("selfSkeleton(%q) = true but skeleton is %q", s, want)
 		}
 	})
 }

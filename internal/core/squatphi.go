@@ -99,17 +99,6 @@ type Config struct {
 	Events *trace.Logger
 }
 
-// DefaultConfig is the laptop-scale configuration.
-func DefaultConfig() Config {
-	return Config{
-		World:           webworld.DefaultConfig(),
-		DNSNoiseRecords: 30000,
-		ForestTrees:     40,
-		CrawlWorkers:    16,
-		Seed:            3278532,
-	}
-}
-
 // Pipeline is one instantiated SquatPhi system bound to a synthetic world.
 type Pipeline struct {
 	Cfg        Config

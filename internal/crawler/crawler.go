@@ -497,16 +497,6 @@ func absoluteURL(current, location string) string {
 // SnapshotDates are the paper's four crawl dates (§3.2).
 var SnapshotDates = []string{"April 01", "April 08", "April 22", "April 29"}
 
-// DayOfSnapshot converts a snapshot index to a day offset from the first
-// crawl, used by the blacklist latency model.
-func DayOfSnapshot(snap int) int {
-	days := []int{0, 7, 21, 28}
-	if snap < 0 || snap >= len(days) {
-		return 0
-	}
-	return days[snap]
-}
-
 // String implements fmt.Stringer for quick logging.
 func (r Result) String() string {
 	return fmt.Sprintf("%s web(live=%v) mobile(live=%v)", r.Domain, r.Web.Live, r.Mobile.Live)

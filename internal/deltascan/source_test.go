@@ -44,7 +44,7 @@ func TestPropertySnapshotSource(t *testing.T) {
 		snap2 := openSnapshot(t, store2)
 		moved := 0
 		for i := 0; i < snap.NumShards(); i++ {
-			if snap.Checksum(i) != snap2.Checksum(i) {
+			if snap.ShardNameMark(i).Sum != snap2.ShardNameMark(i).Sum {
 				moved++
 			}
 		}

@@ -58,7 +58,7 @@ func snapshotProbeCounts(reg *obs.Registry) probeCounts {
 // breaker come from pol (zero value: both off).
 func runChaosProbe(t *testing.T, f faultx.Faults, parallelism, proberRetries int, pol retry.Policy) ([]Record, probeCounts) {
 	t.Helper()
-	srv, err := NewServer(chaosStore())
+	srv, err := NewServerObs(chaosStore(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +176,7 @@ func TestProbeRetriesConvention(t *testing.T) {
 // the circuit, and every remaining domain (and the first domain's third
 // attempt) fast-fails without touching the wire.
 func TestProbeBreakerOpensAndFastFails(t *testing.T) {
-	srv, err := NewServer(chaosStore())
+	srv, err := NewServerObs(chaosStore(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

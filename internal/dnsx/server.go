@@ -22,9 +22,6 @@ type Server struct {
 	mu     sync.Mutex
 	closed bool
 
-	// Queries counts answered queries (for tests and throughput benches).
-	queries int64
-
 	// Metric handles, resolved once at construction (nil-registry safe).
 	mQueries   *obs.Counter
 	mMalformed *obs.Counter
@@ -32,15 +29,10 @@ type Server struct {
 	mHandleUS  *obs.Histogram
 }
 
-// NewServer starts an authoritative server on a free localhost UDP port
-// without metrics. Callers must Close it.
-func NewServer(store *Store) (*Server, error) {
-	return NewServerObs(store, nil)
-}
-
-// NewServerObs starts an authoritative server reporting to the given
-// metrics registry (which may be nil): queries served, malformed packets,
-// NXDOMAIN responses, and per-query handling time.
+// NewServerObs starts an authoritative server on a free localhost UDP
+// port, reporting to the given metrics registry (which may be nil):
+// queries served, malformed packets, NXDOMAIN responses, and per-query
+// handling time. Callers must Close it.
 func NewServerObs(store *Store, reg *obs.Registry) (*Server, error) {
 	conn, err := net.ListenPacket("udp", "127.0.0.1:0")
 	if err != nil {
@@ -60,13 +52,6 @@ func NewServerObs(store *Store, reg *obs.Registry) (*Server, error) {
 
 // Addr returns the server's UDP address.
 func (s *Server) Addr() string { return s.conn.LocalAddr().String() }
-
-// Queries returns the number of queries answered so far.
-func (s *Server) Queries() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.queries
-}
 
 // Close shuts the server down.
 func (s *Server) Close() error {
@@ -128,9 +113,6 @@ func (s *Server) handle(req []byte) []byte {
 			s.mNXDomain.Inc()
 		}
 	}
-	s.mu.Lock()
-	s.queries++
-	s.mu.Unlock()
 	s.mQueries.Inc()
 	out, err := resp.Pack()
 	if err != nil {

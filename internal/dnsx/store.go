@@ -414,13 +414,6 @@ func (s *Store) Checksums() []uint64 {
 	return out
 }
 
-// ShardOf returns the shard index a domain maps to, so callers that keep
-// per-shard state of their own (e.g. a delta-scan cache) can mirror the
-// store's partitioning exactly.
-func (s *Store) ShardOf(domain string) int {
-	return ShardIndex(Normalize(domain), len(s.shards))
-}
-
 // Lookup returns the address for a domain.
 func (s *Store) Lookup(domain string) ([4]byte, bool) {
 	d := Normalize(domain)
@@ -540,30 +533,7 @@ func (s *Store) Domains() []string {
 	return out
 }
 
-// WriteSnapshot serialises the store as "domain,ip" lines sorted by domain,
-// the on-disk snapshot format shared with ReadSnapshot. Records are copied
-// out under one read-lock pass per shard (no per-record lock round trips).
-func (s *Store) WriteSnapshot(w io.Writer) error {
-	recs := make([]Record, 0, s.Len())
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		for j, d := range sh.names {
-			recs = append(recs, Record{Domain: d, IP: sh.ips[j]})
-		}
-		sh.mu.RUnlock()
-	}
-	sort.Slice(recs, func(i, j int) bool { return recs[i].Domain < recs[j].Domain })
-	bw := bufio.NewWriter(w)
-	for _, r := range recs {
-		if _, err := fmt.Fprintf(bw, "%s,%d.%d.%d.%d\n", r.Domain, r.IP[0], r.IP[1], r.IP[2], r.IP[3]); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// ReadSnapshot parses the snapshot format produced by WriteSnapshot.
+// ReadSnapshot parses the text snapshot format: "domain,ip" lines.
 func ReadSnapshot(r io.Reader) (*Store, error) {
 	s := NewStore()
 	sc := bufio.NewScanner(r)

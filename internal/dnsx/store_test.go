@@ -3,12 +3,26 @@ package dnsx
 import (
 	"bytes"
 	"context"
+	"fmt"
+	"io"
+	"sort"
 	"strings"
 	"testing"
 	"time"
 
 	"squatphi/internal/simrand"
 )
+
+// writeSnapshot renders s in ReadSnapshot's text format: "domain,ip"
+// lines sorted by domain.
+func writeSnapshot(w io.Writer, s *Store) {
+	var recs []Record
+	s.Range(func(r Record) bool { recs = append(recs, r); return true })
+	sort.Slice(recs, func(i, j int) bool { return recs[i].Domain < recs[j].Domain })
+	for _, r := range recs {
+		fmt.Fprintf(w, "%s,%s\n", r.Domain, r.IPString())
+	}
+}
 
 func TestStoreAddLookup(t *testing.T) {
 	s := NewStore()
@@ -58,9 +72,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		s.Add(r.Letters(8)+".com", RandomIP(r))
 	}
 	var buf bytes.Buffer
-	if err := s.WriteSnapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
+	writeSnapshot(&buf, s)
 	got, err := ReadSnapshot(&buf)
 	if err != nil {
 		t.Fatal(err)
@@ -181,7 +193,7 @@ func TestRandomIPAvoidsReserved(t *testing.T) {
 func TestServerAnswersQueries(t *testing.T) {
 	store := NewStore()
 	store.Add("paypal-cash.com", [4]byte{8, 8, 8, 8})
-	srv, err := NewServer(store)
+	srv, err := NewServerObs(store, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +220,7 @@ func TestProberBulk(t *testing.T) {
 			store.Add(d, RandomIP(r))
 		}
 	}
-	srv, err := NewServer(store)
+	srv, err := NewServerObs(store, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +244,7 @@ func TestProberBulk(t *testing.T) {
 
 func TestProberContextCancel(t *testing.T) {
 	store := NewStore()
-	srv, err := NewServer(store)
+	srv, err := NewServerObs(store, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +264,7 @@ func TestProberContextCancel(t *testing.T) {
 func TestServerIgnoresResponsesAndGarbage(t *testing.T) {
 	store := NewStore()
 	store.Add("x.com", [4]byte{1, 1, 1, 1})
-	srv, err := NewServer(store)
+	srv, err := NewServerObs(store, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +281,7 @@ func TestServerIgnoresResponsesAndGarbage(t *testing.T) {
 
 func TestServerNXDomain(t *testing.T) {
 	store := NewStore()
-	srv, err := NewServer(store)
+	srv, err := NewServerObs(store, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +299,7 @@ func TestServerNXDomain(t *testing.T) {
 func BenchmarkServerHandle(b *testing.B) {
 	store := NewStore()
 	store.Add("paypal-cash.com", [4]byte{8, 8, 8, 8})
-	srv, err := NewServer(store)
+	srv, err := NewServerObs(store, nil)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -137,49 +136,6 @@ func ParseZone(r io.Reader, origin string) ([]ZoneRecord, error) {
 	return out, nil
 }
 
-// WriteZone serialises records as a master file under the given origin:
-// names inside the origin are written relative, with an $ORIGIN directive
-// up front. Records are sorted by name then type for stable output.
-func WriteZone(w io.Writer, origin string, records []ZoneRecord) error {
-	origin = strings.TrimSuffix(strings.ToLower(origin), ".")
-	bw := bufio.NewWriter(w)
-	if origin != "" {
-		fmt.Fprintf(bw, "$ORIGIN %s.\n", origin)
-	}
-	sorted := append([]ZoneRecord(nil), records...)
-	sort.Slice(sorted, func(i, j int) bool {
-		if sorted[i].Name != sorted[j].Name {
-			return sorted[i].Name < sorted[j].Name
-		}
-		return sorted[i].Type < sorted[j].Type
-	})
-	for _, rec := range sorted {
-		name := rec.Name
-		if origin != "" {
-			if name == origin {
-				name = "@"
-			} else if strings.HasSuffix(name, "."+origin) {
-				name = strings.TrimSuffix(name, "."+origin)
-			} else {
-				name += "."
-			}
-		} else {
-			name += "."
-		}
-		data := rec.Data
-		switch rec.Type {
-		case TypeNS, TypeCNAME:
-			data += "."
-		case TypeTXT:
-			data = `"` + data + `"`
-		}
-		if _, err := fmt.Fprintf(bw, "%s\t%d\tIN\t%s\t%s\n", name, rec.TTL, typeToString(rec.Type), data); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
 // StoreFromZone loads the A records of a zone into a Store (the squatting
 // scanner consumes (domain, IP) pairs only).
 func StoreFromZone(records []ZoneRecord) (*Store, error) {
@@ -195,19 +151,6 @@ func StoreFromZone(records []ZoneRecord) (*Store, error) {
 		s.Add(rec.Name, ip)
 	}
 	return s, nil
-}
-
-// ZoneFromStore converts a Store to A zone records with the given TTL.
-func ZoneFromStore(s *Store, ttl uint32) []ZoneRecord {
-	var out []ZoneRecord
-	s.Range(func(rec Record) bool {
-		out = append(out, ZoneRecord{
-			Name: rec.Domain, TTL: ttl, Type: TypeA, Class: ClassIN,
-			Data: rec.IPString(),
-		})
-		return true
-	})
-	return out
 }
 
 func qualify(name, origin string) string {
@@ -254,20 +197,4 @@ func typeFromString(s string) (uint16, bool) {
 		return TypeTXT, true
 	}
 	return 0, false
-}
-
-func typeToString(t uint16) string {
-	switch t {
-	case TypeA:
-		return "A"
-	case TypeAAAA:
-		return "AAAA"
-	case TypeNS:
-		return "NS"
-	case TypeCNAME:
-		return "CNAME"
-	case TypeTXT:
-		return "TXT"
-	}
-	return fmt.Sprintf("TYPE%d", t)
 }

@@ -178,10 +178,6 @@ type Scratch struct{}
 // Config returns the model's (normalized) configuration.
 func (m *Model) Config() Config { return m.cfg }
 
-// BrandCount returns the number of distinct labels the model was trained
-// over.
-func (m *Model) BrandCount() int { return m.brandCount }
-
 // Fingerprint identifies the full model: brand set, n-gram order,
 // smoothing and format version. Two models with equal fingerprints score
 // every input identically.
@@ -433,14 +429,4 @@ func labelOf[T string | []byte](domain T) T {
 // accepted; unknown bytes map to the OOV symbol.
 func (m *Model) Score(domain string) float64 {
 	return m.ScoreLabel(string(labelOf(domain)))
-}
-
-// ScoreBytes is Score over raw bytes with caller-owned scratch — the
-// zero-allocation entry point for scan loops that hold domains as byte
-// slices into an mmap'd snapshot. For any input, ScoreBytes(b) ==
-// Score(string(b)) bit-for-bit (FuzzScoreBytes pins this).
-//
-//squat:hot
-func (m *Model) ScoreBytes(domain []byte, _ *Scratch) float64 {
-	return scoreLabel(m, labelOf(domain))
 }

@@ -9,6 +9,13 @@ import (
 	"squatphi/internal/simrand"
 )
 
+// ScoreBytes is Score over raw bytes: labelOf, then scoreLabel in the
+// []byte instantiation that ScoreLabelBytes runs. For any input, ScoreBytes(b) == Score(string(b)) bit-for-bit
+// (FuzzScoreBytes pins this).
+func (m *Model) ScoreBytes(domain []byte, _ *Scratch) float64 {
+	return scoreLabel(m, labelOf(domain))
+}
+
 var corpus = []string{
 	"paypal", "facebook", "google", "microsoft", "amazon", "netflix",
 	"dropbox", "linkedin", "spotify", "airbnb", "coinbase", "binance",

@@ -1,6 +1,6 @@
 // Package faultx is a deterministic, seeded fault-injection layer for the
 // network substrate: an http.RoundTripper wrapper for the crawler side and
-// UDP net.Conn / net.PacketConn wrappers for the DNS side.
+// a UDP net.Conn wrapper for the DNS side.
 //
 // The paper's measurement loop (§3.2, §5.3) runs continuously against
 // hostile, unreliable infrastructure — dead or slow phishing hosts, flaky
@@ -166,13 +166,6 @@ func (f Faults) udpDecide(key string, attempt int) decision {
 // run must produce, independent of worker count or scheduling.
 func (f Faults) HTTPFault(key string, attempt int) string {
 	return f.httpDecide(key, attempt).kind.String()
-}
-
-// UDPFault returns the name of the UDP-side fault that fires for
-// (key, attempt): "drop", "dup", "stale_id", "truncate", "corrupt", or
-// "none". See HTTPFault.
-func (f Faults) UDPFault(key string, attempt int) string {
-	return f.udpDecide(key, attempt).kind.String()
 }
 
 func (f Faults) slowChunk() int {

@@ -11,6 +11,13 @@ import (
 	"squatphi/internal/obs"
 )
 
+// UDPFault returns the name of the UDP-side fault that fires for
+// (key, attempt): "drop", "dup", "stale_id", "truncate", "corrupt", or
+// "none". See HTTPFault.
+func (f Faults) UDPFault(key string, attempt int) string {
+	return f.udpDecide(key, attempt).kind.String()
+}
+
 func TestDecisionsDeterministic(t *testing.T) {
 	f := Faults{Seed: 11, DropProb: 0.3, ResetProb: 0.2, HTTP5xxProb: 0.2, SlowBodyProb: 0.1,
 		DupProb: 0.2, StaleIDProb: 0.2, TruncateProb: 0.1, CorruptProb: 0.1}
@@ -99,8 +106,8 @@ func TestTransportDropIsTimeout(t *testing.T) {
 	if reg.Counter("faultx.http.drop").Value() != 1 {
 		t.Error("drop counter not incremented")
 	}
-	if tr.Attempts("h.test/") != 1 {
-		t.Errorf("attempts = %d, want 1", tr.Attempts("h.test/"))
+	if n := tr.attempts["h.test/"]; n != 1 {
+		t.Errorf("attempts = %d, want 1", n)
 	}
 }
 

@@ -55,14 +55,6 @@ func NewTransport(inner http.RoundTripper, f Faults, reg *obs.Registry) *Transpo
 	}
 }
 
-// Attempts returns how many times the given key (host+path) has been
-// requested, for assertions in chaos tests.
-func (t *Transport) Attempts(key string) int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.attempts[key]
-}
-
 // RoundTrip implements http.RoundTripper with fault injection.
 func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 	key := req.URL.Host + req.URL.Path

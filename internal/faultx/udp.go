@@ -10,8 +10,7 @@ import (
 	"squatphi/internal/obs"
 )
 
-// udpMetrics bundles the injected-fault counters shared by the Conn and
-// PacketConn wrappers.
+// udpMetrics bundles the Conn wrapper's injected-fault counters.
 type udpMetrics struct {
 	drops, dups, stales, truncs, corrupts, delays *obs.Counter
 }
@@ -157,82 +156,4 @@ func (c *Conn) enqueue(pkt []byte) {
 	c.mu.Lock()
 	c.queue = append(c.queue, cp)
 	c.mu.Unlock()
-}
-
-// PacketConn wraps a server-side net.PacketConn with fault injection on
-// outgoing datagrams (WriteTo): responses may be dropped, delayed,
-// duplicated, truncated, corrupted, or preceded by a stale-ID replay.
-type PacketConn struct {
-	net.PacketConn
-	f   Faults
-	key func([]byte) string
-	met udpMetrics
-
-	mu       sync.Mutex
-	attempts map[string]int
-}
-
-// WrapPacketConn wraps pc with the given fault mix; see WrapConn for the
-// keyFn and reg semantics.
-func WrapPacketConn(pc net.PacketConn, f Faults, keyFn func([]byte) string, reg *obs.Registry) *PacketConn {
-	if keyFn == nil {
-		keyFn = defaultKey
-	}
-	return &PacketConn{
-		PacketConn: pc,
-		f:          f,
-		key:        keyFn,
-		met:        newUDPMetrics(reg),
-		attempts:   map[string]int{},
-	}
-}
-
-// WriteTo sends one datagram, applying the (key, attempt) fault decision.
-func (p *PacketConn) WriteTo(b []byte, addr net.Addr) (int, error) {
-	key := p.key(b)
-	p.mu.Lock()
-	n := p.attempts[key]
-	p.attempts[key]++
-	p.mu.Unlock()
-
-	d := p.f.udpDecide(key, n)
-	if d.delay && p.f.Delay > 0 {
-		p.met.delays.Inc()
-		time.Sleep(p.f.Delay)
-	}
-	switch d.kind {
-	case faultDrop:
-		p.met.drops.Inc()
-		return len(b), nil
-	case faultDup:
-		p.met.dups.Inc()
-		if n, err := p.PacketConn.WriteTo(b, addr); err != nil {
-			return n, err
-		}
-		return p.PacketConn.WriteTo(b, addr)
-	case faultStaleID:
-		p.met.stales.Inc()
-		stale := append([]byte(nil), b...)
-		if len(stale) >= 2 {
-			stale[0] ^= 0xFF
-			stale[1] ^= 0x55
-		}
-		if n, err := p.PacketConn.WriteTo(stale, addr); err != nil {
-			return n, err
-		}
-		return p.PacketConn.WriteTo(b, addr)
-	case faultTruncate:
-		if len(b) > 4 {
-			p.met.truncs.Inc()
-			return p.PacketConn.WriteTo(b[:len(b)/2], addr)
-		}
-	case faultCorrupt:
-		p.met.corrupts.Inc()
-		cp := append([]byte(nil), b...)
-		for i := 2; i < len(cp); i += 5 {
-			cp[i] ^= 0xA5
-		}
-		return p.PacketConn.WriteTo(cp, addr)
-	}
-	return p.PacketConn.WriteTo(b, addr)
 }

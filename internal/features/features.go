@@ -65,9 +65,6 @@ var dictionary = []string{
 	"access", "restore", "suspended", "unusual", "activity", "customer",
 }
 
-// Dictionary returns a copy of the spell-check lexicon.
-func Dictionary() []string { return append([]string(nil), dictionary...) }
-
 // NumExtras is the number of numeric features appended to the keyword
 // vector: form count, input count, password-input flag, image count,
 // script count, link count, and monitored-brand-token count.
@@ -191,12 +188,6 @@ func (e *Extractor) tokensOf(page *htmlx.Page, s Sample) []string {
 		}
 	}
 	return toks
-}
-
-// Extras computes the numeric features of one page. tokens is the keyword
-// stream of the page (brand-token counting spans both HTML and OCR text).
-func (e *Extractor) Extras(s Sample, tokens []string) []float64 {
-	return e.extrasOf(htmlx.Extract(s.HTML), s, tokens)
 }
 
 func (e *Extractor) extrasOf(page *htmlx.Page, s Sample, tokens []string) []float64 {

@@ -2,12 +2,19 @@ package features
 
 import (
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 
+	"squatphi/internal/htmlx"
 	"squatphi/internal/render"
 )
+
+// extras computes the numeric features of one page the way Vector does.
+func (e *Extractor) extras(s Sample, tokens []string) []float64 {
+	return e.extrasOf(htmlx.Extract(s.HTML), s, tokens)
+}
 
 const phishHTML = `<html><head><title>Log in to your account</title></head><body>
 <img src="/logo.png" alt="">
@@ -78,7 +85,7 @@ func TestOCRTokensSeeImageOnlyBrand(t *testing.T) {
 func TestExtras(t *testing.T) {
 	e := trainExtractor(t, AllFeatures())
 	s := sampleOf(phishHTML, "")
-	extras := e.Extras(s, e.Tokens(s))
+	extras := e.extras(s, e.Tokens(s))
 	if len(extras) != NumExtras {
 		t.Fatalf("extras = %d values", len(extras))
 	}
@@ -92,7 +99,7 @@ func TestExtras(t *testing.T) {
 		t.Errorf("password flag = %f", extras[2])
 	}
 	b := sampleOf(benignHTML, "")
-	benign := e.Extras(b, e.Tokens(b))
+	benign := e.extras(b, e.Tokens(b))
 	if benign[0] != 0 || benign[2] != 0 {
 		t.Errorf("benign extras = %v", benign)
 	}
@@ -103,12 +110,12 @@ func TestBrandTokenExtra(t *testing.T) {
 	// The phishing sample shows "Paypal" only in the logo image: the
 	// brand-token extra (last slot) must fire via the OCR path.
 	withLogo := sampleOf(phishHTML, "Paypal")
-	extras := e.Extras(withLogo, e.Tokens(withLogo))
+	extras := e.extras(withLogo, e.Tokens(withLogo))
 	if extras[NumExtras-1] < 1 {
 		t.Errorf("brand-token count = %f, want >= 1 (brand in logo pixels)", extras[NumExtras-1])
 	}
 	noBrand := sampleOf(benignHTML, "")
-	extras = e.Extras(noBrand, e.Tokens(noBrand))
+	extras = e.extras(noBrand, e.Tokens(noBrand))
 	if extras[NumExtras-1] != 0 {
 		t.Errorf("benign brand-token count = %f, want 0", extras[NumExtras-1])
 	}
@@ -134,8 +141,8 @@ func TestVectorsSeparatePhishFromBenign(t *testing.T) {
 	vp := e.Vector(sampleOf(phishHTML, "Paypal"))
 	vb := e.Vector(sampleOf(benignHTML, ""))
 	// The password-keyword dimension must differ.
-	idx, ok := e.Vocab.Index("password")
-	if !ok {
+	idx := slices.Index(e.Vocab.Words(), "password")
+	if idx < 0 {
 		t.Fatal("password not in vocabulary")
 	}
 	if vp[idx] <= vb[idx] {
@@ -145,7 +152,7 @@ func TestVectorsSeparatePhishFromBenign(t *testing.T) {
 
 func TestBrandNamesAlwaysInVocabulary(t *testing.T) {
 	e := trainExtractor(t, AllFeatures())
-	if _, ok := e.Vocab.Index("facebook"); !ok {
+	if !slices.Contains(e.Vocab.Words(), "facebook") {
 		t.Fatal("brand name missing from vocabulary")
 	}
 }
@@ -197,14 +204,6 @@ func TestFitMatchesNewExtractor(t *testing.T) {
 				t.Errorf("%+v: X[%d] differs from Vector", opts, i)
 			}
 		}
-	}
-}
-
-func TestDictionaryCopy(t *testing.T) {
-	d := Dictionary()
-	d[0] = "mutated"
-	if Dictionary()[0] == "mutated" {
-		t.Fatal("Dictionary returns shared slice")
 	}
 }
 

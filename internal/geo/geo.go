@@ -52,10 +52,6 @@ func Country(ip [4]byte) string {
 	return countryWeights[0].code
 }
 
-// Countries returns the number of distinct country codes the database can
-// produce.
-func Countries() int { return len(countryWeights) }
-
 // Histogram tallies countries for a set of IPs, a convenience for the
 // Figure 15 experiment.
 func Histogram(ips [][4]byte) map[string]int {

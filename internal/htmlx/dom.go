@@ -89,18 +89,6 @@ func (n *Node) Walk(fn func(*Node) bool) {
 	}
 }
 
-// Find returns all descendant elements with the given tag.
-func (n *Node) Find(tag string) []*Node {
-	var out []*Node
-	n.Walk(func(c *Node) bool {
-		if c.Type == ElementNode && c.Tag == tag {
-			out = append(out, c)
-		}
-		return true
-	})
-	return out
-}
-
 // InnerText concatenates all descendant text, whitespace-normalised.
 func (n *Node) InnerText() string {
 	var parts []string

@@ -7,6 +7,18 @@ import (
 	"squatphi/internal/simrand"
 )
 
+// Find returns all descendant elements with the given tag.
+func (n *Node) Find(tag string) []*Node {
+	var out []*Node
+	n.Walk(func(c *Node) bool {
+		if c.Type == ElementNode && c.Tag == tag {
+			out = append(out, c)
+		}
+		return true
+	})
+	return out
+}
+
 const samplePage = `<!doctype html>
 <html>
 <head><title>PayPal &mdash; Log In</title>

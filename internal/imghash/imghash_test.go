@@ -46,8 +46,7 @@ func TestIdenticalImagesZeroDistance(t *testing.T) {
 }
 
 func TestSmallNoiseSmallDistance(t *testing.T) {
-	a := pageRaster(1, false)
-	b := a.Clone()
+	a, b := pageRaster(1, false), pageRaster(1, false)
 	b.AddNoise(simrand.New(3), 0.01)
 	// aHash and pHash must be noise-robust. dHash compares near-equal
 	// neighbouring cells on a mostly-white page, so sparse noise legally

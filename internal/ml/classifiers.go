@@ -29,14 +29,6 @@ type Classifier interface {
 	PredictProba(x []float64) float64
 }
 
-// Predict thresholds PredictProba at 0.5.
-func Predict(c Classifier, x []float64) int {
-	if c.PredictProba(x) >= 0.5 {
-		return 1
-	}
-	return 0
-}
-
 // ---------------------------------------------------------------------------
 // Multinomial Naive Bayes
 // ---------------------------------------------------------------------------

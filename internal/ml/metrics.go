@@ -41,9 +41,6 @@ func (c Confusion) FNR() float64 {
 	return float64(c.FN) / float64(c.FN+c.TP)
 }
 
-// TPR returns the true positive rate (recall).
-func (c Confusion) TPR() float64 { return 1 - c.FNR() }
-
 // Accuracy returns (TP + TN) / total.
 func (c Confusion) Accuracy() float64 {
 	total := c.TP + c.FP + c.TN + c.FN
@@ -51,14 +48,6 @@ func (c Confusion) Accuracy() float64 {
 		return 0
 	}
 	return float64(c.TP+c.TN) / float64(total)
-}
-
-// Precision returns TP / (TP + FP).
-func (c Confusion) Precision() float64 {
-	if c.TP+c.FP == 0 {
-		return 0
-	}
-	return float64(c.TP) / float64(c.TP+c.FP)
 }
 
 // ROCPoint is one operating point of a ROC curve.

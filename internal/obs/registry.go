@@ -139,9 +139,6 @@ func (h *Histogram) ObserveSince(start time.Time) {
 	h.Observe(float64(time.Since(start)) / float64(time.Millisecond))
 }
 
-// Count returns the number of observations so far.
-func (h *Histogram) Count() int64 { return h.count.Load() }
-
 // Bucket is one histogram bucket in a snapshot: the count of observations
 // v <= Le that fell in no lower bucket.
 type Bucket struct {

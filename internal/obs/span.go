@@ -123,30 +123,6 @@ func (s *Span) EndWith(err error) {
 // Name returns the span name.
 func (s *Span) Name() string { return s.name }
 
-// Err returns the tagged error message, if any.
-func (s *Span) Err() string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.err
-}
-
-// Duration returns the span's elapsed time (to now if still open).
-func (s *Span) Duration() time.Duration {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.ended {
-		return s.end.Sub(s.start)
-	}
-	return time.Since(s.start)
-}
-
-// Children returns a snapshot of the direct child spans.
-func (s *Span) Children() []*Span {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]*Span(nil), s.children...)
-}
-
 // SpanSnapshot is the JSON-able form of a span tree.
 type SpanSnapshot struct {
 	Name       string            `json:"name"`
@@ -190,10 +166,9 @@ func (s *Span) Snapshot() SpanSnapshot {
 // Recorder keeps the last N root spans in a ring buffer, so the debug
 // endpoint can dump recent pipeline rounds without unbounded growth.
 type Recorder struct {
-	mu    sync.Mutex
-	buf   []*Span
-	next  int
-	total int64
+	mu   sync.Mutex
+	buf  []*Span
+	next int
 }
 
 // NewRecorder returns a recorder holding up to n root spans (default 32).
@@ -213,14 +188,6 @@ func (r *Recorder) add(root *Span) {
 		r.buf[r.next] = root
 		r.next = (r.next + 1) % cap(r.buf)
 	}
-	r.total++
-}
-
-// Total returns the number of root spans ever recorded.
-func (r *Recorder) Total() int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.total
 }
 
 // Traces returns snapshots of the retained root spans, newest first.

@@ -77,7 +77,7 @@ func TestSpanConcurrentChildRecording(t *testing.T) {
 	if got := len(snap.Children); got != workers*spansPerWorker {
 		t.Fatalf("root has %d children, want %d", got, workers*spansPerWorker)
 	}
-	if rec.Total() != 1 {
-		t.Fatalf("recorder holds %d roots, want 1", rec.Total())
+	if got := len(rec.Traces()); got != 1 {
+		t.Fatalf("recorder holds %d roots, want 1", got)
 	}
 }

@@ -69,9 +69,6 @@ func TestRecorderRingWraps(t *testing.T) {
 		_, sp := StartSpan(ctx, fmt.Sprintf("run-%d", i))
 		sp.End()
 	}
-	if rec.Total() != 7 {
-		t.Errorf("total = %d, want 7", rec.Total())
-	}
 	traces := rec.Traces()
 	if len(traces) != 4 {
 		t.Fatalf("retained %d traces, want 4", len(traces))
@@ -90,7 +87,7 @@ func TestDetachedSpanSafe(t *testing.T) {
 	_, child := StartSpan(ctx, "child")
 	child.End()
 	sp.End()
-	if sp.Duration() <= 0 {
+	if sp.Snapshot().DurationMS <= 0 {
 		t.Error("detached span has no duration")
 	}
 	var nilSpan *Span

@@ -75,14 +75,6 @@ func NewCollector(sampleEvery int) *Collector {
 	return c
 }
 
-// SampleEvery returns the effective head-sampling rate (0 = disabled).
-func (c *Collector) SampleEvery() int {
-	if c == nil {
-		return 0
-	}
-	return int(c.sampleEvery)
-}
-
 // fnv1a hashes s with 64-bit FNV-1a, over either byte view.
 //
 //squat:hot
@@ -93,17 +85,6 @@ func fnv1a[T string | []byte](s T) uint64 {
 		h *= 1099511628211
 	}
 	return h
-}
-
-// Sampled reports whether domain falls in the 1-in-N head sample.
-func (c *Collector) Sampled(domain string) bool {
-	if c == nil || c.sampleEvery == 0 {
-		return false
-	}
-	if c.sampleMask != 0 {
-		return fnv1a(domain)&c.sampleMask == 0
-	}
-	return fnv1a(domain)%c.sampleEvery == 0
 }
 
 // ObserveScanBytes records one matcher classification if the domain is in

@@ -79,9 +79,6 @@ func Int64(key string, value int64) Attr { return Attr{Key: key, Value: value} }
 // Float builds a float attribute.
 func Float(key string, value float64) Attr { return Attr{Key: key, Value: value} }
 
-// Bool builds a boolean attribute.
-func Bool(key string, value bool) Attr { return Attr{Key: key, Value: value} }
-
 // Event is one structured log line. Attrs marshal with sorted keys
 // (encoding/json map behaviour), so a line's byte form is deterministic
 // for fixed contents. Events attributed into provenance Records have TMS
@@ -104,13 +101,12 @@ type Event struct {
 // loggerCore is the shared state behind every component-scoped Logger
 // view: one sink, one clock, one minimum level.
 type loggerCore struct {
-	mu      sync.Mutex
-	w       io.Writer
-	min     Level
-	sw      obs.Stopwatch
-	clock   func() float64 // millis since start; test seam, defaults to sw.Millis
-	trace   *Collector
-	emitted int64
+	mu    sync.Mutex
+	w     io.Writer
+	min   Level
+	sw    obs.Stopwatch
+	clock func() float64 // millis since start; test seam, defaults to sw.Millis
+	trace *Collector
 }
 
 // Logger writes leveled structured events as JSON lines. Component
@@ -128,17 +124,6 @@ func NewLogger(w io.Writer, min Level) *Logger {
 	core := &loggerCore{w: w, min: min, sw: obs.StartStopwatch()}
 	core.clock = core.sw.Millis
 	return &Logger{core: core}
-}
-
-// SetClock replaces the event clock (tests pin TMS values with it). The
-// function must be safe for concurrent calls.
-func (l *Logger) SetClock(clock func() float64) {
-	if l == nil || l.core == nil || clock == nil {
-		return
-	}
-	l.core.mu.Lock()
-	defer l.core.mu.Unlock()
-	l.core.clock = clock
 }
 
 // AttachCollector routes events carrying a "domain" attribute into c's
@@ -160,16 +145,6 @@ func (l *Logger) Component(name string) *Logger {
 		return nil
 	}
 	return &Logger{core: l.core, component: name}
-}
-
-// Emitted returns the number of events written so far.
-func (l *Logger) Emitted() int64 {
-	if l == nil || l.core == nil {
-		return 0
-	}
-	l.core.mu.Lock()
-	defer l.core.mu.Unlock()
-	return l.core.emitted
 }
 
 // Event writes one structured event. name must be a constant
@@ -197,7 +172,6 @@ func (l *Logger) Event(level Level, name string, attrs ...Attr) {
 	}
 	if line != nil {
 		_, _ = core.w.Write(line)
-		core.emitted++
 	}
 	col := core.trace
 	core.mu.Unlock()

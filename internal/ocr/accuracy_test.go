@@ -2,11 +2,59 @@ package ocr
 
 import (
 	"sort"
+	"strings"
 	"testing"
 
 	"squatphi/internal/render"
 	"squatphi/internal/simrand"
 )
+
+// CharErrorRate returns the character error rate of a hypothesis against a
+// reference transcript: the Levenshtein distance divided by the reference
+// length (the standard OCR accuracy metric; the paper accepts Tesseract on
+// the strength of its reported <3% error rate).
+// Comparison is case-insensitive with whitespace runs collapsed.
+func CharErrorRate(reference, hypothesis string) float64 {
+	ref := strings.Join(strings.Fields(strings.ToUpper(reference)), " ")
+	hyp := strings.Join(strings.Fields(strings.ToUpper(hypothesis)), " ")
+	return errorRate([]byte(ref), []byte(hyp))
+}
+
+// WordErrorRate is the word-level analogue.
+func WordErrorRate(reference, hypothesis string) float64 {
+	return errorRate(strings.Fields(strings.ToUpper(reference)), strings.Fields(strings.ToUpper(hypothesis)))
+}
+
+func errorRate[T comparable](ref, hyp []T) float64 {
+	if len(ref) == 0 {
+		if len(hyp) == 0 {
+			return 0
+		}
+		return 1
+	}
+	return float64(editDistance(ref, hyp)) / float64(len(ref))
+}
+
+// editDistance is the Levenshtein distance between two sequences.
+func editDistance[T comparable](a, b []T) int {
+	prev := make([]int, len(b)+1)
+	cur := make([]int, len(b)+1)
+	for j := range prev {
+		prev[j] = j
+	}
+	for i := 1; i <= len(a); i++ {
+		cur[0] = i
+		for j := 1; j <= len(b); j++ {
+			cost := 1
+			if a[i-1] == b[j-1] {
+				cost = 0
+			}
+			cur[j] = min(cur[j-1]+1, prev[j]+1, prev[j-1]+cost)
+		}
+		prev, cur = cur, prev
+	}
+	return prev[len(b)]
+}
 
 func TestCharErrorRateBasics(t *testing.T) {
 	cases := []struct {

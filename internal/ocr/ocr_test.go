@@ -267,7 +267,7 @@ func TestSpellcheckMatchesLinearScan(t *testing.T) {
 		}
 		best, bestDist := w, maxDist+1
 		for _, cand := range dict {
-			if d := editDistance(w, cand); d < bestDist {
+			if d := editDistance([]byte(w), []byte(cand)); d < bestDist {
 				best, bestDist = cand, d
 			}
 		}

@@ -18,22 +18,3 @@ func (r *Raster) Image() *image.Gray {
 func (r *Raster) WritePNG(w io.Writer) error {
 	return png.Encode(w, r.Image())
 }
-
-// ReadPNG decodes a grayscale PNG back into a raster; colour images are
-// converted through the standard luminance weights.
-func ReadPNG(rd io.Reader) (*Raster, error) {
-	img, err := png.Decode(rd)
-	if err != nil {
-		return nil, err
-	}
-	b := img.Bounds()
-	out := NewRaster(b.Dx(), b.Dy())
-	for y := b.Min.Y; y < b.Max.Y; y++ {
-		for x := b.Min.X; x < b.Max.X; x++ {
-			r16, g16, b16, _ := img.At(x, y).RGBA()
-			lum := (299*r16 + 587*g16 + 114*b16) / 1000
-			out.Set(x-b.Min.X, y-b.Min.Y, uint8(lum>>8))
-		}
-	}
-	return out, nil
-}

@@ -53,9 +53,6 @@ func (r *Raster) Set(x, y int, v uint8) {
 	r.Pix[y*r.W+x] = v
 }
 
-// Dark reports whether the pixel at (x, y) is closer to ink than background.
-func (r *Raster) Dark(x, y int) bool { return r.At(x, y) < 128 }
-
 // FillRect paints a solid rectangle.
 func (r *Raster) FillRect(x, y, w, h int, v uint8) {
 	for yy := y; yy < y+h; yy++ {
@@ -77,12 +74,6 @@ func (r *Raster) StrokeRect(x, y, w, h int, v uint8) {
 	}
 }
 
-// Clone returns a deep copy.
-func (r *Raster) Clone() *Raster {
-	out := &Raster{W: r.W, H: r.H, Pix: append([]uint8(nil), r.Pix...)}
-	return out
-}
-
 // AddNoise flips each pixel to a random intensity with probability p,
 // reproducing sensor/compression noise so the OCR engine's error rate is
 // non-zero, like Tesseract's ~3% (paper §5.1).
@@ -101,19 +92,4 @@ func (r *Raster) AddNoise(rng *simrand.RNG, p float64) {
 			pix[i] = Background
 		}
 	})
-}
-
-// InkRatio returns the fraction of dark pixels, used by tests and by the
-// layout-obfuscation experiments as a cheap content measure.
-func (r *Raster) InkRatio() float64 {
-	dark := 0
-	for _, v := range r.Pix {
-		if v < 128 {
-			dark++
-		}
-	}
-	if len(r.Pix) == 0 {
-		return 0
-	}
-	return float64(dark) / float64(len(r.Pix))
 }

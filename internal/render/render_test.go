@@ -6,6 +6,28 @@ import (
 	"squatphi/internal/simrand"
 )
 
+// Dark reports whether the pixel at (x, y) is closer to ink than background.
+func (r *Raster) Dark(x, y int) bool { return r.At(x, y) < 128 }
+
+// Clone returns a deep copy.
+func (r *Raster) Clone() *Raster {
+	return &Raster{W: r.W, H: r.H, Pix: append([]uint8(nil), r.Pix...)}
+}
+
+// InkRatio returns the fraction of dark pixels.
+func (r *Raster) InkRatio() float64 {
+	if len(r.Pix) == 0 {
+		return 0
+	}
+	dark := 0
+	for _, v := range r.Pix {
+		if v < 128 {
+			dark++
+		}
+	}
+	return float64(dark) / float64(len(r.Pix))
+}
+
 func TestRasterBasics(t *testing.T) {
 	r := NewRaster(10, 5)
 	if r.At(3, 2) != Background {

@@ -14,7 +14,6 @@ package serve
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"squatphi/internal/dnsx"
@@ -131,12 +130,6 @@ func (c *Coordinator) hitOf(cand squat.Candidate) (hit, bool) {
 // candidate unpacks the hit a shard keeps for name d.
 func (c *Coordinator) candidate(d string, h hit) squat.Candidate {
 	return squat.Candidate{Domain: d, Type: squat.Type(h.typ), Brand: c.brands[h.brand]}
-}
-
-// ShardFor returns the shard a domain routes to: the repository-wide
-// convention, dnsx.ShardIndex over the normalised domain.
-func (c *Coordinator) ShardFor(domain string) int {
-	return dnsx.ShardIndex(dnsx.Normalize(domain), len(c.shards))
 }
 
 // Warm fills every shard from a store and its scan result (e.g.
@@ -270,21 +263,4 @@ func (c *Coordinator) Apply(domain string, ip [4]byte) Verdict {
 	v.Known, v.Epoch = warmed, epoch
 	c.updateUS.Observe(sw.Micros())
 	return v
-}
-
-// Candidates sweeps all shards and returns the warmed squatting
-// candidates sorted by domain — the same order core.ScanStore and
-// deltascan.Engine.Scan produce, so a sweep can be compared byte-for-byte
-// against a cold scan of the store.
-func (c *Coordinator) Candidates() []squat.Candidate {
-	var out []squat.Candidate
-	for _, sh := range c.shards {
-		sh.mu.RLock()
-		for d, h := range sh.cands {
-			out = append(out, c.candidate(d, h))
-		}
-		sh.mu.RUnlock()
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Domain < out[j].Domain })
-	return out
 }

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"sort"
 	"sync"
 	"testing"
 
@@ -14,6 +15,23 @@ import (
 	"squatphi/internal/obs"
 	"squatphi/internal/squat"
 )
+
+// Candidates sweeps all shards and returns the warmed squatting
+// candidates sorted by domain — the same order core.ScanStore and
+// deltascan.Engine.Scan produce, so a sweep can be compared byte-for-byte
+// against a cold scan of the store.
+func (c *Coordinator) Candidates() []squat.Candidate {
+	var out []squat.Candidate
+	for _, sh := range c.shards {
+		sh.mu.RLock()
+		for d, h := range sh.cands {
+			out = append(out, c.candidate(d, h))
+		}
+		sh.mu.RUnlock()
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Domain < out[j].Domain })
+	return out
+}
 
 // testWorld builds the standard fixture: a snapshot store with planted
 // squatting candidates, the matcher that finds them, and the cold-scan
@@ -54,8 +72,8 @@ func TestWarmLookup(t *testing.T) {
 		if !v.Known || !v.Matched {
 			t.Fatalf("Lookup(%s) = %+v, want known matched", cand.Domain, v)
 		}
-		if v.Shard != c.ShardFor(cand.Domain) {
-			t.Fatalf("Lookup(%s) routed to shard %d, ShardFor says %d", cand.Domain, v.Shard, v.Shard)
+		if want := dnsx.ShardIndex(dnsx.Normalize(cand.Domain), len(c.shards)); v.Shard != want {
+			t.Fatalf("Lookup(%s) routed to shard %d, want %d", cand.Domain, v.Shard, want)
 		}
 		if v.Type != cand.Type.String() || v.Brand != cand.Brand.Name {
 			t.Fatalf("Lookup(%s) = %+v, want type %s brand %s", cand.Domain, v, cand.Type, cand.Brand.Name)

@@ -142,20 +142,6 @@ func (s *Snapshot) NumShards() int { return len(s.segs) }
 // Sorted reports whether every segment is sorted by domain (FlagSorted).
 func (s *Snapshot) Sorted() bool { return s.flags&FlagSorted != 0 }
 
-// Checksum returns the stored checksum of one segment —
-// dnsx.Store.ShardChecksum over the segment's records.
-func (s *Snapshot) Checksum(shard int) uint64 { return s.segs[shard].checksum }
-
-// Checksums returns all segment checksums, index-compatible with
-// dnsx.Store.Checksums over the same records and shard count.
-func (s *Snapshot) Checksums() []uint64 {
-	out := make([]uint64, len(s.segs))
-	for i := range s.segs {
-		out[i] = s.segs[i].checksum
-	}
-	return out
-}
-
 // VisitShard calls fn for every record of one segment, in segment order,
 // stopping early if fn returns false. The domain slice aliases the file
 // mapping: it is valid only for the duration of the call and must not be
@@ -281,8 +267,8 @@ func (s *Snapshot) VerifyShard(shard int) error {
 
 // ReadStore rebuilds a dnsx.Store from a sorted snapshot, inserting
 // records in globally domain-sorted order via a k-way merge over the
-// segments — exactly the insertion order of the text round trip
-// (dnsx.ReadSnapshot of Store.WriteSnapshot). Unsorted snapshots are
+// segments — exactly the insertion order dnsx.ReadSnapshot gives a
+// domain-sorted text snapshot. Unsorted snapshots are
 // scan-only and error here.
 func (s *Snapshot) ReadStore() (*dnsx.Store, error) {
 	if !s.Sorted() {

@@ -3,7 +3,7 @@
 // scanned in place at paper scale (224.8M records) without parsing a
 // single line of text.
 //
-// The text snapshot (dnsx.WriteSnapshot, "domain,ip" lines) is the
+// The text snapshot (dnsx.ReadSnapshot's "domain,ip" lines) is the
 // interchange format; this package is the scan format. Cold start on a
 // text snapshot is a full parse — every domain re-allocated, every IP
 // re-parsed. Cold start here is a file map: the scanner walks domain

@@ -9,8 +9,8 @@ import (
 )
 
 // Writer accumulates records into per-shard columns and serialises them
-// as one snapfmt file. It is the streaming successor of
-// dnsx.Store.WriteSnapshot for scan-scale data: records are bucketed by
+// as one snapfmt file. It is the streaming, binary successor of the
+// "domain,ip" text snapshot for scan-scale data: records are bucketed by
 // the store-compatible shard hash as they arrive, held as flat columns
 // (no per-record boxing), and flushed sequentially.
 //
@@ -51,9 +51,6 @@ func (w *Writer) Add(domain string, ip [4]byte) {
 	sh.csum += dnsx.RecordHash(domain, ip)
 	w.n++
 }
-
-// Len returns the number of records added so far.
-func (w *Writer) Len() uint64 { return w.n }
 
 // MarkSorted declares that records were added in an order that leaves
 // every segment sorted by domain, setting FlagSorted on the output.
@@ -151,12 +148,11 @@ func (w *Writer) segmentSize(i int) uint64 {
 	return uint64(len(sh.offs)+1)*4 + uint64(len(sh.ips)) + uint64(len(sh.arena))
 }
 
-// WriteStore serialises a dnsx.Store in the snapfmt layout, the binary
-// successor of Store.WriteSnapshot. Each store shard becomes one segment,
-// sorted by domain and carrying the store's shard checksum, so
-// ReadStore(Open(file)) rebuilds a store with exactly the iteration order
-// of the text round trip (ReadSnapshot of WriteSnapshot: global
-// insertion order = sorted by domain).
+// WriteStore serialises a dnsx.Store in the snapfmt layout. Each store
+// shard becomes one segment, sorted by domain and carrying the store's
+// shard checksum, so ReadStore(Open(file)) rebuilds a store with exactly
+// the iteration order dnsx.ReadSnapshot gives a domain-sorted text
+// snapshot (global insertion order = sorted by domain).
 func WriteStore(dst io.Writer, s *dnsx.Store) (int64, error) {
 	w := NewWriter(s.NumShards())
 	w.MarkSorted()

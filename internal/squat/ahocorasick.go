@@ -63,20 +63,6 @@ func (ac *ahoCorasick) build() {
 	}
 }
 
-// match invokes fn for each (patternIndex, endOffset) occurrence in text.
-// Returning false from fn stops the scan early.
-func (ac *ahoCorasick) match(text string, fn func(pat int32, end int) bool) {
-	s := int32(0)
-	for i := 0; i < len(text); i++ {
-		s = ac.next[s][text[i]]
-		for _, pi := range ac.output[s] {
-			if !fn(pi, i+1) {
-				return
-			}
-		}
-	}
-}
-
 // bestMatch returns the index of the preferred pattern occurring in text:
 // scanning occurrence by occurrence, a pattern replaces the current best
 // only when strictly longer, so the result is the first-seen longest

@@ -31,7 +31,8 @@ func TestGateAtScale(t *testing.T) {
 
 	labels, admitted := 0, 0
 	dnsx.StreamSnapshot(dnsx.SnapshotSpec{NoiseRecords: 1_000_000, Seed: 1}, func(domain string, _ [4]byte) bool {
-		label, _ := splitETLDBytes([]byte(domain))
+		d1, d2 := lastTwoDots([]byte(domain))
+		label, _ := splitETLDAt([]byte(domain), d1, d2)
 		if _, isKey := indexGet(x, label); !isKey {
 			labels++
 			if m.mayHold(labelHash(label)) {

@@ -497,13 +497,6 @@ func splitETLDAt(norm []byte, d1, d2 int) (label, tld []byte) {
 	return norm[d2+1 : d1], norm[d1+1:]
 }
 
-// splitETLDBytes is splitETLDAt with the dot positions computed here —
-// the entry for callers without a prescan in hand.
-func splitETLDBytes(norm []byte) (label, tld []byte) {
-	d1, d2 := lastTwoDots(norm)
-	return splitETLDAt(norm, d1, d2)
-}
-
 // isACELabel reports whether a normalized label carries the IDN "xn--"
 // ACE prefix.
 //

@@ -8,6 +8,20 @@ import (
 	"squatphi/internal/simrand"
 )
 
+// match invokes fn for each (patternIndex, endOffset) occurrence in text.
+// Returning false from fn stops the scan early.
+func (ac *ahoCorasick) match(text string, fn func(pat int32, end int) bool) {
+	s := int32(0)
+	for i := 0; i < len(text); i++ {
+		s = ac.next[s][text[i]]
+		for _, pi := range ac.output[s] {
+			if !fn(pi, i+1) {
+				return
+			}
+		}
+	}
+}
+
 var testBrands = []Brand{
 	NewBrand("facebook.com"),
 	NewBrand("google.com"),

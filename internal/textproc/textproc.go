@@ -32,9 +32,6 @@ func init() {
 	}
 }
 
-// IsStopword reports whether w (already lower case) is a stopword.
-func IsStopword(w string) bool { return stopwords[w] }
-
 // Tokenize splits free text into lower-cased word tokens: runs of letters
 // and digits, dropping single characters and stopwords.
 func Tokenize(s string) []string {
@@ -119,12 +116,6 @@ func (v *Vocabulary) Size() int { return len(v.words) }
 
 // Words returns the keywords in index order. Callers must not modify it.
 func (v *Vocabulary) Words() []string { return v.words }
-
-// Index returns the feature index of a word.
-func (v *Vocabulary) Index(w string) (int, bool) {
-	i, ok := v.index[strings.ToLower(w)]
-	return i, ok
-}
 
 // Embed converts token lists plus numeric extras into a dense feature
 // vector: keyword frequencies first, then the extras appended. The layout

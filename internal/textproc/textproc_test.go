@@ -42,7 +42,7 @@ func TestTokenizeEmpty(t *testing.T) {
 func TestTokenizeNoStopwordsProperty(t *testing.T) {
 	if err := quick.Check(func(s string) bool {
 		for _, tok := range Tokenize(s) {
-			if IsStopword(tok) || len(tok) < 2 {
+			if stopwords[tok] || len(tok) < 2 {
 				return false
 			}
 		}
@@ -63,7 +63,7 @@ func TestBuildVocabularyOrderAndMinCount(t *testing.T) {
 	if !reflect.DeepEqual(v.Words(), want) {
 		t.Fatalf("Words = %v, want %v", v.Words(), want)
 	}
-	if _, ok := v.Index("rare"); ok {
+	if _, ok := v.index["rare"]; ok {
 		t.Fatal("below-threshold token kept")
 	}
 }
@@ -90,11 +90,11 @@ func TestEmbed(t *testing.T) {
 	if len(vec) != v.Size()+2 {
 		t.Fatalf("vector length = %d", len(vec))
 	}
-	pi, _ := v.Index("password")
+	pi := v.index["password"]
 	if vec[pi] != 2 {
 		t.Fatalf("password count = %f", vec[pi])
 	}
-	li, _ := v.Index("login")
+	li := v.index["login"]
 	if vec[li] != 0 {
 		t.Fatalf("login count = %f", vec[li])
 	}
@@ -105,8 +105,8 @@ func TestEmbed(t *testing.T) {
 
 func TestEmbedCaseFoldOnIndexOnly(t *testing.T) {
 	v := BuildVocabulary(nil, 1, []string{"Brand"})
-	if i, ok := v.Index("BRAND"); !ok || i != 0 {
-		t.Fatal("Index not case-insensitive")
+	if i, ok := v.index["brand"]; !ok || i != 0 {
+		t.Fatal("mustInclude word not folded to lower case")
 	}
 }
 

@@ -191,13 +191,6 @@ func (c *Client) init() {
 	})
 }
 
-// Retrier returns the client's shared retry/breaker state, built lazily
-// from Policy (tests use it to assert breaker transitions).
-func (c *Client) Retrier() *retry.Retrier {
-	c.init()
-	return c.rt
-}
-
 func (c *Client) timeout() time.Duration {
 	if c.Timeout <= 0 {
 		return 5 * time.Second
@@ -276,11 +269,4 @@ func (c *Client) lookupOnce(addr, domain string) (Record, error) {
 		return Record{}, ErrNoMatch
 	}
 	return Parse(text)
-}
-
-// Lookup queries a whois server for one domain with default client
-// settings (5s attempt deadline, one retry, no budget or breaker).
-func Lookup(addr, domain string) (Record, error) {
-	var c Client
-	return c.Lookup(context.Background(), addr, domain)
 }
