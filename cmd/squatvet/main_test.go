@@ -55,11 +55,11 @@ func TestAnalyzerSubsetStalenessScoped(t *testing.T) {
 	}
 }
 
-// TestBrokenPackageExits2: a package that fails to type-check ends the
-// run with exit 2 and an error naming it, whatever analyzers were asked
-// for.
-func TestBrokenPackageExits2(t *testing.T) {
-	for _, names := range []string{"", "determinism", "hotpath"} {
+// assertBrokenExits2 runs each analyzer set over the broken fixture
+// package and wants exit 2 with an error naming the package.
+func assertBrokenExits2(t *testing.T, sets ...string) {
+	t.Helper()
+	for _, names := range sets {
 		code, _, stderr := runCapture(t, "-baseline", "", "-analyzers", names,
 			filepath.Join("..", "..", "internal", "analysis", "testdata", "analysis", "broken", "brokenpkg"))
 		if code != 2 {
@@ -69,6 +69,19 @@ func TestBrokenPackageExits2(t *testing.T) {
 			t.Errorf("-analyzers %q: error does not name the package:\n%s", names, stderr)
 		}
 	}
+}
+
+// TestBrokenPackageExits2: a package that fails to type-check ends the
+// run with exit 2 and an error naming it, with every analyzer or only
+// intraprocedural ones.
+func TestBrokenPackageExits2(t *testing.T) {
+	assertBrokenExits2(t, "", "determinism")
+}
+
+// TestBrokenPackageWithOnlyCallGraphAnalyzers: a run asking only for the
+// call-graph analyzers must not go green on a broken package either.
+func TestBrokenPackageWithOnlyCallGraphAnalyzers(t *testing.T) {
+	assertBrokenExits2(t, "hotpath", "hotpath,lifecycleleak")
 }
 
 // TestWriteBaselineRoundTrip: -write-baseline records every current

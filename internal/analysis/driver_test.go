@@ -167,8 +167,10 @@ func TestLockCheckFixture(t *testing.T) {
 		"by-value parameter type carries sync.Mutex; a lock must not be copied, pass a pointer")
 }
 
-func TestHotPathFixture(t *testing.T) {
-	diags := runFixture(t, HotPath, "hotroot", "hotpath")
+// TestHotAllocFixture: hotpath checks the allocation patterns in a
+// //squat:hot root's own body, not only in the callees it reaches.
+func TestHotAllocFixture(t *testing.T) {
+	diags := runFixture(t, HotPath, "hotpath")
 	// The root's own body: every allocating form except the map-index
 	// and comparison conversions.
 	assertPosition(t, diags, "internal/analysis/testdata/analysis/src/hotpath/hotpath.go:25:9",
@@ -181,6 +183,10 @@ func TestHotPathFixture(t *testing.T) {
 		"strings.Split in //squat:hot root hotpath.classify, allocates its result; use the append-style byte helpers")
 	assertPosition(t, diags, "internal/analysis/testdata/analysis/src/hotpath/hotpath.go:29:9",
 		"strings.ToLower in //squat:hot root hotpath.classify, allocates its result; use the append-style byte helpers")
+}
+
+func TestHotPathFixture(t *testing.T) {
+	diags := runFixture(t, HotPath, "hotroot", "hotpath")
 	// The allocating helper sits two frames below the //squat:hot root
 	// (scan → helperA → helperB), where the root's body is clean.
 	assertPosition(t, diags, "internal/analysis/testdata/analysis/src/hotroot/hotroot.go:38:6",

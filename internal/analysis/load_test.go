@@ -3,6 +3,7 @@ package analysis
 import (
 	"go/build"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -38,6 +39,25 @@ func TestLoadBuildConstraints(t *testing.T) {
 	}
 	if scope.Lookup("OnWindows") != nil {
 		t.Error("ok_windows.go was loaded despite its GOOS suffix")
+	}
+}
+
+// TestLoadBrokenFails: a package that fails to type-check fails the whole
+// load, and the error names that package rather than a healthy one loaded
+// beside it.
+func TestLoadBrokenFails(t *testing.T) {
+	l, err := sharedLoader()
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = l.Load(
+		filepath.Join("testdata", "analysis", "broken")+"/...",
+		filepath.Join("testdata", "analysis", "src", "constrained"))
+	if err == nil {
+		t.Fatal("Load must fail on a broken package")
+	}
+	if msg := err.Error(); !strings.Contains(msg, "brokenpkg") || !strings.Contains(msg, "type-check") {
+		t.Errorf("Load error %q does not name brokenpkg as failing to type-check", msg)
 	}
 }
 
