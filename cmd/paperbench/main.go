@@ -18,7 +18,6 @@ import (
 	"squatphi/internal/experiments"
 	"squatphi/internal/obs"
 	"squatphi/internal/report"
-	"squatphi/internal/retry"
 	"squatphi/internal/webworld"
 )
 
@@ -46,16 +45,12 @@ func main() {
 	only := flag.String("only", "", "run a single experiment by id (e.g. \"Table 7\")")
 	shots := flag.String("shots", "", "write case-study screenshot PNGs (Figure 14) to this directory")
 	jsonOut := flag.String("json", "", "additionally write artifacts as JSON lines to this file")
-	crawlRetries := flag.Int("crawl-retries", 0, "crawler retries per fetch (negative disables, 0 = default 1)")
-	pol := retry.RegisterFlags(nil) // -retry-* and -breaker-*
 	flag.Parse()
 
 	env, err := experiments.NewEnv(core.Config{
 		World:           webworld.Config{SquattingDomains: *domains, NonSquattingPhish: *phish, Seed: *seed},
 		DNSNoiseRecords: *noise,
 		ForestTrees:     *trees,
-		CrawlRetries:    *crawlRetries,
-		Retry:           *pol,
 		Seed:            *seed,
 	})
 	if err != nil {

@@ -35,7 +35,6 @@ import (
 	"squatphi/internal/features"
 	"squatphi/internal/fsx"
 	"squatphi/internal/obs"
-	"squatphi/internal/retry"
 	"squatphi/internal/serve"
 	"squatphi/internal/simrand"
 	"squatphi/internal/squat"
@@ -61,9 +60,6 @@ func main() {
 	newPerRound := flag.Int("new", 400, "world registrations arriving per round (plus 50% random-noise names)")
 	debugAddr := flag.String("debug-addr", "", "serve /metrics, /spans and pprof on this address (e.g. :6060)")
 	metricsPath := flag.String("metrics", "", "write the final metrics snapshot to this file (default <report>.metrics.json when -report is set)")
-	crawlRetries := flag.Int("crawl-retries", 0, "crawler retries per fetch (negative disables, 0 = default 1)")
-	probeRetries := flag.Int("probe-retries", 0, "DNS probe re-sends per domain (negative disables, 0 = default 2)")
-	pol := retry.RegisterFlags(nil) // -retry-* and -breaker-* (shared by crawler + prober)
 	flag.Parse()
 
 	reg := obs.NewRegistry()
@@ -71,8 +67,6 @@ func main() {
 		World:           webworld.Config{SquattingDomains: 3000, NonSquattingPhish: 300, Seed: 7},
 		DNSNoiseRecords: 8000,
 		ForestTrees:     25,
-		CrawlRetries:    *crawlRetries,
-		Retry:           *pol,
 		Seed:            99,
 		Metrics:         reg,
 	})
@@ -129,12 +123,12 @@ func main() {
 		log.Fatal(err)
 	}
 	defer srv.Close()
-	prober := &dnsx.Prober{Addr: srv.Addr(), Retries: *probeRetries, Policy: *pol, Metrics: reg}
+	prober := &dnsx.Prober{Addr: srv.Addr(), Metrics: reg}
 
 	worldDomains := p.World.DNSDomains()
 	rng := simrand.New(1)
 	cursor := 0
-	c := &crawler.Crawler{Client: p.Server.Client(), Workers: 16, Retries: *crawlRetries, Policy: *pol, Metrics: reg}
+	c := &crawler.Crawler{Client: p.Server.Client(), Workers: 16, Metrics: reg}
 
 	mRounds := reg.Counter("squatmond.rounds")
 	mNew := reg.Counter("squatmond.new_registrations")

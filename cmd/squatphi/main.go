@@ -34,7 +34,6 @@ import (
 	"squatphi/internal/obs"
 	"squatphi/internal/obs/trace"
 	"squatphi/internal/report"
-	"squatphi/internal/retry"
 	"squatphi/internal/serve"
 	"squatphi/internal/squat"
 	"squatphi/internal/webworld"
@@ -49,7 +48,6 @@ func main() {
 	trees := flag.Int("trees", 40, "random forest size")
 	noise := flag.Int("dnsnoise", 30000, "background DNS records")
 	debugAddr := flag.String("debug-addr", "", "serve /metrics, /spans and pprof on this address (e.g. :6060)")
-	crawlRetries := flag.Int("crawl-retries", 0, "crawler retries per fetch (negative disables, 0 = default 1)")
 	explain := flag.String("explain", "", "comma-separated domains to explain after detection (verdict provenance, human-readable)")
 	traceOut := flag.String("trace-out", "", "write the provenance trace store (gzip+JSONL, readable with squatexplain) to this file")
 	eventsOut := flag.String("events", "", "write the structured JSONL event log to this file (- for stderr)")
@@ -59,7 +57,6 @@ func main() {
 	domlmSave := flag.String("domlm-save", "", "write the trained brand-language model (versioned binary, self-fingerprinting) to this file")
 	domlmLoad := flag.String("domlm-load", "", "score a few sample domains with a saved model and exit (decode smoke check)")
 	genSquats := flag.Int("gen-squats", 0, "plant this many machine-generated squats that defeat the five rule types (requires -domlm to detect them)")
-	pol := retry.RegisterFlags(nil) // -retry-* and -breaker-*
 	flag.Parse()
 
 	if *domlmLoad != "" {
@@ -75,8 +72,6 @@ func main() {
 		DomLM:            *useDomLM,
 		DomLMThreshold:   *domlmThreshold,
 		ForestTrees:      *trees,
-		CrawlRetries:     *crawlRetries,
-		Retry:            *pol,
 		TraceSampleEvery: *traceSample,
 		Seed:             *seed ^ 0x53517561, // decouple pipeline seed from world seed
 	}

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"reflect"
 	"sort"
 	"testing"
 
@@ -16,7 +15,6 @@ import (
 	"squatphi/internal/dnsx"
 	"squatphi/internal/features"
 	"squatphi/internal/obs/trace"
-	"squatphi/internal/retry"
 	"squatphi/internal/squat"
 	"squatphi/internal/webworld"
 )
@@ -69,8 +67,9 @@ type goldenProvenance struct {
 	Rendered string        `json:"rendered"`
 }
 
-// goldenConfig is the tiny fixed world every variant runs against. Backoff
-// is disabled so no wall-clock timing can reach the captures. DomLM is on,
+// goldenConfig is the tiny fixed world every variant runs against. Its
+// crawl sees no transport error, so no retry backoff or timeout can reach
+// the captures (runGoldenPipeline asserts it). DomLM is on,
 // with generated squats planted and brand-noise hard negatives in the
 // snapshot, so every variant proves the language-model score path is
 // byte-identical at every scan worker count too.
@@ -83,7 +82,6 @@ func goldenConfig(scanWorkers int) core.Config {
 		ForestTrees:     10,
 		ScanWorkers:     scanWorkers,
 		ScoreWorkers:    1,
-		Retry:           retry.Policy{BaseDelay: -1},
 		Seed:            12,
 	}
 }
@@ -116,8 +114,7 @@ func runGoldenPipeline(t *testing.T, cfg core.Config, delta bool) (goldenReport,
 
 	// Provenance golden: the first confirmed (fallback: first) flagged web
 	// domain's evidence record, read back from the always-on store that
-	// DetectInWild fills. Captured before the re-scan below bumps the engine
-	// epoch.
+	// DetectInWild fills.
 	var prov goldenProvenance
 	if len(det.FlaggedWeb) > 0 {
 		f := det.FlaggedWeb[0]
@@ -134,13 +131,14 @@ func runGoldenPipeline(t *testing.T, cfg core.Config, delta bool) (goldenReport,
 		prov = goldenProvenance{Domain: f.Domain, Record: rec, Rendered: rec.Render()}
 	}
 
-	// Re-scanning the unchanged snapshot must reuse every shard and
-	// reproduce the candidate list exactly (the warm delta path).
-	if again := p.RescanDNS(); !reflect.DeepEqual(again, cands) {
-		t.Fatalf("warm re-scan diverged: %d vs %d candidates", len(again), len(cands))
-	}
-	if st := p.DeltaEngine().LastStats(); st.ShardsRescanned != 0 || st.RecordsWalked != 0 {
-		t.Fatalf("re-scan of unchanged snapshot did real work: %+v", st)
+	// The crawl must not have retried or timed out anywhere: a retry's
+	// wall-clock backoff or a timeout would make the captures depend on
+	// the machine.
+	counters := p.Obs.Snapshot().Counters
+	for _, name := range []string{"crawler.fetch.retries", "crawler.fetch.timeouts"} {
+		if n := counters[name]; n != 0 {
+			t.Fatalf("%s = %d, want 0", name, n)
+		}
 	}
 
 	if !delta {

@@ -70,9 +70,11 @@ type Loader struct {
 // so a *types.Func seen at a call site in squat is pointer-identical to
 // the one defined in obs and cross-package edges resolve — and each
 // module package is type-checked exactly once instead of once per
-// importer.
+// importer. Two loaders may share imp, its lock and the file set it
+// records positions in, each keeping its own checked packages, so the
+// standard library is type-checked once for both.
 type lockedImporter struct {
-	mu      sync.Mutex
+	mu      *sync.Mutex
 	imp     types.Importer
 	checked map[string]*types.Package
 }
@@ -117,6 +119,7 @@ func NewLoader(root string) (*Loader, error) {
 		Tests:  true,
 		fset:   fset,
 		imp: &lockedImporter{
+			mu:      new(sync.Mutex),
 			imp:     importer.ForCompiler(fset, "source", nil),
 			checked: map[string]*types.Package{},
 		},

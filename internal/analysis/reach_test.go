@@ -18,12 +18,9 @@ import (
 var reachKeep = map[string]string{
 	"core.(*Pipeline).Reinforce":       "retraining on confirmed detections, a §7 extension EXPERIMENTS.md cites",
 	"core.(*Pipeline).ReportConfirmed": "reporting confirmed phish to the blacklists, a §7 extension EXPERIMENTS.md cites",
-	"core.(*Pipeline).RescanDNS":       "the golden pipeline test's warm re-scan of the pipeline's own engine",
-	"core.(*Pipeline).DeltaEngine":     "the golden pipeline test reads the warm re-scan's stats through it",
 	"faultx.NewTransport":              "HTTP fault injector the crawler chaos suite drives",
 	"faultx.WrapConn":                  "UDP fault injector the dnsx chaos suite drives",
 	"faultx.Faults.HTTPFault":          "replay oracle the crawler chaos suite computes expected counters from",
-	"retry.(*Retrier).State":           "breaker state the retry tests and the crawler/dnsx/whois chaos suites assert",
 	"features.NewExtractor":            "serial reference TestFitMatchesNewExtractor compares Fit against",
 	"imghash.Average":                  "aHash, compared against pHash by BenchmarkAblationImageHash (DESIGN §4)",
 	"imghash.Difference":               "dHash, compared against pHash by BenchmarkAblationImageHash (DESIGN §4)",
@@ -31,18 +28,26 @@ var reachKeep = map[string]string{
 }
 
 // programLoader loads packages without their _test.go files: a function
-// only tests call is dead program code.
+// only tests call is dead program code. It shares sharedLoader's file set
+// and standard-library importer (lock included: the source importer is
+// not safe for concurrent use), so the standard library is type-checked
+// once per test binary, but checks its own module packages: a test-free
+// load must not see in-package test declarations.
 var programLoader = sync.OnceValues(func() (*Loader, error) {
-	root, err := FindModuleRoot(".")
+	shared, err := sharedLoader()
 	if err != nil {
 		return nil, err
 	}
-	l, err := NewLoader(root)
-	if err != nil {
-		return nil, err
-	}
-	l.Tests = false
-	return l, nil
+	return &Loader{
+		Root:   shared.Root,
+		Module: shared.Module,
+		fset:   shared.fset,
+		imp: &lockedImporter{
+			mu:      shared.imp.mu,
+			imp:     shared.imp.imp,
+			checked: map[string]*types.Package{},
+		},
+	}, nil
 })
 
 // unreachable loads patterns without tests, builds the call graph and

@@ -6,7 +6,7 @@ import (
 
 // transportAllowed are the packages that form the transport seam: dnsx
 // owns the DNS sockets, faultx wraps conns and round-trippers with
-// seeded fault injection, retry owns backoff/breaker policy. Only they
+// seeded fault injection, retry owns the backoff policy. Only they
 // may touch raw dial primitives; every other component must route
 // through their wrappers so chaos harnesses can interpose in one place.
 var transportAllowed = []string{"dnsx", "faultx", "retry"}
@@ -43,7 +43,7 @@ var httpListenerNames = map[string]bool{
 }
 
 // httpDirectNames are the net/http conveniences that bypass an injected
-// client (and with it fault wrapping, retry accounting and breakers).
+// client (and with it fault wrapping and retry accounting).
 var httpDirectNames = map[string]bool{
 	"Get": true, "Post": true, "PostForm": true, "Head": true,
 	"DefaultClient": true,

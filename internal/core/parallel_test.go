@@ -186,7 +186,9 @@ func TestScanSnapshotCorruptSegment(t *testing.T) {
 
 // TestScanDNSMatchesSerialReference checks the pipeline-level wiring: the
 // engine-backed ScanDNS returns exactly the serial reference over the
-// pipeline's own snapshot, at one and at many scan workers.
+// pipeline's own snapshot, at one and at many scan workers. Re-scanning
+// the unchanged snapshot through the pipeline's engine (the warm delta
+// path) must reuse every shard and reproduce the candidate list exactly.
 func TestScanDNSMatchesSerialReference(t *testing.T) {
 	cfg := Config{
 		World:           webworld.Config{SquattingDomains: 600, NonSquattingPhish: 100, Seed: 21},
@@ -202,12 +204,20 @@ func TestScanDNSMatchesSerialReference(t *testing.T) {
 		}
 		got := p.ScanDNS()
 		want := serialScan(p.DNSSnapshot(), p.Matcher)
+		again := p.delta.Scan(p.DNSSnapshot(), p.Matcher, p.scanWorkers())
+		st := p.delta.LastStats()
 		p.Close()
 		if len(want) == 0 {
 			t.Fatal("reference scan found no candidates")
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("workers=%d: ScanDNS differs from the serial reference: %d vs %d candidates", workers, len(got), len(want))
+		}
+		if !reflect.DeepEqual(again, got) {
+			t.Fatalf("workers=%d: warm re-scan diverged: %d vs %d candidates", workers, len(again), len(got))
+		}
+		if st.ShardsRescanned != 0 || st.RecordsWalked != 0 {
+			t.Fatalf("workers=%d: re-scan of unchanged snapshot did real work: %+v", workers, st)
 		}
 	}
 }

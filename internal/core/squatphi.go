@@ -27,7 +27,6 @@ import (
 	"squatphi/internal/obs/trace"
 	"squatphi/internal/phishtank"
 	"squatphi/internal/render"
-	"squatphi/internal/retry"
 	"squatphi/internal/snapfmt"
 	"squatphi/internal/squat"
 	"squatphi/internal/webworld"
@@ -71,13 +70,6 @@ type Config struct {
 	// benign registrations scored just below the promotion threshold,
 	// pressuring the precision of generated-squat detection. 0 = none.
 	DNSBrandNoise int
-	// CrawlRetries is the crawler's retry count (repository retry
-	// convention: negative disables, 0 selects the default of 1).
-	CrawlRetries int
-	// Retry is the shared retry/backoff/circuit-breaker policy handed to
-	// the network components the pipeline owns (currently the crawler).
-	// The zero value keeps budget and breaker disabled.
-	Retry retry.Policy
 	// Seed drives feed generation and training randomness.
 	Seed uint64
 	// Metrics, when set, is the registry every pipeline component reports
@@ -125,8 +117,7 @@ type Pipeline struct {
 
 	crawlerByProfile *crawler.Crawler
 
-	// delta is the persistent delta-scan engine every ScanDNS goes
-	// through; RescanDNS feeds it fresh snapshot epochs.
+	// delta is the delta-scan engine ScanDNS goes through.
 	delta *deltascan.Engine
 
 	// Caches.
@@ -187,8 +178,6 @@ func New(cfg Config) (*Pipeline, error) {
 	p.crawlerByProfile = &crawler.Crawler{
 		Client:  server.Client(),
 		Workers: cfg.CrawlWorkers,
-		Retries: cfg.CrawlRetries,
-		Policy:  cfg.Retry,
 		Metrics: reg,
 		Events:  cfg.Events.Component("crawler"),
 	}
@@ -313,10 +302,8 @@ func ScanSnapshot(snap *snapfmt.Snapshot, m *squat.Matcher, workers int, reg *ob
 // ScanDNS runs the squatting matcher over the whole snapshot and returns
 // the candidate squatting domains (paper §3.1; Figure 2). The scan goes
 // through the pipeline's delta-scan engine on Config.ScanWorkers
-// goroutines: the first call is a full scan that warms the engine, and
-// later epochs (RescanDNS after the snapshot evolved) re-match only the
-// names the snapshot checksums show are new. The result is identical to
-// a full scan at every worker count.
+// goroutines; the result is cached, and identical to a full scan at
+// every worker count.
 func (p *Pipeline) ScanDNS() []squat.Candidate {
 	if p.candidates == nil {
 		snapshot := p.DNSSnapshot() // built under its own stage span
@@ -336,19 +323,6 @@ func (p *Pipeline) ScanDNS() []squat.Candidate {
 	}
 	return p.candidates
 }
-
-// RescanDNS invalidates the cached candidate set and re-runs ScanDNS —
-// the per-epoch entry point for longitudinal callers that mutated the
-// snapshot (new registrations, re-pointed records); the engine makes the
-// re-scan a delta pass.
-func (p *Pipeline) RescanDNS() []squat.Candidate {
-	p.candidates = nil
-	return p.ScanDNS()
-}
-
-// DeltaEngine exposes the pipeline's delta-scan engine, for callers that
-// want per-epoch Stats.
-func (p *Pipeline) DeltaEngine() *deltascan.Engine { return p.delta }
 
 // LMScore returns the brand-language-model score of a domain's
 // registrable label in [0, 1], or 0 when Config.DomLM is off. It is the
@@ -374,7 +348,7 @@ func (p *Pipeline) CandidateDomains() []string {
 
 // Degraded records substrate-failure thinning for one stage: failed items
 // out of total produced no usable output because the network layer gave
-// nothing back after retries (or the circuit breaker fast-failed them).
+// nothing back after retries.
 // The counter core.degraded.<stage> and the fraction gauge make partial
 // output visible in every metrics snapshot instead of the stage silently
 // shrinking; downstream stages keep working on what survived.
@@ -387,7 +361,7 @@ func (p *Pipeline) Degraded(stage string, failed, total int) {
 }
 
 // transportDead reports whether a capture got no HTTP answer at all —
-// the substrate failed (timeouts, resets, open breaker), as opposed to a
+// the substrate failed (timeouts, resets), as opposed to a
 // server that answered with an error status.
 func transportDead(c crawler.Capture) bool { return !c.Live && c.StatusCode == 0 }
 

@@ -55,8 +55,7 @@ type chaosCounts struct {
 }
 
 // simulateCrawl is the oracle: it replays the fault plan through the
-// same decision structure as CaptureProfile/fetchPage (budget and
-// breaker disabled) and returns the exact counters the real crawl must
+// same decision structure as CaptureProfile/fetchPage and returns the exact counters the real crawl must
 // produce.
 func simulateCrawl(f faultx.Faults, domains []string, retries int) chaosCounts {
 	var o chaosCounts
@@ -160,73 +159,6 @@ func TestChaosCrawlExactCountersAnyWorkerCount(t *testing.T) {
 	}
 }
 
-// TestChaosBreakerOpensAndFastFails starves one host completely and
-// asserts the crawler's circuit breaker opens at the threshold and
-// fast-fails the remaining work.
-func TestChaosBreakerOpensAndFastFails(t *testing.T) {
-	origin := chaosOrigin(t)
-	reg := obs.NewRegistry()
-	c := &Crawler{
-		Client:  chaosClient(origin, faultx.Faults{Seed: 5, DropProb: 1}, reg),
-		Workers: 1,
-		Retries: 1,
-		Policy: retry.Policy{
-			BaseDelay:        -1,
-			BreakerThreshold: 3,
-			BreakerCooldown:  time.Hour,
-		},
-		SkipRender: true,
-		Metrics:    reg,
-	}
-	// Web profile burns attempts 1-2, mobile's first attempt is failure 3:
-	// the circuit opens and the mobile retry is rejected without a fetch.
-	if _, err := c.Crawl(context.Background(), []string{"dead.chaos.test"}, nil); err != nil {
-		t.Fatal(err)
-	}
-	if st := c.Retrier().State("dead.chaos.test"); st != retry.Open {
-		t.Fatalf("breaker state = %v, want open", st)
-	}
-	s := reg.Snapshot().Counters
-	if s["crawler.breaker.opens"] != 1 {
-		t.Errorf("opens = %d, want 1", s["crawler.breaker.opens"])
-	}
-	if s["crawler.breaker.rejected"] < 1 {
-		t.Errorf("rejected = %d, want >= 1", s["crawler.breaker.rejected"])
-	}
-	if s["faultx.http.drop"] != 3 {
-		t.Errorf("attempts reaching the transport = %d, want 3 (threshold)", s["faultx.http.drop"])
-	}
-}
-
-// TestChaosHostRetryBudget bounds the total retries one host may consume.
-func TestChaosHostRetryBudget(t *testing.T) {
-	origin := chaosOrigin(t)
-	reg := obs.NewRegistry()
-	c := &Crawler{
-		Client:     chaosClient(origin, faultx.Faults{Seed: 5, DropProb: 1}, reg),
-		Workers:    1,
-		Retries:    10,
-		Policy:     retry.Policy{BaseDelay: -1, HostBudget: 3},
-		SkipRender: true,
-		Metrics:    reg,
-	}
-	if _, err := c.Crawl(context.Background(), []string{"dead.chaos.test"}, nil); err != nil {
-		t.Fatal(err)
-	}
-	s := reg.Snapshot().Counters
-	if s["crawler.fetch.retries"] != 3 {
-		t.Errorf("retries = %d, want 3 (budget)", s["crawler.fetch.retries"])
-	}
-	if s["crawler.retry.budget_exhausted"] < 1 {
-		t.Errorf("budget_exhausted = %d, want >= 1", s["crawler.retry.budget_exhausted"])
-	}
-	// 2 page fetches: first spends 1+3 attempts draining the budget, the
-	// second gets its initial attempt plus no retries.
-	if s["faultx.http.drop"] != 5 {
-		t.Errorf("transport attempts = %d, want 5", s["faultx.http.drop"])
-	}
-}
-
 // TestAssetFetchKeepsSchemePortAndRetryPath is the regression test for
 // the hardcoded-scheme asset bug: asset requests used to be rebuilt as
 // "http://" + host-without-port + src, bypassing fetchPage entirely, so
@@ -298,62 +230,5 @@ func TestCrawlerRetriesConvention(t *testing.T) {
 	}
 	if s["crawler.fetch.retries"] != 0 {
 		t.Errorf("retries = %d, want 0", s["crawler.fetch.retries"])
-	}
-}
-
-// TestChaosBreakerRecoversViaHalfOpenProbe walks the breaker through
-// open -> half-open -> closed using the policy's fake clock hook.
-func TestChaosBreakerRecoversViaHalfOpenProbe(t *testing.T) {
-	origin := chaosOrigin(t)
-	reg := obs.NewRegistry()
-	now := time.Unix(4000, 0)
-	// First two transport attempts drop (opening the breaker at
-	// threshold 2), everything after passes.
-	f := faultx.Faults{Seed: 8, DropProb: 1, MaxFaultsPerKey: 2}
-	c := &Crawler{
-		Client:  chaosClient(origin, f, reg),
-		Workers: 1,
-		Retries: -1,
-		Policy: retry.Policy{
-			BaseDelay:        -1,
-			BreakerThreshold: 2,
-			BreakerCooldown:  10 * time.Second,
-			Now:              func() time.Time { return now },
-		},
-		SkipRender: true,
-		Metrics:    reg,
-	}
-	host := "flaky.chaos.test"
-	cap := c.CaptureProfile(context.Background(), host, false)
-	if cap.Live {
-		t.Fatal("first capture unexpectedly live")
-	}
-	c.CaptureProfile(context.Background(), host, false) // second failure opens
-	if st := c.Retrier().State(host); st != retry.Open {
-		t.Fatalf("state = %v, want open", st)
-	}
-	// Within the cooldown the host is fast-failed without a fetch.
-	drops := reg.Counter("faultx.http.drop").Value()
-	if cap := c.CaptureProfile(context.Background(), host, false); cap.Live {
-		t.Fatal("open breaker let a capture through")
-	}
-	if got := reg.Counter("faultx.http.drop").Value(); got != drops {
-		t.Fatalf("open breaker still reached the transport (%d -> %d)", drops, got)
-	}
-	// After the cooldown the half-open probe succeeds and closes the
-	// circuit (the fault cap has been spent).
-	now = now.Add(11 * time.Second)
-	if cap := c.CaptureProfile(context.Background(), host, false); !cap.Live {
-		t.Fatalf("half-open probe failed: %+v", cap)
-	}
-	if st := c.Retrier().State(host); st != retry.Closed {
-		t.Fatalf("state = %v, want closed after good probe", st)
-	}
-	s := reg.Snapshot().Counters
-	if s["crawler.breaker.half_open_probes"] != 1 {
-		t.Errorf("half_open_probes = %d, want 1", s["crawler.breaker.half_open_probes"])
-	}
-	if s["crawler.breaker.closes"] != 1 {
-		t.Errorf("closes = %d, want 1", s["crawler.breaker.closes"])
 	}
 }

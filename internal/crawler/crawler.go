@@ -115,16 +115,14 @@ type Crawler struct {
 	// retried — the server answered. Both page and asset fetches share
 	// these semantics.
 	Retries int
-	// Policy configures backoff, per-host retry budgets, and the per-host
-	// circuit breaker shared by every fetch (see internal/retry). The zero
-	// value backs off at the default schedule with budget and breaker
-	// disabled.
+	// Policy is the backoff between fetch retries (see internal/retry).
+	// The zero value backs off at the default schedule.
 	Policy retry.Policy
 	// Metrics, when set, receives crawl accounting: pages fetched, live
 	// pages, retries, timeouts, failures, redirects followed, fetch
 	// latency, and worker-pool depth. Per-host failure/retry maps are
-	// exposed as registry values and via HostFailures/HostRetries; the
-	// retry layer reports under crawler.retry.* and crawler.breaker.*.
+	// exposed as registry values and via HostFailures/HostRetries, and
+	// backoff delays in crawler.retry.backoff_ms.
 	Metrics *obs.Registry
 	// Events, when set, receives structured retry/failure events carrying
 	// a "domain" attribute, which the provenance layer attributes to the
@@ -134,23 +132,13 @@ type Crawler struct {
 
 	statsOnce sync.Once
 	stats     *crawlStats
-
-	retrierOnce sync.Once
-	rt          *retry.Retrier
-}
-
-// Retrier returns the crawler's shared retry/breaker state, built lazily
-// from Policy (tests use it to assert breaker transitions).
-func (c *Crawler) Retrier() *retry.Retrier {
-	c.retrierOnce.Do(func() { c.rt = retry.New(c.Policy, "crawler", c.Metrics) })
-	return c.rt
 }
 
 // crawlStats is the crawler's mutable accounting, created lazily so the
 // zero-value Crawler literal keeps working.
 type crawlStats struct {
 	pages, live, failures, retries, timeouts, redirects, assetErrs *obs.Counter
-	fetchMS                                                        *obs.Histogram
+	fetchMS, backoffMS                                             *obs.Histogram
 	inflight, pending                                              *obs.Gauge
 
 	mu           sync.Mutex
@@ -170,6 +158,7 @@ func (c *Crawler) statsInit() *crawlStats {
 			redirects:    reg.Counter("crawler.redirects"),
 			assetErrs:    reg.Counter("crawler.asset_errors"),
 			fetchMS:      reg.Histogram("crawler.fetch_ms", obs.MillisBuckets),
+			backoffMS:    reg.Histogram("crawler.retry.backoff_ms", obs.MillisBuckets),
 			inflight:     reg.Gauge("crawler.inflight"),
 			pending:      reg.Gauge("crawler.pending"),
 			hostFailures: map[string]int64{},
@@ -394,38 +383,27 @@ func (c *Crawler) CaptureProfile(ctx context.Context, domain string, mobile bool
 // fetchPage fetches one URL with retry-on-transport-error semantics: an
 // HTTP response of any status is definitive, but a connection or timeout
 // error is re-attempted up to Retries times — with capped, jittered
-// backoff between attempts — subject to the host's retry budget and
-// circuit breaker, with per-host retry/timeout accounting and a latency
-// observation per attempt. HTTP >= 500 counts against the host's breaker
-// (the host is unhealthy) but is still returned, not retried.
+// backoff between attempts — with per-host retry/timeout accounting and a
+// latency observation per attempt.
 func (c *Crawler) fetchPage(ctx context.Context, url, ua string, st *crawlStats) (body string, status int, location string, err error) {
-	host := hostOf(url)
-	rt := c.Retrier()
 	for attempt := 0; ; attempt++ {
-		if err := rt.Allow(host); err != nil {
-			return "", 0, "", fmt.Errorf("fetch %s: %w", host, err)
-		}
 		start := time.Now()
 		body, status, location, err = c.fetch(ctx, url, ua)
 		st.fetchMS.ObserveSince(start)
 		if err == nil {
-			rt.Report(host, status < 500)
 			return body, status, location, nil
 		}
 		if retry.IsTimeout(err) {
 			st.timeouts.Inc()
 		}
-		rt.Report(host, false)
 		if attempt >= c.retries() || ctx.Err() != nil {
 			return body, status, location, err
 		}
-		if !rt.GrantRetry(host) {
-			return body, status, location, err
-		}
+		host := hostOf(url)
 		st.recordHostRetry(host)
 		c.Events.Warn("crawler.fetch.retry",
 			trace.String("domain", host), trace.Int("attempt", attempt+1), trace.String("error", err.Error()))
-		if werr := rt.Wait(ctx, url, attempt+1); werr != nil {
+		if werr := c.Policy.Wait(ctx, url, attempt+1, st.backoffMS); werr != nil {
 			return body, status, location, err
 		}
 	}

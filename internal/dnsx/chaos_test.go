@@ -2,7 +2,10 @@ package dnsx
 
 import (
 	"context"
+	"errors"
 	"net"
+	"runtime"
+	"strings"
 	"syscall"
 	"testing"
 	"time"
@@ -54,9 +57,8 @@ func snapshotProbeCounts(reg *obs.Registry) probeCounts {
 
 // runChaosProbe probes chaosDomains against a live server through a
 // fault-injecting UDP conn and returns the resolved records plus the
-// counter snapshot. Backoff is disabled so runs are fast; budget and
-// breaker come from pol (zero value: both off).
-func runChaosProbe(t *testing.T, f faultx.Faults, parallelism, proberRetries int, pol retry.Policy) ([]Record, probeCounts) {
+// counter snapshot. Backoff is disabled so runs are fast.
+func runChaosProbe(t *testing.T, f faultx.Faults, parallelism, proberRetries int) ([]Record, probeCounts) {
 	t.Helper()
 	srv, err := NewServerObs(chaosStore(), nil)
 	if err != nil {
@@ -65,15 +67,12 @@ func runChaosProbe(t *testing.T, f faultx.Faults, parallelism, proberRetries int
 	defer srv.Close()
 
 	reg := obs.NewRegistry()
-	if pol.BaseDelay == 0 {
-		pol.BaseDelay = -1 // zero-delay retries keep the chaos runs fast
-	}
 	p := &Prober{
 		Addr:        srv.Addr(),
 		Timeout:     80 * time.Millisecond,
 		Retries:     proberRetries,
 		Parallelism: parallelism,
-		Policy:      pol,
+		Policy:      retry.Policy{BaseDelay: -1}, // zero-delay retries keep the chaos runs fast
 		Metrics:     reg,
 		Dial: func(addr string) (net.Conn, error) {
 			raw, err := net.Dial("udp", addr)
@@ -99,9 +98,9 @@ func TestProbeChaosDeterministicAcrossParallelism(t *testing.T) {
 	n := int64(len(chaosDomains))
 	for _, seed := range []uint64{1, 7, 42} {
 		f := faultx.Faults{Seed: seed, DropProb: 0.5}
-		_, base := runChaosProbe(t, f, 1, 0, retry.Policy{})
+		_, base := runChaosProbe(t, f, 1, 0)
 		for _, par := range []int{4, 8} {
-			if _, got := runChaosProbe(t, f, par, 0, retry.Policy{}); got != base {
+			if _, got := runChaosProbe(t, f, par, 0); got != base {
 				t.Errorf("seed %d: counters at parallelism %d = %+v, want %+v (serial)", seed, par, got, base)
 			}
 		}
@@ -124,7 +123,7 @@ func TestProbeDropThenResolve(t *testing.T) {
 	n := int64(len(chaosDomains))
 	f := faultx.Faults{Seed: 3, DropProb: 1, MaxFaultsPerKey: 1}
 	for _, par := range []int{1, 4} {
-		recs, c := runChaosProbe(t, f, par, 0, retry.Policy{})
+		recs, c := runChaosProbe(t, f, par, 0)
 		if int64(len(recs)) != n || c.resolved != n || c.unresolved != 0 {
 			t.Fatalf("parallelism %d: resolved %d/%d (counters %+v)", par, len(recs), n, c)
 		}
@@ -142,7 +141,7 @@ func TestProbeDropThenResolve(t *testing.T) {
 // an attempt per stale answer.
 func TestProbeStaleIDDoesNotBurnAttempt(t *testing.T) {
 	n := int64(len(chaosDomains))
-	recs, c := runChaosProbe(t, faultx.Faults{Seed: 5, StaleIDProb: 1}, 4, 0, retry.Policy{})
+	recs, c := runChaosProbe(t, faultx.Faults{Seed: 5, StaleIDProb: 1}, 4, 0)
 	if int64(len(recs)) != n {
 		t.Fatalf("resolved %d/%d under stale-ID replay", len(recs), n)
 	}
@@ -162,72 +161,12 @@ func TestProbeStaleIDDoesNotBurnAttempt(t *testing.T) {
 // any n <= 0 as "use the default of 2").
 func TestProbeRetriesConvention(t *testing.T) {
 	n := int64(len(chaosDomains))
-	_, c := runChaosProbe(t, faultx.Faults{Seed: 9, DropProb: 1}, 2, -1, retry.Policy{})
+	_, c := runChaosProbe(t, faultx.Faults{Seed: 9, DropProb: 1}, 2, -1)
 	if c.sent != n || c.retries != 0 {
 		t.Errorf("retries=-1: sent=%d retries=%d, want %d/0", c.sent, c.retries, n)
 	}
 	if c.resolved != 0 || c.unresolved != n {
 		t.Errorf("retries=-1 under total drop: resolved=%d unresolved=%d", c.resolved, c.unresolved)
-	}
-}
-
-// TestProbeBreakerOpensAndFastFails drops every datagram with the breaker
-// armed at two consecutive failures: the first domain's two attempts open
-// the circuit, and every remaining domain (and the first domain's third
-// attempt) fast-fails without touching the wire.
-func TestProbeBreakerOpensAndFastFails(t *testing.T) {
-	srv, err := NewServerObs(chaosStore(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	reg := obs.NewRegistry()
-	f := faultx.Faults{Seed: 13, DropProb: 1}
-	p := &Prober{
-		Addr:        srv.Addr(),
-		Timeout:     60 * time.Millisecond,
-		Parallelism: 1, // breaker state is shared; serial keeps the trace exact
-		Policy: retry.Policy{
-			BaseDelay:        -1,
-			BreakerThreshold: 2,
-			BreakerCooldown:  time.Hour,
-		},
-		Metrics: reg,
-		Dial: func(addr string) (net.Conn, error) {
-			raw, err := net.Dial("udp", addr)
-			if err != nil {
-				return nil, err
-			}
-			return faultx.WrapConn(raw, f, nil, reg), nil
-		},
-	}
-	recs, err := p.Probe(context.Background(), chaosDomains)
-	if err != nil {
-		t.Fatalf("probe: %v", err)
-	}
-	if len(recs) != 0 {
-		t.Fatalf("resolved %d records through an open breaker", len(recs))
-	}
-
-	n := int64(len(chaosDomains))
-	c := snapshotProbeCounts(reg)
-	s := reg.Snapshot()
-	if c.sent != 2 || c.timeouts != 2 {
-		t.Errorf("wire attempts = %d (timeouts %d), want 2 before the circuit opened", c.sent, c.timeouts)
-	}
-	if got := s.Counters["dnsx.probe.breaker.opens"]; got != 1 {
-		t.Errorf("breaker opens = %d, want 1", got)
-	}
-	// Rejections: the first domain's post-open retry plus every other domain.
-	if got := s.Counters["dnsx.probe.breaker.rejected"]; got != n {
-		t.Errorf("breaker rejections = %d, want %d", got, n)
-	}
-	if c.unresolved != n {
-		t.Errorf("unresolved = %d, want %d", c.unresolved, n)
-	}
-	if st := p.Retrier().State(srv.Addr()); st != retry.Open {
-		t.Errorf("breaker state = %v, want open", st)
 	}
 }
 
@@ -275,6 +214,33 @@ func TestProbeClassifiesConnRefused(t *testing.T) {
 	}
 	if c.timeouts != 0 {
 		t.Errorf("timeouts = %d, want 0: connection refusal is not a timeout", c.timeouts)
+	}
+}
+
+// TestProbeDialFailureLeaksNothing is the regression test for the job
+// feeder that outlived Probe: when every worker's dial failed, nothing
+// drained the unbuffered jobs channel and the feeder blocked on it
+// forever. Probe must return the dial error and leave no goroutine behind.
+func TestProbeDialFailureLeaksNothing(t *testing.T) {
+	dialErr := errors.New("dial refused")
+	p := &Prober{
+		Addr:        "127.0.0.1:9",
+		Parallelism: 3,
+		Dial:        func(string) (net.Conn, error) { return nil, dialErr },
+	}
+	recs, err := p.Probe(context.Background(), chaosDomains)
+	if !errors.Is(err, dialErr) || len(recs) != 0 {
+		t.Fatalf("Probe = (%d records, %v), want (0, %v)", len(recs), err, dialErr)
+	}
+	buf := make([]byte, 1<<20)
+	for deadline := time.Now().Add(time.Second); ; time.Sleep(10 * time.Millisecond) {
+		stacks := string(buf[:runtime.Stack(buf, true)])
+		if !strings.Contains(stacks, "(*Prober).Probe") {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("a Probe goroutine outlived the call:\n%s", stacks)
+		}
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"squatphi/internal/obs"
@@ -137,27 +138,22 @@ type Prober struct {
 	// worker owns a disjoint block of the 16-bit DNS ID space, so a stale
 	// answer to one worker's query can never match another worker's.
 	Parallelism int
-	// Policy configures backoff between retries, the retry budget, and
-	// the circuit breaker for the probed server (see internal/retry).
+	// Policy is the backoff between retries (see internal/retry).
 	Policy retry.Policy
 	// Dial opens the worker UDP connections; nil selects net.Dial("udp",
 	// Addr). Chaos tests wrap the returned conn with faultx injection.
 	Dial func(addr string) (net.Conn, error)
 	// Metrics, when set, receives probe accounting: queries sent, retries,
 	// timeouts vs non-timeout network errors, stale/malformed datagrams
-	// discarded, resolved/unresolved splits, and an RTT histogram; the
-	// retry layer reports under dnsx.probe.retry.* and
-	// dnsx.probe.breaker.*.
+	// discarded, resolved/unresolved splits, an RTT histogram, and
+	// backoff delays in dnsx.probe.retry.backoff_ms.
 	Metrics *obs.Registry
-
-	retrierOnce sync.Once
-	rt          *retry.Retrier
 }
 
 // probeMetrics bundles the handles resolved once per Probe call.
 type probeMetrics struct {
 	sent, retries, timeouts, neterrors, stale, resolved, unresolved *obs.Counter
-	rttMS                                                           *obs.Histogram
+	rttMS, backoffMS                                                *obs.Histogram
 }
 
 func (p *Prober) metrics() *probeMetrics {
@@ -171,14 +167,8 @@ func (p *Prober) metrics() *probeMetrics {
 		resolved:   reg.Counter("dnsx.probe.resolved"),
 		unresolved: reg.Counter("dnsx.probe.unresolved"),
 		rttMS:      reg.Histogram("dnsx.probe.rtt_ms", obs.MillisBuckets),
+		backoffMS:  reg.Histogram("dnsx.probe.retry.backoff_ms", obs.MillisBuckets),
 	}
-}
-
-// Retrier returns the prober's shared retry/breaker state, built lazily
-// from Policy.
-func (p *Prober) Retrier() *retry.Retrier {
-	p.retrierOnce.Do(func() { p.rt = retry.New(p.Policy, "dnsx.probe", p.Metrics) })
-	return p.rt
 }
 
 // idBlock partitions the 16-bit DNS ID space into equal per-worker
@@ -217,17 +207,17 @@ func (p *Prober) Probe(ctx context.Context, domains []string) ([]Record, error) 
 	}
 
 	met := p.metrics()
-	jobs := make(chan int)
-	// Each worker writes only the slots it claimed, so the per-index
-	// results need no lock; compacting in index order afterwards makes the
-	// output independent of completion order.
+	// Workers claim indices from next, so one whose dial failed leaves
+	// nothing blocked behind it. Each writes only the slots it claimed,
+	// so the per-index results need no lock; compacting in index order
+	// afterwards makes the output independent of completion order.
+	var next atomic.Int64
 	recs := make([]Record, len(domains))
 	resolved := make([]bool, len(domains))
 	var wg sync.WaitGroup
 	var firstErr error
 	var errOnce sync.Once
 
-	rt := p.Retrier()
 	dial := p.Dial
 	if dial == nil {
 		dial = func(addr string) (net.Conn, error) { return net.Dial("udp", addr) }
@@ -243,15 +233,14 @@ func (p *Prober) Probe(ctx context.Context, domains []string) ([]Record, error) 
 			}
 			defer conn.Close()
 			base, size := idBlock(w, workers)
-			n := 0
-			for i := range jobs {
-				if ctx.Err() != nil {
+			for n := 0; ctx.Err() == nil; n++ {
+				i := int(next.Add(1)) - 1
+				if i >= len(domains) {
 					return
 				}
 				domain := domains[i]
 				id := uint16(base + n%size)
-				n++
-				if ip, ok := p.query(ctx, conn, id, domain, timeout, retries, met, rt); ok {
+				if ip, ok := p.query(ctx, conn, id, domain, timeout, retries, met); ok {
 					met.resolved.Inc()
 					recs[i] = Record{Domain: domain, IP: ip}
 					resolved[i] = true
@@ -261,18 +250,6 @@ func (p *Prober) Probe(ctx context.Context, domains []string) ([]Record, error) 
 			}
 		}(w)
 	}
-
-	go func() {
-		defer close(jobs)
-		for i := range domains {
-			select {
-			case jobs <- i:
-			case <-ctx.Done():
-				return
-			}
-		}
-	}()
-
 	wg.Wait()
 	var out []Record
 	for i, ok := range resolved {
@@ -291,9 +268,8 @@ func (p *Prober) Probe(ctx context.Context, domains []string) ([]Record, error) 
 // mismatched (stale) ID are discarded and the read continues within the
 // remaining deadline instead of burning the attempt. Read errors are
 // classified: only genuine deadline expiries count as timeouts, other
-// network errors (e.g. connection refused) are accounted separately. Both
-// feed the server's circuit breaker.
-func (p *Prober) query(ctx context.Context, conn net.Conn, id uint16, domain string, timeout time.Duration, retries int, met *probeMetrics, rt *retry.Retrier) ([4]byte, bool) {
+// network errors (e.g. connection refused) are accounted separately.
+func (p *Prober) query(ctx context.Context, conn net.Conn, id uint16, domain string, timeout time.Duration, retries int, met *probeMetrics) ([4]byte, bool) {
 	req, err := NewQuery(id, domain, TypeA).Pack()
 	if err != nil {
 		return [4]byte{}, false
@@ -301,22 +277,15 @@ func (p *Prober) query(ctx context.Context, conn net.Conn, id uint16, domain str
 	buf := make([]byte, 4096)
 	for attempt := 0; attempt <= retries; attempt++ {
 		if attempt > 0 {
-			if !rt.GrantRetry(p.Addr) {
-				break
-			}
 			met.retries.Inc()
-			if rt.Wait(ctx, domain, attempt) != nil {
+			if p.Policy.Wait(ctx, domain, attempt, met.backoffMS) != nil {
 				break // context cancelled during backoff
 			}
-		}
-		if rt.Allow(p.Addr) != nil {
-			break // circuit open: fast-fail the remaining attempts
 		}
 		met.sent.Inc()
 		start := time.Now()
 		if _, err := conn.Write(req); err != nil {
 			met.neterrors.Inc()
-			rt.Report(p.Addr, false)
 			continue
 		}
 		deadline := time.Now().Add(timeout)
@@ -329,7 +298,6 @@ func (p *Prober) query(ctx context.Context, conn net.Conn, id uint16, domain str
 				} else {
 					met.neterrors.Inc()
 				}
-				rt.Report(p.Addr, false)
 				break // next attempt
 			}
 			resp, uerr := Unpack(buf[:n])
@@ -340,7 +308,6 @@ func (p *Prober) query(ctx context.Context, conn net.Conn, id uint16, domain str
 				continue
 			}
 			met.rttMS.ObserveSince(start)
-			rt.Report(p.Addr, true)
 			drainConn(conn, buf, met)
 			if resp.Header.RCode != RCodeSuccess {
 				return [4]byte{}, false

@@ -5,8 +5,8 @@
 // The paper's measurement loop (§3.2, §5.3) runs continuously against
 // hostile, unreliable infrastructure — dead or slow phishing hosts, flaky
 // resolvers, stale answers. faultx reproduces those failure modes on
-// demand so the retry/backoff/circuit-breaker layer (internal/retry) can
-// be tested instead of assumed:
+// demand so the retries and backoff of internal/retry can be tested
+// instead of assumed:
 //
 //	HTTP: dropped requests (timeouts), connection resets, 5xx bursts,
 //	      slow-loris bodies, injected latency.

@@ -1,20 +1,14 @@
-// Package retry is the shared failure-handling policy of every component
-// that talks to the (synthetic or real) network substrate: the crawler,
-// the DNS prober, and the whois client.
+// Package retry is the shared retry policy of every component that talks
+// to the (synthetic or real) network substrate: the crawler, the DNS
+// prober, and the whois client.
 //
 // The paper's measurement loop (§3.2, §5.3) runs continuously against live
 // phishing infrastructure — flaky resolvers, slow or dead hosts, stale
 // answers — so retry behaviour must be uniform and testable rather than
-// re-implemented ad hoc per component. This package centralises three
-// mechanisms:
-//
-//   - capped exponential backoff with deterministic jitter (seeded via
-//     simrand, so a chaos run replays the exact same delays);
-//   - per-host retry budgets, bounding how much work a run will spend on
-//     any one misbehaving host;
-//   - a per-host circuit breaker: after a run of consecutive failures the
-//     host is "open" and requests fast-fail until a cooldown elapses, then
-//     a single half-open probe decides whether to close it again.
+// re-implemented ad hoc per component. Each component retries transport
+// errors up to its own retry count and waits between attempts with capped
+// exponential backoff and deterministic jitter (seeded via simrand, so a
+// chaos run replays the exact same delays).
 //
 // Retry-count convention (shared by all components, see Resolve): a
 // negative count disables retries entirely, zero selects the component's
@@ -24,16 +18,12 @@ package retry
 import (
 	"context"
 	"errors"
-	"sync"
+	"net"
 	"time"
 
 	"squatphi/internal/obs"
 	"squatphi/internal/simrand"
 )
-
-// ErrOpen is returned by Allow when a host's circuit breaker is open (or
-// half-open with a probe already in flight).
-var ErrOpen = errors.New("retry: host circuit open")
 
 // Resolve applies the repository-wide retry-count convention: negative
 // disables (0 retries), zero selects def, positive is used as given.
@@ -47,262 +37,53 @@ func Resolve(n, def int) int {
 	return n
 }
 
-// Policy configures a Retrier. The zero value preserves pre-policy
-// behaviour as closely as possible: backoff at the small default delays,
-// no per-host budget, breaker disabled.
-type Policy struct {
-	// BaseDelay is the backoff before the first retry; each further retry
-	// doubles it up to MaxDelay. Zero selects 100ms; negative disables
-	// backoff entirely (zero-delay retries, the pre-policy behaviour).
-	BaseDelay time.Duration
-	// MaxDelay caps the exponential backoff (default 5s).
-	MaxDelay time.Duration
-	// JitterSeed seeds the deterministic jitter stream: backoff delays are
-	// scaled by a factor in [0.5, 1.0) drawn from
-	// simrand.New(JitterSeed).Split(key).SplitN(attempt), so the same
-	// (seed, key, attempt) always yields the same delay regardless of
-	// worker count or scheduling.
-	JitterSeed uint64
-	// HostBudget bounds the total retries granted per host over the
-	// Retrier's lifetime (<= 0 means unlimited).
-	HostBudget int
-	// BreakerThreshold is the number of consecutive per-host failures that
-	// open the circuit (<= 0 disables the breaker).
-	BreakerThreshold int
-	// BreakerCooldown is how long an open circuit rejects requests before
-	// allowing a half-open probe (default 30s).
-	BreakerCooldown time.Duration
-	// Now and Sleep are test hooks; nil selects time.Now and a
-	// context-aware timer sleep.
-	Now   func() time.Time
-	Sleep func(ctx context.Context, d time.Duration) error
-}
-
-func (p Policy) baseDelay() time.Duration {
-	if p.BaseDelay < 0 {
-		return 0
-	}
-	if p.BaseDelay == 0 {
-		return 100 * time.Millisecond
-	}
-	return p.BaseDelay
-}
-
-func (p Policy) maxDelay() time.Duration {
-	if p.MaxDelay <= 0 {
-		return 5 * time.Second
-	}
-	return p.MaxDelay
-}
-
-func (p Policy) cooldown() time.Duration {
-	if p.BreakerCooldown <= 0 {
-		return 30 * time.Second
-	}
-	return p.BreakerCooldown
-}
-
-// BreakerState is the per-host circuit state.
-type BreakerState int
-
 const (
-	Closed BreakerState = iota
-	Open
-	HalfOpen
+	// maxDelay caps the exponential backoff.
+	maxDelay = 5 * time.Second
+	// jitterSeed seeds the jitter stream: delays are scaled by a factor
+	// in [0.5, 1.0) drawn from simrand.New(jitterSeed).Split(key).SplitN(attempt),
+	// so the same (key, attempt) always yields the same delay regardless
+	// of worker count or scheduling.
+	jitterSeed = 0
 )
 
-func (s BreakerState) String() string {
-	switch s {
-	case Open:
-		return "open"
-	case HalfOpen:
-		return "half-open"
-	default:
-		return "closed"
-	}
-}
-
-// hostState is the per-host mutable record: budget spent, consecutive
-// failures, and breaker state.
-type hostState struct {
-	budgetUsed  int
-	consecFails int
-	state       BreakerState
-	openedAt    time.Time
-	probing     bool // half-open probe in flight
-}
-
-// Retrier owns the per-host retry/breaker state for one component. All
-// methods are safe for concurrent use and safe on a nil receiver (a nil
-// Retrier allows everything and never sleeps), so components can make the
-// policy strictly optional.
-type Retrier struct {
-	pol Policy
-
-	opens, closes, rejected, probes, budgetExhausted *obs.Counter
-	backoffMS                                        *obs.Histogram
-
-	mu    sync.Mutex
-	hosts map[string]*hostState
-}
-
-// New builds a Retrier reporting under the given metric prefix (for
-// example "crawler" yields "crawler.breaker.opens"). reg may be nil.
-func New(pol Policy, prefix string, reg *obs.Registry) *Retrier {
-	r := &Retrier{
-		pol:             pol,
-		opens:           reg.Counter(prefix + ".breaker.opens"),
-		closes:          reg.Counter(prefix + ".breaker.closes"),
-		rejected:        reg.Counter(prefix + ".breaker.rejected"),
-		probes:          reg.Counter(prefix + ".breaker.half_open_probes"),
-		budgetExhausted: reg.Counter(prefix + ".retry.budget_exhausted"),
-		backoffMS:       reg.Histogram(prefix+".retry.backoff_ms", obs.MillisBuckets),
-		hosts:           map[string]*hostState{},
-	}
-	reg.RegisterFunc(prefix+".breaker.hosts", func() any { return r.UnhealthyHosts() })
-	return r
-}
-
-func (r *Retrier) now() time.Time {
-	if r.pol.Now != nil {
-		return r.pol.Now()
-	}
-	return time.Now()
-}
-
-func (r *Retrier) host(h string) *hostState {
-	s := r.hosts[h]
-	if s == nil {
-		s = &hostState{}
-		r.hosts[h] = s
-	}
-	return s
-}
-
-// Allow reports whether a request to host may proceed. It returns ErrOpen
-// when the host's circuit is open (and the cooldown has not elapsed) or
-// half-open with a probe already in flight. When the cooldown has elapsed
-// it admits exactly one half-open probe.
-func (r *Retrier) Allow(host string) error {
-	if r == nil || r.pol.BreakerThreshold <= 0 {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	s := r.host(host)
-	switch s.state {
-	case Closed:
-		return nil
-	case Open:
-		if r.now().Sub(s.openedAt) < r.pol.cooldown() {
-			r.rejected.Inc()
-			return ErrOpen
-		}
-		s.state = HalfOpen
-		s.probing = true
-		r.probes.Inc()
-		return nil
-	default: // HalfOpen
-		if s.probing {
-			r.rejected.Inc()
-			return ErrOpen
-		}
-		s.probing = true
-		r.probes.Inc()
-		return nil
-	}
-}
-
-// Report records the outcome of one request to host. A success resets the
-// consecutive-failure run and closes a half-open circuit; a failure
-// extends the run, opening the circuit at the threshold (and re-opening
-// immediately when a half-open probe fails).
-func (r *Retrier) Report(host string, ok bool) {
-	if r == nil || r.pol.BreakerThreshold <= 0 {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	s := r.host(host)
-	if ok {
-		s.consecFails = 0
-		if s.state != Closed {
-			s.state = Closed
-			s.probing = false
-			r.closes.Inc()
-		}
-		return
-	}
-	s.consecFails++
-	switch {
-	case s.state == HalfOpen:
-		s.state = Open
-		s.probing = false
-		s.openedAt = r.now()
-		r.opens.Inc()
-	case s.state == Closed && s.consecFails >= r.pol.BreakerThreshold:
-		s.state = Open
-		s.openedAt = r.now()
-		r.opens.Inc()
-	}
-}
-
-// GrantRetry consumes one unit of host's retry budget, reporting whether
-// another retry is permitted. With no budget configured it always grants.
-func (r *Retrier) GrantRetry(host string) bool {
-	if r == nil || r.pol.HostBudget <= 0 {
-		return true
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	s := r.host(host)
-	if s.budgetUsed >= r.pol.HostBudget {
-		r.budgetExhausted.Inc()
-		return false
-	}
-	s.budgetUsed++
-	return true
+// Policy is a component's backoff schedule. The zero value backs off at
+// the default delays.
+type Policy struct {
+	// BaseDelay is the backoff before the first retry; each further retry
+	// doubles it up to 5s. Zero selects 100ms; negative disables backoff
+	// entirely (zero-delay retries).
+	BaseDelay time.Duration
 }
 
 // Backoff returns the deterministic backoff delay before retry number
 // attempt (attempt >= 1) of the work item identified by key: capped
 // exponential growth scaled by seeded jitter in [0.5, 1.0).
-func (r *Retrier) Backoff(key string, attempt int) time.Duration {
-	if r == nil {
+func (p Policy) Backoff(key string, attempt int) time.Duration {
+	d := p.BaseDelay
+	if d < 0 {
 		return 0
 	}
-	base := r.pol.baseDelay()
-	if base == 0 {
-		return 0
+	if d == 0 {
+		d = 100 * time.Millisecond
 	}
-	if attempt < 1 {
-		attempt = 1
-	}
-	d := base
-	maxD := r.pol.maxDelay()
-	for i := 1; i < attempt && d < maxD; i++ {
+	attempt = max(attempt, 1)
+	for i := 1; i < attempt && d < maxDelay; i++ {
 		d *= 2
 	}
-	if d > maxD {
-		d = maxD
-	}
-	jitter := simrand.New(r.pol.JitterSeed).Split(key).SplitN(uint64(attempt)).Float64()
+	d = min(d, maxDelay)
+	jitter := simrand.New(jitterSeed).Split(key).SplitN(uint64(attempt)).Float64()
 	return time.Duration(float64(d) * (0.5 + 0.5*jitter))
 }
 
-// Wait sleeps the Backoff delay for (key, attempt), honouring ctx
-// cancellation, and records the delay in the backoff histogram.
-func (r *Retrier) Wait(ctx context.Context, key string, attempt int) error {
-	if r == nil {
-		return ctx.Err()
-	}
-	d := r.Backoff(key, attempt)
-	r.backoffMS.Observe(float64(d) / float64(time.Millisecond))
+// Wait records the Backoff delay for (key, attempt) in backoffMS (the
+// calling component's <component>.retry.backoff_ms histogram) and sleeps
+// it, returning early with ctx's error when ctx is cancelled.
+func (p Policy) Wait(ctx context.Context, key string, attempt int, backoffMS *obs.Histogram) error {
+	d := p.Backoff(key, attempt)
+	backoffMS.Observe(float64(d) / float64(time.Millisecond))
 	if d <= 0 {
 		return ctx.Err()
-	}
-	if r.pol.Sleep != nil {
-		return r.pol.Sleep(ctx, d)
 	}
 	t := time.NewTimer(d)
 	defer t.Stop()
@@ -314,32 +95,15 @@ func (r *Retrier) Wait(ctx context.Context, key string, attempt int) error {
 	}
 }
 
-// State returns host's current breaker state.
-func (r *Retrier) State(host string) BreakerState {
-	if r == nil {
-		return Closed
+// IsTimeout reports whether err is a deadline-style failure (a net.Error
+// timeout or context.DeadlineExceeded), as opposed to a connection-level
+// error such as ECONNREFUSED. Components use it to split "the host is
+// slow" from "the host is unreachable" in their metrics; conflating the
+// two hid resolver outages behind timeout counters.
+func IsTimeout(err error) bool {
+	if errors.Is(err, context.DeadlineExceeded) {
+		return true
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if s := r.hosts[host]; s != nil {
-		return s.state
-	}
-	return Closed
-}
-
-// UnhealthyHosts returns the hosts whose circuit is not closed, mapped to
-// their state name (exposed in metric snapshots).
-func (r *Retrier) UnhealthyHosts() map[string]string {
-	out := map[string]string{}
-	if r == nil {
-		return out
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for h, s := range r.hosts {
-		if s.state != Closed {
-			out[h] = s.state.String()
-		}
-	}
-	return out
+	var ne net.Error
+	return errors.As(err, &ne) && ne.Timeout()
 }

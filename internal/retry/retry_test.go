@@ -21,200 +21,54 @@ func TestResolveConvention(t *testing.T) {
 }
 
 func TestBackoffDeterministicAndCapped(t *testing.T) {
-	pol := Policy{BaseDelay: 10 * time.Millisecond, MaxDelay: 80 * time.Millisecond, JitterSeed: 7}
-	a := New(pol, "t", nil)
-	b := New(pol, "t", nil)
-	prevMax := time.Duration(0)
+	pol := Policy{BaseDelay: time.Second}
 	for attempt := 1; attempt <= 8; attempt++ {
-		d1 := a.Backoff("host.test/", attempt)
-		d2 := b.Backoff("host.test/", attempt)
+		d1 := pol.Backoff("host.test/", attempt)
+		d2 := Policy{BaseDelay: time.Second}.Backoff("host.test/", attempt)
 		if d1 != d2 {
 			t.Fatalf("attempt %d: backoff not deterministic: %v != %v", attempt, d1, d2)
 		}
-		if d1 > 80*time.Millisecond {
+		if d1 > maxDelay {
 			t.Fatalf("attempt %d: backoff %v exceeds cap", attempt, d1)
 		}
-		if d1 < 5*time.Millisecond {
+		if d1 < 500*time.Millisecond {
 			t.Fatalf("attempt %d: backoff %v below base/2 jitter floor", attempt, d1)
-		}
-		if d1 > prevMax {
-			prevMax = d1
 		}
 	}
 	// Different keys draw different jitter.
-	if a.Backoff("x", 1) == a.Backoff("y", 1) && a.Backoff("x", 2) == a.Backoff("y", 2) {
+	if pol.Backoff("x", 1) == pol.Backoff("y", 1) && pol.Backoff("x", 2) == pol.Backoff("y", 2) {
 		t.Error("jitter does not vary by key")
 	}
-	// A different seed yields a different schedule.
-	c := New(Policy{BaseDelay: 10 * time.Millisecond, MaxDelay: 80 * time.Millisecond, JitterSeed: 8}, "t", nil)
-	if a.Backoff("host.test/", 1) == c.Backoff("host.test/", 1) &&
-		a.Backoff("host.test/", 2) == c.Backoff("host.test/", 2) {
-		t.Error("jitter does not vary by seed")
+}
+
+// TestBackoffSchedulePinned pins the default schedule every binary runs
+// (100ms doubling to the 5s cap, jitter seed 0) to the delays the
+// configurable policy produced before its cap and seed became constants.
+func TestBackoffSchedulePinned(t *testing.T) {
+	want := map[int]time.Duration{
+		1: 73903856, 2: 155518363, 3: 252398006, 6: 2067639451, 7: 2844274516, 12: 2803145802,
+	}
+	for attempt, d := range want {
+		if got := (Policy{}).Backoff("host.test/", attempt); got != d {
+			t.Errorf("attempt %d: backoff %v, want %v", attempt, got, d)
+		}
 	}
 }
 
 func TestBackoffDisabled(t *testing.T) {
-	r := New(Policy{BaseDelay: -1}, "t", nil)
-	if d := r.Backoff("k", 3); d != 0 {
+	if d := (Policy{BaseDelay: -1}).Backoff("k", 3); d != 0 {
 		t.Fatalf("negative BaseDelay must disable backoff, got %v", d)
 	}
 }
 
-func TestHostBudget(t *testing.T) {
-	reg := obs.NewRegistry()
-	r := New(Policy{HostBudget: 2}, "t", reg)
-	if !r.GrantRetry("a") || !r.GrantRetry("a") {
-		t.Fatal("budget denied within limit")
-	}
-	if r.GrantRetry("a") {
-		t.Fatal("budget granted beyond limit")
-	}
-	if !r.GrantRetry("b") {
-		t.Fatal("budget must be per-host")
-	}
-	if got := reg.Counter("t.retry.budget_exhausted").Value(); got != 1 {
-		t.Fatalf("budget_exhausted = %d, want 1", got)
-	}
-}
-
-// fakeClock is a manually advanced clock for breaker-transition tests.
-type fakeClock struct{ t time.Time }
-
-func (c *fakeClock) now() time.Time          { return c.t }
-func (c *fakeClock) advance(d time.Duration) { c.t = c.t.Add(d) }
-
-func TestBreakerLifecycle(t *testing.T) {
-	clock := &fakeClock{t: time.Unix(1000, 0)}
-	reg := obs.NewRegistry()
-	r := New(Policy{
-		BreakerThreshold: 3,
-		BreakerCooldown:  10 * time.Second,
-		Now:              clock.now,
-	}, "t", reg)
-	host := "flaky.test"
-
-	// Closed: failures below the threshold keep the circuit closed.
-	for i := 0; i < 2; i++ {
-		if err := r.Allow(host); err != nil {
-			t.Fatal(err)
-		}
-		r.Report(host, false)
-	}
-	if r.State(host) != Closed {
-		t.Fatalf("state = %v, want closed", r.State(host))
-	}
-	// A success resets the consecutive-failure run.
-	r.Report(host, true)
-	r.Report(host, false)
-	r.Report(host, false)
-	if r.State(host) != Closed {
-		t.Fatal("success did not reset the failure run")
-	}
-	// Third consecutive failure opens the circuit.
-	r.Report(host, false)
-	if r.State(host) != Open {
-		t.Fatalf("state = %v, want open", r.State(host))
-	}
-	if err := r.Allow(host); err != ErrOpen {
-		t.Fatalf("open circuit allowed a request (err = %v)", err)
-	}
-
-	// Cooldown elapses: exactly one half-open probe is admitted.
-	clock.advance(11 * time.Second)
-	if err := r.Allow(host); err != nil {
-		t.Fatalf("half-open probe rejected: %v", err)
-	}
-	if r.State(host) != HalfOpen {
-		t.Fatalf("state = %v, want half-open", r.State(host))
-	}
-	if err := r.Allow(host); err != ErrOpen {
-		t.Fatal("second concurrent half-open probe admitted")
-	}
-
-	// Failed probe re-opens immediately.
-	r.Report(host, false)
-	if r.State(host) != Open {
-		t.Fatalf("state after failed probe = %v, want open", r.State(host))
-	}
-
-	// Next cooldown: successful probe closes the circuit.
-	clock.advance(11 * time.Second)
-	if err := r.Allow(host); err != nil {
-		t.Fatal(err)
-	}
-	r.Report(host, true)
-	if r.State(host) != Closed {
-		t.Fatalf("state after good probe = %v, want closed", r.State(host))
-	}
-	if err := r.Allow(host); err != nil {
-		t.Fatal("closed circuit rejecting requests")
-	}
-
-	snap := reg.Snapshot()
-	if snap.Counters["t.breaker.opens"] != 2 {
-		t.Errorf("opens = %d, want 2", snap.Counters["t.breaker.opens"])
-	}
-	if snap.Counters["t.breaker.closes"] != 1 {
-		t.Errorf("closes = %d, want 1", snap.Counters["t.breaker.closes"])
-	}
-	if snap.Counters["t.breaker.half_open_probes"] != 2 {
-		t.Errorf("probes = %d, want 2", snap.Counters["t.breaker.half_open_probes"])
-	}
-	if snap.Counters["t.breaker.rejected"] < 2 {
-		t.Errorf("rejected = %d, want >= 2", snap.Counters["t.breaker.rejected"])
-	}
-}
-
-func TestBreakerDisabledByDefault(t *testing.T) {
-	r := New(Policy{}, "t", nil)
-	for i := 0; i < 100; i++ {
-		r.Report("h", false)
-	}
-	if err := r.Allow("h"); err != nil {
-		t.Fatal("disabled breaker rejected a request")
-	}
-}
-
-func TestUnhealthyHostsExposed(t *testing.T) {
-	reg := obs.NewRegistry()
-	r := New(Policy{BreakerThreshold: 1}, "t", reg)
-	r.Report("bad.test", false)
-	m := r.UnhealthyHosts()
-	if m["bad.test"] != "open" {
-		t.Fatalf("UnhealthyHosts = %v", m)
-	}
-	snap := reg.Snapshot()
-	v, ok := snap.Values["t.breaker.hosts"].(map[string]string)
-	if !ok || v["bad.test"] != "open" {
-		t.Fatalf("breaker host map not in snapshot: %v", snap.Values)
-	}
-}
-
-func TestNilRetrierIsInert(t *testing.T) {
-	var r *Retrier
-	if err := r.Allow("h"); err != nil {
-		t.Fatal("nil retrier rejected")
-	}
-	r.Report("h", false)
-	if !r.GrantRetry("h") {
-		t.Fatal("nil retrier denied retry")
-	}
-	if r.Backoff("h", 3) != 0 {
-		t.Fatal("nil retrier backoff nonzero")
-	}
-	if err := r.Wait(context.Background(), "h", 1); err != nil {
-		t.Fatal(err)
-	}
-	if r.State("h") != Closed {
-		t.Fatal("nil retrier state not closed")
-	}
-}
-
 func TestWaitHonoursContext(t *testing.T) {
-	r := New(Policy{BaseDelay: time.Hour}, "t", nil)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if err := r.Wait(ctx, "k", 1); err == nil {
+	h := obs.NewRegistry().Histogram("t.retry.backoff_ms", obs.MillisBuckets)
+	if err := (Policy{BaseDelay: time.Hour}).Wait(ctx, "k", 1, h); err == nil {
 		t.Fatal("cancelled Wait returned nil")
+	}
+	if n := h.Snapshot().Count; n != 1 {
+		t.Fatalf("backoff histogram count = %d, want 1", n)
 	}
 }

@@ -164,34 +164,3 @@ func TestLookupRetryThenSuccess(t *testing.T) {
 			s.Counters["whois.neterrors"], s.Counters["whois.timeouts"])
 	}
 }
-
-// TestLookupBreakerOpensAndFastFails arms the breaker at one failure
-// against a hung registry: the second lookup must fast-fail with ErrOpen
-// without opening a connection.
-func TestLookupBreakerOpensAndFastFails(t *testing.T) {
-	reg := obs.NewRegistry()
-	c := &Client{
-		Timeout: 60 * time.Millisecond,
-		Retries: -1,
-		Policy:  retry.Policy{BreakerThreshold: 1, BreakerCooldown: time.Hour},
-		Metrics: reg,
-	}
-	addr := hungServer(t)
-	if _, err := c.Lookup(context.Background(), addr, "a.com"); err == nil {
-		t.Fatal("first lookup against a hung server succeeded")
-	}
-	_, err := c.Lookup(context.Background(), addr, "b.com")
-	if !errors.Is(err, retry.ErrOpen) {
-		t.Fatalf("second lookup error = %v, want retry.ErrOpen", err)
-	}
-	s := reg.Snapshot()
-	if s.Counters["whois.breaker.opens"] != 1 {
-		t.Errorf("breaker opens = %d, want 1", s.Counters["whois.breaker.opens"])
-	}
-	if s.Counters["whois.breaker.rejected"] != 1 {
-		t.Errorf("breaker rejections = %d, want 1", s.Counters["whois.breaker.rejected"])
-	}
-	if st := c.Retrier().State(addr); st != retry.Open {
-		t.Errorf("breaker state = %v, want open", st)
-	}
-}

@@ -137,8 +137,8 @@ func (s *Server) handle(conn net.Conn) {
 }
 
 // Client queries whois servers with per-attempt deadlines, classified
-// error accounting, and the shared retry/backoff/circuit-breaker policy
-// (keyed by server address). A hung registry server costs at most Timeout
+// error accounting, and retries with the default backoff schedule of
+// internal/retry. A hung registry server costs at most Timeout
 // per attempt instead of stalling a worker indefinitely, and a connection
 // that dies mid-record surfaces as an error instead of being silently
 // parsed as a (partial) record.
@@ -151,9 +151,6 @@ type Client struct {
 	// default of 1, positive as given). A served record or a clean
 	// "No match" answer is definitive and never retried.
 	Retries int
-	// Policy configures backoff, the per-server retry budget, and the
-	// per-server circuit breaker (see internal/retry).
-	Policy retry.Policy
 	// Dial opens the TCP connection of one lookup attempt; nil selects
 	// faultx.DialTimeout. Chaos tests interpose fault-injecting conn
 	// wrappers here — the repository forbids direct net.Dial* outside
@@ -161,19 +158,17 @@ type Client struct {
 	// this seam sees every outbound connection.
 	Dial func(network, addr string, timeout time.Duration) (net.Conn, error)
 	// Metrics, when set, receives whois.* accounting: lookups, retries,
-	// timeouts vs other network errors, no-match answers, and an RTT
-	// histogram; the retry layer reports under whois.breaker.* and
-	// whois.retry.*.
+	// timeouts vs other network errors, no-match answers, an RTT
+	// histogram, and backoff delays in whois.retry.backoff_ms.
 	Metrics *obs.Registry
 
 	once sync.Once
 	m    *clientMetrics
-	rt   *retry.Retrier
 }
 
 type clientMetrics struct {
 	lookups, retries, timeouts, neterrors, nomatch *obs.Counter
-	rttMS                                          *obs.Histogram
+	rttMS, backoffMS                               *obs.Histogram
 }
 
 func (c *Client) init() {
@@ -186,8 +181,8 @@ func (c *Client) init() {
 			neterrors: reg.Counter("whois.neterrors"),
 			nomatch:   reg.Counter("whois.nomatch"),
 			rttMS:     reg.Histogram("whois.rtt_ms", obs.MillisBuckets),
+			backoffMS: reg.Histogram("whois.retry.backoff_ms", obs.MillisBuckets),
 		}
-		c.rt = retry.New(c.Policy, "whois", c.Metrics)
 	})
 }
 
@@ -205,13 +200,9 @@ func (c *Client) Lookup(ctx context.Context, addr, domain string) (Record, error
 	c.m.lookups.Inc()
 	retries := retry.Resolve(c.Retries, 1)
 	for attempt := 0; ; attempt++ {
-		if err := c.rt.Allow(addr); err != nil {
-			return Record{}, fmt.Errorf("whois %s: %w", addr, err)
-		}
 		start := time.Now()
 		rec, err := c.lookupOnce(addr, domain)
 		if err == nil || errors.Is(err, ErrNoMatch) {
-			c.rt.Report(addr, true)
 			c.m.rttMS.ObserveSince(start)
 			if err != nil {
 				c.m.nomatch.Inc()
@@ -223,12 +214,11 @@ func (c *Client) Lookup(ctx context.Context, addr, domain string) (Record, error
 		} else {
 			c.m.neterrors.Inc()
 		}
-		c.rt.Report(addr, false)
-		if attempt >= retries || ctx.Err() != nil || !c.rt.GrantRetry(addr) {
+		if attempt >= retries || ctx.Err() != nil {
 			return Record{}, err
 		}
 		c.m.retries.Inc()
-		if werr := c.rt.Wait(ctx, addr+"/"+domain, attempt+1); werr != nil {
+		if werr := (retry.Policy{}).Wait(ctx, addr+"/"+domain, attempt+1, c.m.backoffMS); werr != nil {
 			return Record{}, err
 		}
 	}

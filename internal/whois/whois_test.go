@@ -5,22 +5,13 @@ import (
 	"strings"
 	"sync"
 	"testing"
-
-	"squatphi/internal/retry"
 )
 
 // Lookup queries a whois server for one domain with default client
-// settings (5s attempt deadline, one retry, no budget or breaker).
+// settings (5s attempt deadline, one retry).
 func Lookup(addr, domain string) (Record, error) {
 	var c Client
 	return c.Lookup(context.Background(), addr, domain)
-}
-
-// Retrier returns the client's shared retry/breaker state, built lazily
-// from Policy.
-func (c *Client) Retrier() *retry.Retrier {
-	c.init()
-	return c.rt
 }
 
 type mapDir map[string]Record
