@@ -8,7 +8,7 @@
 // reads the wall clock or unseeded randomness (PR 2/4), the paper-table
 // mapping in DESIGN.md requires stable literal `pkg.name` metric
 // identifiers (PR 1), and the chaos suites require that every outbound
-// connection flows through the dnsx/faultx/retry transport seam (PR 3).
+// connection flows through the dnsx/faultx transport seam (PR 3).
 // One stray time.Now() or raw net.Dial silently breaks golden tests or
 // chaos counter snapshots; as Marchal et al. argue for phishing
 // classifiers themselves, guarantees must come from the pipeline's

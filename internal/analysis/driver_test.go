@@ -140,9 +140,11 @@ func TestEventNameFixture(t *testing.T) {
 }
 
 func TestTransportFixture(t *testing.T) {
-	diags := runFixture(t, Transport, "fetcher", "internal/dnsx", "listener", "internal/obs")
+	diags := runFixture(t, Transport, "fetcher", "internal/dnsx", "internal/retry", "listener", "internal/obs")
 	assertPosition(t, diags, "internal/analysis/testdata/analysis/src/fetcher/fetch.go:15:9",
-		"direct net.Dial outside the transport layer; open connections through the dnsx/faultx/retry wrappers (e.g. faultx.DialTimeout or a component Dial hook)")
+		"direct net.Dial outside the transport layer; open connections through the dnsx/faultx wrappers (e.g. faultx.DialTimeout or a component Dial hook)")
+	assertPosition(t, diags, "internal/analysis/testdata/analysis/src/internal/retry/retry.go:11:9",
+		"direct net.Dial outside the transport layer; open connections through the dnsx/faultx wrappers (e.g. faultx.DialTimeout or a component Dial hook)")
 	assertPosition(t, diags, "internal/analysis/testdata/analysis/src/listener/listener.go:15:9",
 		"listening socket net.Listen outside the serving layer; bind through obs.Serve so every repo listener carries the hardened timeout and graceful-drain policy")
 	assertPosition(t, diags, "internal/analysis/testdata/analysis/src/listener/listener.go:19:10",

@@ -1,5 +1,5 @@
 // Package fetcher is a transport-analyzer fixture: a component outside
-// the dnsx/faultx/retry transport layer that dials and fetches directly.
+// the dnsx/faultx transport layer that dials and fetches directly.
 // Every raw primitive must be flagged; going through an injected
 // *http.Client must not.
 package fetcher

@@ -5,11 +5,12 @@ import (
 )
 
 // transportAllowed are the packages that form the transport seam: dnsx
-// owns the DNS sockets, faultx wraps conns and round-trippers with
-// seeded fault injection, retry owns the backoff policy. Only they
-// may touch raw dial primitives; every other component must route
-// through their wrappers so chaos harnesses can interpose in one place.
-var transportAllowed = []string{"dnsx", "faultx", "retry"}
+// owns the DNS sockets, and faultx wraps conns and round-trippers with
+// seeded fault injection. Only they may touch raw dial primitives; every
+// other component — internal/retry included, which schedules backoff and
+// dials nothing — must route through their wrappers so chaos harnesses
+// can interpose in one place.
+var transportAllowed = []string{"dnsx", "faultx"}
 
 // netDialNames are the raw client-side primitives of package net.
 var netDialNames = map[string]bool{
@@ -24,7 +25,7 @@ var netDialNames = map[string]bool{
 // zero-value http.Server (no slowloris bound, no idle reaping, Close
 // dropped in-flight requests); funnelling listeners through one seam is
 // what keeps that class of bug fixed. The transport layer proper
-// (dnsx/faultx/retry, exempted above) still owns its own server
+// (dnsx/faultx, exempted above) still owns its own server
 // sockets, e.g. the dnsx DNS server.
 var listenerAllowed = []string{"obs"}
 
@@ -50,11 +51,11 @@ var httpDirectNames = map[string]bool{
 }
 
 // Transport enforces the PR 3 resilience invariant: all outbound I/O
-// flows through the dnsx/faultx/retry transport layer.
+// flows through the dnsx/faultx transport layer.
 var Transport = &Analyzer{
 	Name: "transport",
 	Doc: "forbid direct net.Dial*/net.Dialer/http.DefaultClient/http.Get-style " +
-		"calls outside internal/dnsx, internal/faultx and internal/retry " +
+		"calls outside internal/dnsx and internal/faultx " +
 		"(crawler, prober and whois must use the wrapped clients so fault " +
 		"injection and retry accounting see every outbound connection), and " +
 		"forbid raw listeners (net.Listen*, http.Server, http.ListenAndServe*) " +
@@ -91,7 +92,7 @@ func runTransport(pass *Pass) error {
 			switch pkgPath {
 			case "net":
 				if netDialNames[name] {
-					pass.Reportf(sel.Pos(), "direct net.%s outside the transport layer; open connections through the dnsx/faultx/retry wrappers (e.g. faultx.DialTimeout or a component Dial hook)", name)
+					pass.Reportf(sel.Pos(), "direct net.%s outside the transport layer; open connections through the dnsx/faultx wrappers (e.g. faultx.DialTimeout or a component Dial hook)", name)
 				}
 				if !listenerOK && netListenNames[name] {
 					pass.Reportf(sel.Pos(), "listening socket net.%s outside the serving layer; bind through obs.Serve so every repo listener carries the hardened timeout and graceful-drain policy", name)

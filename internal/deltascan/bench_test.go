@@ -26,11 +26,14 @@ type benchWorld struct {
 	engine  *Engine
 	domains []string
 	rng     *simrand.RNG
+	// squatEvery makes one new name in squatEvery squat-shaped; 0 makes
+	// none, so that an epoch's churn changes no candidate.
+	squatEvery int
 }
 
 func newBenchWorld(tb testing.TB) *benchWorld {
 	tb.Helper()
-	w := &benchWorld{store: dnsx.NewShardedStore(benchShards), m: testMatcher(), engine: NewEngine(), rng: simrand.New(2024)}
+	w := &benchWorld{store: dnsx.NewShardedStore(benchShards), m: testMatcher(), engine: NewEngine(), rng: simrand.New(2024), squatEvery: 18}
 	for len(w.domains) < benchRecords {
 		w.add()
 	}
@@ -40,10 +43,10 @@ func newBenchWorld(tb testing.TB) *benchWorld {
 	return w
 }
 
-// add registers one new name, squat-shaped one time in eighteen.
+// add registers one new name, squat-shaped one time in w.squatEvery.
 func (w *benchWorld) add() {
 	d := w.rng.Letters(6+w.rng.Intn(8)) + ".com"
-	if w.rng.Intn(18) == 0 {
+	if w.squatEvery > 0 && w.rng.Intn(w.squatEvery) == 0 {
 		d = "paypal-" + d
 	}
 	w.domains = append(w.domains, d)
@@ -62,16 +65,27 @@ func (w *benchWorld) churn() {
 }
 
 // BenchmarkWarmEpoch times one warm Engine.Scan after an epoch of churn
-// (the churn itself is applied off the clock).
+// (the churn itself is applied off the clock), at two shares of squats
+// among the new names: one in eighteen, where every epoch changes the
+// answer and Scan copies it out, and none, where the answer stands and
+// Scan hands back the previous result.
 func BenchmarkWarmEpoch(b *testing.B) {
-	w := newBenchWorld(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		w.churn()
-		b.StartTimer()
-		w.engine.Scan(w.store, w.m, 2)
+	for _, bc := range []struct {
+		name       string
+		squatEvery int
+	}{{"squats=1in18", 18}, {"squats=0", 0}} {
+		b.Run(bc.name, func(b *testing.B) {
+			w := newBenchWorld(b)
+			w.squatEvery = bc.squatEvery
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				w.churn()
+				b.StartTimer()
+				w.engine.Scan(w.store, w.m, 2)
+			}
+		})
 	}
 }
 
@@ -125,23 +139,45 @@ func TestLoadAllocBudget(t *testing.T) {
 
 // TestWarmEpochWalksOnlyNewNames: on one store churned in place, a warm
 // epoch runs the matcher on exactly the names the epoch added — none after
-// an epoch of re-points only, none on the first scan after Load. And once
-// the merge's two buffers are grown, an epoch allocates on average at most
-// 1.25x the slice it returns, so a per-name structure cannot come back
-// unnoticed.
+// an epoch of re-points only, none on the first scan after Load. Once the
+// merge's two buffers are grown, an epoch allocates on average at most
+// 1.25x the new slices it returns, so a per-name structure cannot come
+// back unnoticed. An epoch that changes no candidate — new names none of
+// which is a squat, or re-points only — returns the previous slice and
+// allocates at most 64 KB and 4 KB respectively, so the copy of the
+// answer cannot come back either.
 func TestWarmEpochWalksOnlyNewNames(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a 233K-record store")
 	}
 	w := newBenchWorld(t)
 	var grew, result uint64
-	scan := func(when string, e *Engine, added int) {
+	var last []squat.Candidate
+	// scan returns the bytes the Scan allocated and whether it handed back
+	// the previous Scan's slice, which counts nothing toward result.
+	scan := func(when string, e *Engine, added int) (allocated uint64, same bool) {
 		t.Helper()
 		var out []squat.Candidate
-		grew += allocatedBytes(func() { out = e.Scan(w.store, w.m, 2) })
-		result += uint64(cap(out)) * uint64(reflect.TypeOf(squat.Candidate{}).Size())
+		allocated = allocatedBytes(func() { out = e.Scan(w.store, w.m, 2) })
+		same = len(out) > 0 && len(out) == len(last) && &out[0] == &last[0]
+		grew += allocated
+		if !same {
+			result += uint64(cap(out)) * uint64(reflect.TypeOf(squat.Candidate{}).Size())
+		}
+		last = out
 		if st := e.LastStats(); st.FullScan || st.RecordsWalked != added || st.CacheMisses != added {
 			t.Fatalf("%s: stats = %+v, want %d records matched", when, st, added)
+		}
+		return allocated, same
+	}
+	unchanged := func(when string, allocated uint64, same bool, budget uint64) {
+		t.Helper()
+		t.Logf("%s: allocated %d bytes", when, allocated)
+		if !same {
+			t.Fatalf("%s changed no candidate but returned a new slice", when)
+		}
+		if allocated > budget {
+			t.Fatalf("%s allocated %d bytes, budget %d", when, allocated, budget)
 		}
 	}
 	churn := func(when string, e *Engine) {
@@ -156,13 +192,22 @@ func TestWarmEpochWalksOnlyNewNames(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		churn("warm epoch", w.engine)
 	}
+	w.squatEvery = 0
+	before := w.store.Len()
+	for i := 0; i < benchChurn; i++ {
+		w.add()
+	}
+	allocated, same := scan("epoch of new names, none a squat", w.engine, w.store.Len()-before)
+	unchanged("epoch of new names, none a squat", allocated, same, 64<<10)
+	w.squatEvery = 18
 	for i := 0; i < benchChurn; i++ {
 		w.store.Add(w.domains[w.rng.Intn(len(w.domains))], dnsx.RandomIP(w.rng))
 	}
-	scan("re-point epoch", w.engine, 0)
-	t.Logf("9 warm epochs allocated %d bytes for %d bytes of results (%.2fx)", grew, result, float64(grew)/float64(result))
+	allocated, same = scan("re-point epoch", w.engine, 0)
+	unchanged("re-point epoch", allocated, same, 4<<10)
+	t.Logf("10 warm epochs allocated %d bytes for %d bytes of new results (%.2fx)", grew, result, float64(grew)/float64(result))
 	if grew > result*5/4 {
-		t.Fatalf("warm epochs allocated %d bytes, budget 1.25 x the %d bytes they returned", grew, result)
+		t.Fatalf("warm epochs allocated %d bytes, budget 1.25 x the %d bytes of new results they returned", grew, result)
 	}
 
 	var buf bytes.Buffer

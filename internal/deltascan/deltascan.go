@@ -24,7 +24,10 @@
 //
 // The output is merged incrementally too: the fresh candidates of an
 // epoch are inserted into the last sorted result by binary search, and a
-// shard re-matched in full drops its old entries by shard tag.
+// shard re-matched in full drops its old entries by shard tag. Scan copies
+// the merged output into the slice it returns only when the output
+// changed: an epoch that adds and drops no candidate hands back the last
+// result itself, so Scan results are read-only.
 //
 // The state is versioned by the matcher's Fingerprint (brand-universe hash
 // plus rule/index fingerprint, squat.Matcher.Fingerprint): scanning with a
@@ -151,8 +154,9 @@ type metrics struct {
 // Engine is a persistent incremental scanner. It is bound to one logical
 // snapshot lineage (successive epochs of "the DNS") and one matcher
 // configuration at a time; feed it successive sources via Scan. An Engine
-// serialises its own Scan calls; Scan results are plain value slices and
-// safe to retain.
+// serialises its own Scan calls. A Scan result is read-only: the engine
+// never writes into a slice it has returned, so keeping one is safe, and
+// an epoch that changes no candidate returns the previous result itself.
 type Engine struct {
 	mu     sync.Mutex
 	fp     uint64 // of the matcher that produced shards; meaningless while shards is nil
@@ -160,9 +164,12 @@ type Engine struct {
 	// out is every shard's candidates sorted by domain: the last Scan's
 	// answer. spare is the buffer the next merge writes into.
 	out, spare []cand
-	epoch      int
-	last       Stats
-	met        *metrics
+	// answer is out as last handed out by Scan, nil whenever out has been
+	// replaced since; an epoch that leaves out alone returns it again.
+	answer []squat.Candidate
+	epoch  int
+	last   Stats
+	met    *metrics
 }
 
 // NewEngine returns an empty engine; its first Scan is a full scan.
@@ -239,8 +246,11 @@ func (e *Engine) Provenance(domain string) (Provenance, bool) {
 // workers goroutines (<= 0 means GOMAXPROCS, at most one per shard; 1 runs
 // the same loop on one goroutine). The returned slice is sorted by domain
 // and byte-identical to the serial reference (match every record, sort by
-// domain) at any workers value. If src fails to read a shard, Scan returns
-// nil, drops the engine's state and reports the error in Stats.Err.
+// domain) at any workers value. The result is read-only and shared: an
+// epoch that adds and drops no candidate returns the previous Scan's slice
+// without a copy, and the engine never writes into a slice it returned.
+// If src fails to read a shard, Scan returns nil, drops the engine's state
+// and reports the error in Stats.Err.
 func (e *Engine) Scan(src Source, m *squat.Matcher, workers int) []squat.Candidate {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -256,7 +266,7 @@ func (e *Engine) Scan(src Source, m *squat.Matcher, workers int) []squat.Candida
 		st.FullScan = true
 		st.Invalidated = e.shards != nil
 		e.shards = make([]shardState, n)
-		e.fp, e.out = fp, e.out[:0]
+		e.fp, e.out, e.answer = fp, e.out[:0], nil
 	}
 
 	// Partition shards into skips and rescans on the name checksum: a
@@ -320,22 +330,21 @@ func (e *Engine) Scan(src Source, m *squat.Matcher, workers int) []squat.Candida
 	}
 	st.CacheMisses = st.RecordsWalked
 	if st.Err != nil {
-		e.shards, e.out = nil, e.out[:0]
+		e.shards, e.out, e.answer = nil, e.out[:0], nil
 	} else {
 		e.merge(fresh, drop)
 	}
 
-	var out []squat.Candidate
-	if len(e.out) > 0 {
-		out = make([]squat.Candidate, len(e.out))
+	if e.answer == nil && len(e.out) > 0 {
+		e.answer = make([]squat.Candidate, len(e.out))
 		for i := range e.out {
-			out[i] = e.out[i].Candidate
+			e.answer[i] = e.out[i].Candidate
 		}
 	}
 	st.Duration = sw.Elapsed()
 	e.epoch, e.last = st.Epoch, st
 	e.report(st)
-	return out
+	return e.answer
 }
 
 // report publishes one scan's statistics to the metrics registry.
@@ -422,6 +431,7 @@ func (e *Engine) merge(fresh []cand, drop []bool) {
 	}
 	slices.SortFunc(fresh, cmpDomain)
 	fresh = slices.CompactFunc(fresh, func(a, b cand) bool { return a.Domain == b.Domain && a.shard == b.shard })
+	e.answer = nil
 	if len(e.out) == 0 {
 		e.out, e.spare = fresh, e.out
 		return

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -25,8 +26,10 @@ import (
 // cases the merge and the skip must get right — a candidate appearing,
 // that candidate disappearing, an epoch of nothing but re-points, an
 // unchanged epoch — and, mid-sequence, swaps every engine for its own
-// Save/Load image. After each scan the returned slice is scribbled over:
-// the engine's retained output must not alias it.
+// Save/Load image. A Scan result is read-only: an epoch of re-points only
+// or of nothing must hand back the previous epoch's slice itself, and every
+// result must still equal the clone taken when it was returned once the
+// sequence ends, so the engine never writes into a slice it returned.
 func TestPropertyIncrementalEqualsFull(t *testing.T) {
 	seeds := []uint64{1, 2026, 0xdeadbeef, 424242}
 	if testing.Short() {
@@ -46,6 +49,19 @@ func TestPropertyIncrementalEqualsFull(t *testing.T) {
 			}
 			model := seedModel(rng.Split("seed-model"), 200+rng.Intn(400))
 			planted := "paypal-" + rng.Letters(5) + ".com"
+
+			// returned keeps every result beside its clone; prev is each
+			// engine's last result.
+			type result struct{ got, clone []squat.Candidate }
+			var returned []result
+			prev := map[*Engine][]squat.Candidate{}
+			defer func() {
+				for i, r := range returned {
+					if !reflect.DeepEqual(r.got, r.clone) {
+						t.Fatalf("result %d was written into after it was returned", i)
+					}
+				}
+			}()
 
 			const epochs = 14
 			for epoch := 0; epoch < epochs; epoch++ {
@@ -82,9 +98,15 @@ func TestPropertyIncrementalEqualsFull(t *testing.T) {
 					}
 					return loaded
 				}
+				unchanged := ipOnly || epoch%5 == 4
 				check := func(name string, e *Engine, store *dnsx.Store, workers, added int) {
 					t.Helper()
 					got := e.Scan(store, m, workers)
+					returned = append(returned, result{got, slices.Clone(got)})
+					if last := prev[e]; unchanged && (len(got) != len(last) || len(got) > 0 && &got[0] != &last[0]) {
+						t.Fatalf("epoch %d %s workers %d: an epoch that changes no candidate returned a new slice", epoch, name, workers)
+					}
+					prev[e] = got
 					if want := fullScan(store, m); !reflect.DeepEqual(got, want) {
 						t.Fatalf("epoch %d %s workers %d: incremental %d candidates != full %d",
 							epoch, name, workers, len(got), len(want))
@@ -97,9 +119,6 @@ func TestPropertyIncrementalEqualsFull(t *testing.T) {
 						t.Fatalf("epoch %d %s workers %d: matched %d records, want the %d names added",
 							epoch, name, workers, st.RecordsWalked, added)
 					}
-					for i := range got {
-						got[i] = squat.Candidate{Domain: "scribbled"}
-					}
 				}
 
 				store := buildStore(model, rng.Split(fmt.Sprintf("build-%d", epoch)))
@@ -107,7 +126,7 @@ func TestPropertyIncrementalEqualsFull(t *testing.T) {
 					e = reload(e)
 					engines[workers] = e
 					added := -1 // a rebuilt store re-matches its changed shards in full
-					if ipOnly || epoch%5 == 4 {
+					if unchanged {
 						added = 0
 					}
 					check("rebuilt", e, store, workers, added)
