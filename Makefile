@@ -176,17 +176,14 @@ cover:
 		} END { exit bad }' cover_output.txt
 	@echo "coverage floors $(COVER_FLOOR)% / $(COVER_FLOOR_ANALYSIS)% (internal/analysis) held"
 
-# Serving-path smoke: boot squatd on a generated snapshot bound to an
-# ephemeral loopback port, answer a self-lookup and the health check,
-# then exit through the full graceful-shutdown path (listener drain →
-# delta-state spill → metrics flush). Exercises boot scan, shard warm,
-# HTTP serving, signal handling and atomic persistence in one command.
+# Serving-path smoke: squatd boots on a generated snapshot bound to an
+# ephemeral loopback port, answers a self-lookup and the health check,
+# then exits through the shutdown path a signal takes (listener drain →
+# delta-state spill → metrics flush); the spill must load and the flushed
+# metrics must count the lookup. Exercises boot scan, shard warm, HTTP
+# serving and atomic persistence in one test.
 serve-smoke:
-	@tmp=$$(mktemp -d); \
-	$(GO) run ./cmd/squatd -gen 20000 -addr 127.0.0.1:0 \
-		-state $$tmp/squatd.spill -metrics $$tmp/metrics.json \
-		-smoke paypal.com facebook.com; rc=$$?; \
-	rm -rf $$tmp; exit $$rc
+	$(GO) test -run '^TestServeSmoke$$' -count=1 ./cmd/squatd
 
 # Monitor smoke: squatmond bootstraps its classifier and runs three rounds
 # into a temporary report; every report line must decode as an Alert and

@@ -33,12 +33,14 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"log"
 	"net/http"
 	"os"
+	"os/signal"
 	"runtime"
 	"syscall"
 	"time"
@@ -59,10 +61,8 @@ func main() {
 	snapPath := flag.String("snap", "", "load a binary columnar snapshot (internal/snapfmt)")
 	gen := flag.Int("gen", 0, "serve a generated synthetic snapshot with N noise records")
 	seed := flag.Uint64("seed", 1, "generation seed for -gen")
-	shards := flag.Int("shards", 0, "shard count for -gen stores (0 = dnsx default)")
 	statePath := flag.String("state", "", "delta-scan spill path: recovered on boot (incremental warm), saved atomically on shutdown")
 	metricsPath := flag.String("metrics", "", "write the final metrics snapshot to this file on shutdown")
-	grace := flag.Duration("grace", obs.ShutdownGrace, "how long shutdown waits for in-flight requests and flushes")
 	smoke := flag.Bool("smoke", false, "boot, answer one self-lookup, then exit through the full graceful-shutdown path")
 	flag.Parse()
 	if flag.NArg() == 0 {
@@ -77,7 +77,7 @@ func main() {
 	reg := obs.NewRegistry()
 	matcher.InstrumentMetrics(reg)
 
-	store, err := loadStore(*snapPath, *gen, *seed, *shards, brands)
+	store, err := loadStore(*snapPath, *gen, *seed, brands)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -111,33 +111,24 @@ func main() {
 		log.Fatal(err)
 	}
 
-	lc := serve.NewLifecycle()
-	ctx := lc.Watch(context.Background(), os.Interrupt, syscall.SIGTERM)
-
-	// Shutdown hooks run LIFO: the listener drains first, then the
-	// delta state is spilled (reflecting every update the store
-	// absorbed), then metrics flush last.
-	if *metricsPath != "" {
-		lc.OnShutdown("metrics", func(context.Context) error {
-			return fsx.WriteFile(*metricsPath, func(w io.Writer) error {
-				enc := json.NewEncoder(w)
-				enc.SetIndent("", "  ")
-				return enc.Encode(reg.Snapshot())
-			})
-		})
-	}
+	// spill re-scans and saves the delta state on the way out, so the
+	// spill covers records streamed in since boot (unchanged shards make
+	// the re-scan cheap). It exists only with -state: any later use of
+	// engine in main keeps the boot scan's state (~25 MB on serve-mixed)
+	// live while serving.
+	var spill func() error
 	if *statePath != "" {
-		lc.OnShutdown("delta-state", func(context.Context) error {
-			// Re-scan before spilling so the saved state covers records
-			// streamed in since boot; unchanged shards make it cheap.
+		spill = func() error {
 			engine.Scan(store, matcher, 0)
 			if err := engine.SaveFile(*statePath); err != nil {
 				return err
 			}
 			log.Printf("delta state saved to %s (epoch %d)", *statePath, engine.Epoch())
 			return nil
-		})
+		}
 	}
+
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 
 	// Collect the boot's garbage before serving: the boot scan's result,
 	// and the delta engine unless a -state spill keeps it, are dead by
@@ -150,28 +141,41 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	lc.OnShutdown("listener-drain", dbg.Shutdown)
 	reg.PublishExpvar("squatd")
 	log.Printf("serving verdicts on http://%s (/verdict, /verdicts, /update, /healthz, /metrics)", dbg.Addr())
 
 	if *smoke {
-		go selfSmoke(dbg.Addr(), brands[0], lc)
+		err = selfSmoke(dbg.Addr(), brands[0])
+	} else {
+		<-ctx.Done()
+		log.Printf("signalled; draining...")
 	}
+	stop() // a second signal kills the process outright
 
-	<-ctx.Done()
-	if sig := lc.Signal(); sig != nil {
-		log.Printf("received %v; draining...", sig)
-	}
-	shutCtx, cancel := context.WithTimeout(context.Background(), *grace)
+	// The listener drains first, then the delta state is spilled
+	// (reflecting every update the store absorbed), then metrics flush
+	// last. Each step runs even if an earlier one failed.
+	shutCtx, cancel := context.WithTimeout(context.Background(), obs.ShutdownGrace)
 	defer cancel()
-	if err := lc.Shutdown(shutCtx); err != nil {
+	err = errors.Join(err, dbg.Shutdown(shutCtx))
+	if spill != nil {
+		err = errors.Join(err, spill())
+	}
+	if *metricsPath != "" {
+		err = errors.Join(err, fsx.WriteFile(*metricsPath, func(w io.Writer) error {
+			enc := json.NewEncoder(w)
+			enc.SetIndent("", "  ")
+			return enc.Encode(reg.Snapshot())
+		}))
+	}
+	if err != nil {
 		log.Fatal(err)
 	}
 	log.Printf("shutdown complete")
 }
 
 // loadStore resolves the snapshot source flags.
-func loadStore(snapPath string, gen int, seed uint64, shards int, brands []squat.Brand) (*dnsx.Store, error) {
+func loadStore(snapPath string, gen int, seed uint64, brands []squat.Brand) (*dnsx.Store, error) {
 	switch {
 	case snapPath != "" && gen > 0:
 		return nil, fmt.Errorf("-snap and -gen are mutually exclusive")
@@ -193,7 +197,7 @@ func loadStore(snapPath string, gen int, seed uint64, shards int, brands []squat
 			}
 		}
 		return dnsx.GenerateSnapshot(dnsx.SnapshotSpec{
-			Planted: planted, NoiseRecords: gen, Seed: seed, Shards: shards,
+			Planted: planted, NoiseRecords: gen, Seed: seed,
 		}), nil
 	default:
 		return nil, fmt.Errorf("need a snapshot source: -snap FILE or -gen N")
@@ -201,9 +205,9 @@ func loadStore(snapPath string, gen int, seed uint64, shards int, brands []squat
 }
 
 // selfSmoke drives one verdict lookup and the health check against the
-// daemon's own listener, then requests graceful shutdown — the boot →
-// serve → drain → flush path in one command for make serve-smoke.
-func selfSmoke(addr string, brand squat.Brand, lc *serve.Lifecycle) {
+// daemon's own listener; main then shuts down as on a signal, so make
+// serve-smoke runs boot → serve → drain → spill → flush in one command.
+func selfSmoke(addr string, brand squat.Brand) error {
 	cli := &http.Client{Timeout: 10 * time.Second}
 	probe := "xn--" + brand.Name + "-test." + brand.TLD // a wrongish name; any answer proves the path
 	for _, url := range []string{
@@ -212,15 +216,14 @@ func selfSmoke(addr string, brand squat.Brand, lc *serve.Lifecycle) {
 	} {
 		resp, err := cli.Get(url)
 		if err != nil {
-			log.Printf("smoke: %s: %v", url, err)
-			os.Exit(1)
+			return fmt.Errorf("smoke: %w", err)
 		}
 		body, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
 		log.Printf("smoke: %s -> %d %s", url, resp.StatusCode, string(body))
 		if resp.StatusCode != http.StatusOK {
-			os.Exit(1)
+			return fmt.Errorf("smoke: %s answered %d", url, resp.StatusCode)
 		}
 	}
-	lc.Deliver(syscall.SIGTERM)
+	return nil
 }

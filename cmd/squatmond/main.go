@@ -25,6 +25,7 @@ import (
 	"io"
 	"log"
 	"os"
+	"os/signal"
 	"strconv"
 	"syscall"
 	"time"
@@ -35,7 +36,6 @@ import (
 	"squatphi/internal/features"
 	"squatphi/internal/fsx"
 	"squatphi/internal/obs"
-	"squatphi/internal/serve"
 	"squatphi/internal/simrand"
 	"squatphi/internal/squat"
 	"squatphi/internal/webworld"
@@ -79,9 +79,9 @@ func main() {
 	// the next stage boundary and the normal flush path (metrics
 	// snapshot) still runs — a monitor killed from the terminal leaves the
 	// same artifacts as one that ran to completion.
-	lc := serve.NewLifecycle()
-	ctx := lc.Watch(obs.WithRecorder(context.Background(), p.Trace),
+	ctx, stop := signal.NotifyContext(obs.WithRecorder(context.Background(), p.Trace),
 		os.Interrupt, syscall.SIGTERM)
+	defer stop()
 
 	if *debugAddr != "" {
 		dbg, err := obs.Serve(*debugAddr, reg, p.Trace)
@@ -250,8 +250,8 @@ monitor:
 			}
 		}
 	}
-	if sig := lc.Signal(); sig != nil {
-		log.Printf("received %v; flushing artifacts before exit", sig)
+	if ctx.Err() != nil {
+		log.Printf("signalled; flushing artifacts before exit")
 	}
 
 	snap := reg.Snapshot()

@@ -23,8 +23,10 @@ import (
 	"io"
 	"log"
 	"os"
+	"os/signal"
 	"sort"
 	"strings"
+	"sync"
 	"syscall"
 	"time"
 
@@ -34,7 +36,6 @@ import (
 	"squatphi/internal/obs"
 	"squatphi/internal/obs/trace"
 	"squatphi/internal/report"
-	"squatphi/internal/serve"
 	"squatphi/internal/squat"
 	"squatphi/internal/webworld"
 )
@@ -97,30 +98,26 @@ func main() {
 	// SIGINT/SIGTERM cancel the pipeline context and flush what exists:
 	// the trace store and the crawler/prober stages all observe ctx, so
 	// an interrupted run still leaves its provenance on disk instead of
-	// dying with artifacts buffered in memory.
-	lc := serve.NewLifecycle()
-	ctx := lc.Watch(context.Background(), os.Interrupt, syscall.SIGTERM)
-	if *traceOut != "" {
-		lc.OnShutdown("trace-store", func(context.Context) error {
-			if err := p.Prov.WriteStoreFile(*traceOut); err != nil {
-				return err
-			}
-			sampled, hits := p.Prov.ScanStats()
-			log.Printf("trace store written to %s (%d records, %d scans sampled, %d sampled hits)",
-				*traceOut, len(p.Prov.Records()), sampled, hits)
+	// dying with artifacts buffered in memory. The signal context is
+	// never stopped: that would wake the watcher into os.Exit(1) after a
+	// completed run.
+	ctx, _ := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	flush := sync.OnceValue(func() error {
+		if *traceOut == "" {
 			return nil
-		})
-	}
+		}
+		if err := p.Prov.WriteStoreFile(*traceOut); err != nil {
+			return err
+		}
+		sampled, hits := p.Prov.ScanStats()
+		log.Printf("trace store written to %s (%d records, %d scans sampled, %d sampled hits)",
+			*traceOut, len(p.Prov.Records()), sampled, hits)
+		return nil
+	})
 	go func() {
 		<-ctx.Done()
-		sig := lc.Signal()
-		if sig == nil {
-			return
-		}
-		log.Printf("received %v; flushing partial artifacts", sig)
-		shutCtx, cancel := context.WithTimeout(context.Background(), obs.ShutdownGrace)
-		defer cancel()
-		if err := lc.Shutdown(shutCtx); err != nil {
+		log.Printf("signalled; flushing partial artifacts")
+		if err := flush(); err != nil {
 			log.Printf("flush: %v", err)
 		}
 		os.Exit(1)
@@ -227,11 +224,9 @@ func main() {
 			fmt.Print(rec.Render())
 		}
 	}
-	// The trace store is written by the lifecycle hook — the same flush
-	// whether the run completed or was signalled.
-	shutCtx, cancel := context.WithTimeout(context.Background(), obs.ShutdownGrace)
-	defer cancel()
-	if err := lc.Shutdown(shutCtx); err != nil {
+	// The same flush as on a signal; whichever comes first writes the
+	// store, once.
+	if err := flush(); err != nil {
 		log.Fatal(err)
 	}
 

@@ -232,14 +232,14 @@ func TestHotPathRealRepo(t *testing.T) {
 
 func TestLifecycleLeakFixture(t *testing.T) {
 	diags := runFixture(t, LifecycleLeak, "internal/serve", "cmd/leakcmd")
-	assertPosition(t, diags, "internal/analysis/testdata/analysis/src/internal/serve/leak.go:23:2",
-		"goroutine is not join-able (no sync.WaitGroup signal, <-ctx.Done() wait, channel range, or serve.Lifecycle hook in its body); tie it to the component lifecycle so shutdown can drain it")
+	assertPosition(t, diags, "internal/analysis/testdata/analysis/src/internal/serve/leak.go:16:2",
+		"goroutine is not join-able (no sync.WaitGroup signal, <-ctx.Done() wait or channel range in its body); tie it to the component lifecycle so shutdown can drain it")
 	// A named spawn is resolved through the call graph to its body.
-	assertPosition(t, diags, "internal/analysis/testdata/analysis/src/internal/serve/leak.go:77:2",
-		"goroutine leakyWorker is not join-able (no sync.WaitGroup signal, <-ctx.Done() wait, channel range, or serve.Lifecycle hook in its body); tie it to the component lifecycle so shutdown can drain it")
-	assertPosition(t, diags, "internal/analysis/testdata/analysis/src/internal/serve/leak.go:83:2",
+	assertPosition(t, diags, "internal/analysis/testdata/analysis/src/internal/serve/leak.go:62:2",
+		"goroutine leakyWorker is not join-able (no sync.WaitGroup signal, <-ctx.Done() wait or channel range in its body); tie it to the component lifecycle so shutdown can drain it")
+	assertPosition(t, diags, "internal/analysis/testdata/analysis/src/internal/serve/leak.go:68:2",
 		"goroutine calls through a function value, which cannot be proven join-able; spawn a named worker tied to the component lifecycle so shutdown can drain it")
-	assertPosition(t, diags, "internal/analysis/testdata/analysis/src/internal/serve/leak.go:88:2",
+	assertPosition(t, diags, "internal/analysis/testdata/analysis/src/internal/serve/leak.go:73:2",
 		"goroutine body Gosched is outside the analyzed packages; wrap the spawn in a join-able worker so shutdown can drain it")
 }
 

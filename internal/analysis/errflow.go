@@ -187,3 +187,12 @@ func calleeDisplay(info *types.Info, call *ast.CallExpr) string {
 	}
 	return fn.Name()
 }
+
+// namedOf unwraps pointers to the named type, nil for unnamed types.
+func namedOf(t types.Type) *types.Named {
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	named, _ := t.(*types.Named)
+	return named
+}

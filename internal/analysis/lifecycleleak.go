@@ -16,11 +16,10 @@ var LifecycleLeak = &Analyzer{
 	Name: "lifecycleleak",
 	Doc: "every go statement in internal/serve, internal/obs and cmd/* " +
 		"must start a join-able goroutine: its body signals a " +
-		"sync.WaitGroup, blocks on <-ctx.Done() (or ranges over a " +
-		"channel), or calls a serve.Lifecycle method; naked goroutines in " +
-		"serving code outlive shutdown and race the state spill. Named " +
-		"callees are resolved through the call graph so the rule sees " +
-		"their bodies across packages",
+		"sync.WaitGroup, blocks on <-ctx.Done(), or ranges over a " +
+		"channel; naked goroutines in serving code outlive shutdown " +
+		"and race the state spill. Named callees are resolved through " +
+		"the call graph so the rule sees their bodies across packages",
 	NeedsCallGraph: true,
 	Run:            runLifecycleLeak,
 }
@@ -57,7 +56,7 @@ func checkGoStmt(pass *Pass, g *ast.GoStmt) {
 	fun := ast.Unparen(g.Call.Fun)
 	if lit, ok := fun.(*ast.FuncLit); ok {
 		if !joinable(lit.Body, pass.Info) {
-			pass.Reportf(g.Pos(), "goroutine is not join-able (no sync.WaitGroup signal, <-ctx.Done() wait, channel range, or serve.Lifecycle hook in its body); tie it to the component lifecycle so shutdown can drain it")
+			pass.Reportf(g.Pos(), "goroutine is not join-able (no sync.WaitGroup signal, <-ctx.Done() wait or channel range in its body); tie it to the component lifecycle so shutdown can drain it")
 		}
 		return
 	}
@@ -72,7 +71,7 @@ func checkGoStmt(pass *Pass, g *ast.GoStmt) {
 		return
 	}
 	if !joinable(node.Decl.Body, node.Unit.Info) {
-		pass.Reportf(g.Pos(), "goroutine %s is not join-able (no sync.WaitGroup signal, <-ctx.Done() wait, channel range, or serve.Lifecycle hook in its body); tie it to the component lifecycle so shutdown can drain it", fn.Name())
+		pass.Reportf(g.Pos(), "goroutine %s is not join-able (no sync.WaitGroup signal, <-ctx.Done() wait or channel range in its body); tie it to the component lifecycle so shutdown can drain it", fn.Name())
 	}
 }
 
@@ -90,14 +89,6 @@ func joinable(body *ast.BlockStmt, info *types.Info) bool {
 			if fn := calleeFunc(info, x); fn != nil {
 				if fn.Pkg() != nil && fn.Pkg().Path() == "sync" && fn.Name() == "Done" {
 					found = true // wg.Done() — the spawner can Wait
-				}
-				if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
-					if named := namedOf(sig.Recv().Type()); named != nil {
-						obj := named.Obj()
-						if obj.Name() == "Lifecycle" && obj.Pkg() != nil && pathHasInternal(obj.Pkg().Path(), "serve") {
-							found = true // any serve.Lifecycle hook registers with the drain
-						}
-					}
 				}
 			}
 		case *ast.UnaryExpr:
@@ -118,13 +109,4 @@ func joinable(body *ast.BlockStmt, info *types.Info) bool {
 		return !found
 	})
 	return found
-}
-
-// namedOf unwraps pointers to the named type, nil for unnamed types.
-func namedOf(t types.Type) *types.Named {
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, _ := t.(*types.Named)
-	return named
 }

@@ -9,13 +9,6 @@ import (
 	"sync"
 )
 
-// Lifecycle mirrors the real serve.Lifecycle: registering any hook on it
-// counts as joining the component drain.
-type Lifecycle struct{ hooks []func() }
-
-// OnDrain registers f to run during shutdown.
-func (l *Lifecycle) OnDrain(f func()) { l.hooks = append(l.hooks, f) }
-
 func work() {}
 
 // leakNaked spawns a goroutine nobody can wait for.
@@ -44,14 +37,6 @@ func okCtx(ctx context.Context, in chan int) {
 				_ = v
 			}
 		}
-	}()
-}
-
-// okLifecycle registers with the drain.
-func okLifecycle(l *Lifecycle) {
-	go func() {
-		l.OnDrain(work)
-		work()
 	}()
 }
 

@@ -151,7 +151,7 @@ func (p *Pipeline) MonitorLiveness(ctx context.Context, clf *Classifier, confirm
 	for snap := 0; snap < webworld.Snapshots; snap++ {
 		// Each re-crawled page is classified on its crawl worker.
 		visit, scores := p.scoreHook(clf, len(confirmed))
-		if _, err := p.crawlDomains(ctx, snap, confirmed, visit); err != nil {
+		if _, err := p.crawlStage(ctx, "crawl_domains", snap, confirmed, visit); err != nil {
 			return nil, nil, err
 		}
 		for _, s := range scores {

@@ -402,12 +402,8 @@ func (p *Pipeline) crawl(ctx context.Context, snapshot int, clf *Classifier) ([]
 		return cached, scores, nil
 	}
 	domains := p.CandidateDomains()
-	ctx, done := p.stageSpan(ctx, "crawl")
-	p.Server.SetSnapshot(snapshot)
 	visit, scores := p.scoreHook(clf, len(domains))
-	results, err := p.crawlerByProfile.Crawl(ctx, domains, visit)
-	done(err)
-	p.Degraded("crawl", countDegraded(results), len(results))
+	results, err := p.crawlStage(ctx, "crawl", snapshot, domains, visit)
 	if err != nil {
 		return results, scores, err
 	}
@@ -440,16 +436,17 @@ func (p *Pipeline) scoreHook(clf *Classifier, n int) (func(i int, r *crawler.Res
 // degraded-stage accounting as Crawl under core.degraded.crawl_domains.
 // Its captures keep their Shots.
 func (p *Pipeline) CrawlDomains(ctx context.Context, snapshot int, domains []string) ([]crawler.Result, error) {
-	return p.crawlDomains(ctx, snapshot, domains, nil)
+	return p.crawlStage(ctx, "crawl_domains", snapshot, domains, nil)
 }
 
-// crawlDomains is CrawlDomains with a crawl visit hook (liveness re-checks
-// pass scoreHook's).
-func (p *Pipeline) crawlDomains(ctx context.Context, snapshot int, domains []string, visit func(i int, r *crawler.Result)) ([]crawler.Result, error) {
-	ctx, done := p.stageSpan(ctx, "crawl_domains")
+// crawlStage is one crawl of domains at a snapshot with a visit hook,
+// timed and degraded-counted as stage (core.stage.<stage>_ms,
+// core.degraded.<stage>).
+func (p *Pipeline) crawlStage(ctx context.Context, stage string, snapshot int, domains []string, visit func(i int, r *crawler.Result)) ([]crawler.Result, error) {
+	ctx, done := p.stageSpan(ctx, stage)
 	p.Server.SetSnapshot(snapshot)
 	results, err := p.crawlerByProfile.Crawl(ctx, domains, visit)
 	done(err)
-	p.Degraded("crawl_domains", countDegraded(results), len(results))
+	p.Degraded(stage, countDegraded(results), len(results))
 	return results, err
 }

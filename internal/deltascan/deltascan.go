@@ -297,9 +297,9 @@ func (e *Engine) Scan(src Source, m *squat.Matcher, workers int) []squat.Candida
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var sc squat.Scratch
+			tm := newTailMatcher(m, st.Epoch)
 			for ri := int(next.Add(1)) - 1; ri < len(rescan); ri = int(next.Add(1)) - 1 {
-				walks[ri] = e.shards[rescan[ri]].rescan(src, rescan[ri], m, &sc, st.Epoch)
+				walks[ri] = e.shards[rescan[ri]].rescan(src, rescan[ri], tm)
 			}
 		}()
 	}
@@ -379,37 +379,54 @@ type walk struct {
 	err                    error
 }
 
+// tailMatcher is one scan worker's match callback, built once per
+// worker: rescan points it at a shard's state before each walk, so a
+// rescanned shard heap-allocates no closure and no counter of its own.
+type tailMatcher struct {
+	sc      squat.Scratch
+	sh      *shardState
+	shard   int32
+	matched int
+	match   func(name []byte)
+}
+
+func newTailMatcher(m *squat.Matcher, epoch int) *tailMatcher {
+	t := &tailMatcher{}
+	t.match = func(name []byte) {
+		t.matched++
+		if c, ok := m.MatchBytes(name, &t.sc); ok {
+			t.sh.cands = append(t.sh.cands, cand{c, t.shard, int32(epoch)})
+		}
+	}
+	return t
+}
+
 // rescan brings one shard's state up to date with src. On the source it
 // last read, it matches only the tail inserted since its mark and keeps
 // the result if the tail's names account exactly for the move of the
-// shard's checksum; otherwise it re-matches the whole shard. epoch stamps
-// the candidates it finds.
-func (sh *shardState) rescan(src Source, shard int, m *squat.Matcher, sc *squat.Scratch, epoch int) (w walk) {
-	match := func(name []byte) {
-		w.matched++
-		if c, ok := m.MatchBytes(name, sc); ok {
-			sh.cands = append(sh.cands, cand{c, int32(shard), int32(epoch)})
-		}
-	}
+// shard's checksum; otherwise it re-matches the whole shard. The
+// candidates it finds carry the epoch t was built for.
+func (sh *shardState) rescan(src Source, shard int, t *tailMatcher) walk {
+	t.sh, t.shard, t.matched = sh, int32(shard), 0
 	if sh.src == src {
-		w.from = len(sh.cands)
-		visited, now, err := src.TailShard(shard, sh.mark.Next, match)
+		from := len(sh.cands)
+		visited, now, err := src.TailShard(shard, sh.mark.Next, t.match)
 		if err != nil {
-			w.err = err
-			return w
+			return walk{matched: t.matched, from: from, err: err}
 		}
 		if visited == now.Sum-sh.mark.Sum {
-			w.carried = sh.mark.Len
+			carried := sh.mark.Len
 			sh.mark = now
-			return w
+			return walk{matched: t.matched, carried: carried, from: from}
 		}
-		sh.cands = sh.cands[:w.from]
+		sh.cands = sh.cands[:from]
 	}
-	w.from, w.dropped = 0, len(sh.cands) > 0
+	dropped := len(sh.cands) > 0
 	sh.cands = sh.cands[:0]
-	_, sh.mark, w.err = src.TailShard(shard, 0, match)
+	var err error
+	_, sh.mark, err = src.TailShard(shard, 0, t.match)
 	sh.src = src
-	return w
+	return walk{matched: t.matched, dropped: dropped, err: err}
 }
 
 // merge folds a scan's fresh candidates into the retained output. e.out is
