@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short race race-short chaos bench bench-all bench-check bench-selftest vet fmt fmt-check lint lint-list fuzz fuzz-smoke cover provenance-check serve-smoke monitor-smoke verify paperbench pipeline clean
+.PHONY: all build test test-short race race-short chaos bench bench-all bench-check bench-selftest vet fmt fmt-check lint lint-list fuzz fuzz-smoke cover provenance-check serve-smoke monitor-smoke pipeline-smoke verify paperbench pipeline clean
 
 all: build vet fmt-check lint test
 
@@ -192,6 +192,14 @@ serve-smoke:
 monitor-smoke:
 	$(GO) test -run '^TestMonitorSmoke$$' -count=1 ./cmd/squatmond
 
+# Pipeline smoke: squatphi runs a small world end to end with -events and
+# -trace-out; every event line must be slog JSON with a lowercase.dotted
+# msg, stage and crawler events must be logged, the trace store must load,
+# and every flagged domain's record must carry its core.detect.flagged
+# event.
+pipeline-smoke:
+	$(GO) test -run '^TestPipelineSmoke$$' -count=1 ./cmd/squatphi
+
 # Provenance golden: one serial pipeline run must reproduce the pinned
 # verdict-provenance record (testdata/golden_provenance.json) byte for
 # byte. Regenerate with: go test -run TestGoldenProvenance -update .
@@ -201,9 +209,9 @@ provenance-check:
 # Full verification chain: build, vet, formatting, static analysis,
 # tests (including the golden end-to-end pipeline), the benchmark module's
 # own tests, the short race pass, the zero-alloc scan gate, coverage floors,
-# the provenance golden, the serving-path and monitor smokes, and the fuzz
-# smoke campaign.
-verify: build vet fmt-check lint test bench-selftest race-short bench-check cover provenance-check serve-smoke monitor-smoke fuzz-smoke
+# the provenance golden, the serving-path, monitor and pipeline smokes, and
+# the fuzz smoke campaign.
+verify: build vet fmt-check lint test bench-selftest race-short bench-check cover provenance-check serve-smoke monitor-smoke pipeline-smoke fuzz-smoke
 
 # Regenerate every paper table and figure.
 paperbench:

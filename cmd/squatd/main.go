@@ -141,7 +141,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	reg.PublishExpvar("squatd")
 	log.Printf("serving verdicts on http://%s (/verdict, /verdicts, /update, /healthz, /metrics)", dbg.Addr())
 
 	if *smoke {

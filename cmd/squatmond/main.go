@@ -89,7 +89,6 @@ func main() {
 			log.Fatal(err)
 		}
 		defer dbg.Close()
-		reg.PublishExpvar("squatphi")
 		log.Printf("debug endpoint on http://%s (/metrics, /spans, /debug/pprof)", dbg.Addr())
 	}
 

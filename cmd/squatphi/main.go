@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"log/slog"
 	"os"
 	"os/signal"
 	"sort"
@@ -86,7 +87,7 @@ func main() {
 			defer f.Close()
 			w = f
 		}
-		cfg.Events = trace.NewLogger(w, trace.LevelDebug)
+		cfg.Events = slog.New(slog.NewJSONHandler(w, &slog.HandlerOptions{Level: slog.LevelDebug}))
 	}
 	start := time.Now()
 	p, err := core.New(cfg)
@@ -130,7 +131,6 @@ func main() {
 			log.Fatal(err)
 		}
 		defer dbg.Close()
-		p.Obs.PublishExpvar("squatphi")
 		log.Printf("debug endpoint on http://%s (/metrics, /spans, /debug/verdict, /debug/pprof)", dbg.Addr())
 	}
 

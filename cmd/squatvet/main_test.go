@@ -37,8 +37,8 @@ func TestListAnalyzers(t *testing.T) {
 			t.Errorf("-list output missing %s", name)
 		}
 	}
-	if lines := strings.Count(out, "\n"); lines != 9 {
-		t.Errorf("-list printed %d lines, want 9", lines)
+	if lines := strings.Count(out, "\n"); lines != 8 {
+		t.Errorf("-list printed %d lines, want 8", lines)
 	}
 }
 

@@ -112,7 +112,7 @@ func (p *Pass) InTestFile(pos token.Pos) bool {
 
 // All returns every analyzer squatvet ships, in stable order.
 func All() []*Analyzer {
-	return []*Analyzer{Determinism, MetricName, EventName, Transport, RetryConv, LockCheck,
+	return []*Analyzer{Determinism, MetricName, Transport, RetryConv, LockCheck,
 		HotPath, LifecycleLeak, ErrFlow}
 }
 

@@ -132,11 +132,13 @@ func TestMetricNameFixture(t *testing.T) {
 }
 
 func TestEventNameFixture(t *testing.T) {
-	diags := runFixture(t, EventName, "eventuser")
-	assertPosition(t, diags, "internal/analysis/testdata/analysis/src/eventuser/events.go:16:11",
+	diags := runFixture(t, MetricName, "eventuser")
+	assertPosition(t, diags, "internal/analysis/testdata/analysis/src/eventuser/events.go:19:11",
 		`event name "BadCaps.Event" is not lowercase.dotted (want at least two [a-z0-9_] segments joined by dots)`)
-	assertPosition(t, diags, "internal/analysis/testdata/analysis/src/eventuser/events.go:18:11",
-		"event name passed to trace.Logger.Info is not a constant string; event identifiers must be stable literals")
+	assertPosition(t, diags, "internal/analysis/testdata/analysis/src/eventuser/events.go:21:11",
+		"event name passed to slog.Logger.Info is not a constant string; event identifiers must be stable literals")
+	assertPosition(t, diags, "internal/analysis/testdata/analysis/src/eventuser/events.go:23:32",
+		"event name passed to slog.Logger.Log is not a constant string; event identifiers must be stable literals")
 }
 
 func TestTransportFixture(t *testing.T) {
@@ -408,8 +410,8 @@ func TestExpandSkipsTestdataAndHidden(t *testing.T) {
 
 func TestByName(t *testing.T) {
 	all, err := ByName("")
-	if err != nil || len(all) != 9 {
-		t.Fatalf("ByName(\"\") = %d analyzers, err %v; want 9", len(all), err)
+	if err != nil || len(all) != 8 {
+		t.Fatalf("ByName(\"\") = %d analyzers, err %v; want 8", len(all), err)
 	}
 	sub, err := ByName("determinism, lockcheck")
 	if err != nil || len(sub) != 2 || sub[0] != Determinism || sub[1] != LockCheck {

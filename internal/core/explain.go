@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"log/slog"
 	"sort"
 
 	"squatphi/internal/crawler"
@@ -195,12 +196,12 @@ func (p *Pipeline) recordFlagged(clf *Classifier, det *Detection, snapshot int) 
 	sort.Strings(domains)
 	for _, d := range domains {
 		pair := ec.flagged[d]
-		attrs := []trace.Attr{trace.String("domain", d)}
+		attrs := []any{slog.String("domain", d)}
 		if f := pair[0]; f != nil {
-			attrs = append(attrs, trace.Float("web_score", f.Score))
+			attrs = append(attrs, slog.Float64("web_score", f.Score))
 		}
 		if f := pair[1]; f != nil {
-			attrs = append(attrs, trace.Float("mobile_score", f.Score))
+			attrs = append(attrs, slog.Float64("mobile_score", f.Score))
 		}
 		p.Events.Info("core.detect.flagged", attrs...)
 		p.Prov.Put(p.explainRecord(d, ec))

@@ -14,6 +14,9 @@ package core
 import (
 	"context"
 	"fmt"
+	"io"
+	"log/slog"
+	"math"
 	"runtime"
 	"sync"
 	"time"
@@ -84,11 +87,12 @@ type Config struct {
 	// negative disables scan sampling. Flagged verdicts always get a full
 	// evidence record regardless of this setting.
 	TraceSampleEvery int
-	// Events, when set, receives the pipeline's structured event log (see
-	// internal/obs/trace.Logger); events carrying a domain attribute are
-	// also attributed into that domain's provenance record. nil disables
-	// event logging; provenance records still accumulate.
-	Events *trace.Logger
+	// Events, when set, receives the pipeline's structured event log, the
+	// crawler's events under With("component", "crawler"); events carrying
+	// a domain attribute are also attributed into that domain's
+	// provenance record (trace.EventHandler). nil disables event logging;
+	// provenance records still accumulate.
+	Events *slog.Logger
 }
 
 // Pipeline is one instantiated SquatPhi system bound to a synthetic world.
@@ -112,8 +116,10 @@ type Pipeline struct {
 	// plus always-on evidence records for flagged verdicts. Always
 	// non-nil; persist it with trace.Collector.WriteStore.
 	Prov *trace.Collector
-	// Events is the structured event log (Config.Events; nil-tolerant).
-	Events *trace.Logger
+	// Events is the structured event log: Config.Events routed through
+	// trace.EventHandler into Prov, or a logger that discards everything
+	// when Config.Events is nil. Never nil.
+	Events *slog.Logger
 
 	crawlerByProfile *crawler.Crawler
 
@@ -158,7 +164,7 @@ func New(cfg Config) (*Pipeline, error) {
 		Obs:        reg,
 		Trace:      obs.NewRecorder(32),
 		Prov:       trace.NewCollector(cfg.TraceSampleEvery),
-		Events:     cfg.Events,
+		Events:     noEvents,
 		delta:      deltascan.NewEngine(),
 		crawls:     map[int][]crawler.Result{},
 		stageDur:   map[string]time.Duration{},
@@ -173,16 +179,22 @@ func New(cfg Config) (*Pipeline, error) {
 	}
 	p.Matcher.InstrumentMetrics(reg)
 	p.Matcher.InstrumentTrace(p.Prov)
-	p.Events.AttachCollector(p.Prov)
 	p.delta.InstrumentMetrics(reg)
 	p.crawlerByProfile = &crawler.Crawler{
 		Client:  server.Client(),
 		Workers: cfg.CrawlWorkers,
 		Metrics: reg,
-		Events:  cfg.Events.Component("crawler"),
+	}
+	if cfg.Events != nil {
+		p.Events = slog.New(trace.EventHandler(cfg.Events.Handler(), p.Prov))
+		p.crawlerByProfile.Events = p.Events.With("component", "crawler")
 	}
 	return p, nil
 }
+
+// noEvents is the event log of a pipeline configured without one: it
+// enables no level, so an emission builds no record.
+var noEvents = slog.New(slog.NewTextHandler(io.Discard, &slog.HandlerOptions{Level: slog.Level(math.MaxInt)}))
 
 // Close shuts down the world server.
 func (p *Pipeline) Close() error { return p.Server.Close() }
@@ -203,9 +215,9 @@ func (p *Pipeline) stageSpan(ctx context.Context, name string) (context.Context,
 		p.stageDur[name] = d
 		p.stageMu.Unlock()
 		span.EndWith(err)
-		attrs := []trace.Attr{trace.String("stage", name), trace.Float("ms", float64(d)/float64(time.Millisecond))}
+		attrs := []any{slog.String("stage", name), slog.Float64("ms", float64(d)/float64(time.Millisecond))}
 		if err != nil {
-			attrs = append(attrs, trace.String("error", err.Error()))
+			attrs = append(attrs, slog.String("error", err.Error()))
 			p.Events.Error("core.stage.failed", attrs...)
 			return
 		}
@@ -317,8 +329,8 @@ func (p *Pipeline) ScanDNS() []squat.Candidate {
 		p.Obs.Gauge("core.scan_dns.candidates").Set(float64(len(out)))
 		sampled, sampledHits := p.Prov.ScanStats()
 		p.Events.Info("core.scan.done",
-			trace.Int("epoch", p.delta.Epoch()), trace.Int("candidates", len(out)),
-			trace.Int64("prov_sampled", sampled), trace.Int64("prov_sampled_hits", sampledHits))
+			slog.Int("epoch", p.delta.Epoch()), slog.Int("candidates", len(out)),
+			slog.Int64("prov_sampled", sampled), slog.Int64("prov_sampled_hits", sampledHits))
 		done(nil)
 	}
 	return p.candidates

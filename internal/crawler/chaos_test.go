@@ -1,16 +1,22 @@
 package crawler
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
+	"log/slog"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
 	"squatphi/internal/faultx"
 	"squatphi/internal/obs"
+	"squatphi/internal/obs/trace"
 	"squatphi/internal/retry"
 )
 
@@ -155,6 +161,78 @@ func TestChaosCrawlExactCountersAnyWorkerCount(t *testing.T) {
 			if got := snapshotCounts(reg); got != want {
 				t.Errorf("seed %d workers %d:\n got  %+v\n want %+v", seed, workers, got, want)
 			}
+		}
+	}
+}
+
+// TestChaosEventsAttributed: a page fetch whose every attempt is dropped
+// emits one crawler.fetch.retry per retry and one crawler.fetch.failed,
+// and trace.EventHandler files each into the host's provenance buffer,
+// as a warn event of the crawler component, while the JSON sink gets the
+// same lines. A Crawler with no event log crawls the same.
+func TestChaosEventsAttributed(t *testing.T) {
+	origin := chaosOrigin(t)
+	const host = "x.chaos.test"
+	capture := func(events *slog.Logger) (Capture, map[string]int64) {
+		reg := obs.NewRegistry()
+		c := &Crawler{
+			Client:     chaosClient(origin, faultx.Faults{Seed: 3, DropProb: 1}, reg),
+			Workers:    1,
+			Retries:    2,
+			Policy:     retry.Policy{BaseDelay: -1},
+			SkipRender: true,
+			Metrics:    reg,
+			Events:     events,
+		}
+		return c.CaptureProfile(context.Background(), host, false), reg.Snapshot().Counters
+	}
+
+	var sink bytes.Buffer
+	col := trace.NewCollector(-1)
+	events := slog.New(trace.EventHandler(slog.NewJSONHandler(&sink, &slog.HandlerOptions{Level: slog.LevelDebug}), col))
+	logged, loggedCounts := capture(events.With("component", "crawler"))
+	silent, silentCounts := capture(nil)
+
+	for name, c := range map[string]Capture{"logged": logged, "silent": silent} {
+		if c.Live || c.StatusCode != 0 {
+			t.Errorf("%s capture of an always-dropping host: live=%v status=%d", name, c.Live, c.StatusCode)
+		}
+	}
+	for _, k := range []string{"faultx.http.drop", "crawler.fetch.retries", "crawler.fetch.failures"} {
+		if loggedCounts[k] != silentCounts[k] {
+			t.Errorf("%s = %d with an event log, %d without", k, loggedCounts[k], silentCounts[k])
+		}
+	}
+	if loggedCounts["crawler.fetch.retries"] != 2 || loggedCounts["crawler.fetch.failures"] != 1 {
+		t.Errorf("counters = %v, want 2 retries and 1 failure", loggedCounts)
+	}
+
+	evs := col.EventsFor(host)
+	var names []string
+	for _, ev := range evs {
+		names = append(names, ev.Name)
+		if ev.Level != "warn" || ev.Component != "crawler" || ev.Attrs["domain"] != host || ev.Attrs["error"] == nil {
+			t.Errorf("attributed event %+v, want a warn crawler event for %s with its error", ev, host)
+		}
+	}
+	if want := []string{"crawler.fetch.retry", "crawler.fetch.retry", "crawler.fetch.failed"}; !reflect.DeepEqual(names, want) {
+		t.Fatalf("attributed events %v, want %v", names, want)
+	}
+	if evs[0].Attrs["attempt"] != int64(1) || evs[1].Attrs["attempt"] != int64(2) || evs[2].Attrs["status"] != int64(0) {
+		t.Errorf("event attrs %v / %v / %v, want attempts 1, 2 and status 0", evs[0].Attrs, evs[1].Attrs, evs[2].Attrs)
+	}
+
+	lines := strings.Split(strings.TrimSuffix(sink.String(), "\n"), "\n")
+	if len(lines) != len(evs) {
+		t.Fatalf("sink has %d lines, want %d: %q", len(lines), len(evs), sink.String())
+	}
+	for i, line := range lines {
+		var rec map[string]any
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatalf("sink line %d %q: %v", i+1, line, err)
+		}
+		if rec["component"] != "crawler" || rec["msg"] != names[i] || rec["level"] != "WARN" {
+			t.Errorf("sink line %d = %v, want the crawler's %s", i+1, rec, names[i])
 		}
 	}
 }

@@ -15,6 +15,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"strings"
 	"sync"
@@ -22,7 +23,6 @@ import (
 
 	"squatphi/internal/htmlx"
 	"squatphi/internal/obs"
-	"squatphi/internal/obs/trace"
 	"squatphi/internal/render"
 	"squatphi/internal/retry"
 )
@@ -126,9 +126,9 @@ type Crawler struct {
 	Metrics *obs.Registry
 	// Events, when set, receives structured retry/failure events carrying
 	// a "domain" attribute, which the provenance layer attributes to the
-	// domain's evidence record (trace.Logger.AttachCollector). nil
-	// disables event logging; nothing on the fetch path depends on it.
-	Events *trace.Logger
+	// domain's evidence record (trace.EventHandler). nil disables event
+	// logging; nothing on the fetch path depends on it.
+	Events *slog.Logger
 
 	statsOnce sync.Once
 	stats     *crawlStats
@@ -315,11 +315,13 @@ func (c *Crawler) CaptureProfile(ctx context.Context, domain string, mobile bool
 		if err != nil || status >= 400 {
 			// One failure per page fetch, however many retries it took.
 			st.recordHostFailure(hostOf(url))
-			attrs := []trace.Attr{trace.String("domain", hostOf(url)), trace.Int("status", status)}
-			if err != nil {
-				attrs = append(attrs, trace.String("error", err.Error()))
+			if c.Events != nil {
+				attrs := []any{slog.String("domain", hostOf(url)), slog.Int("status", status)}
+				if err != nil {
+					attrs = append(attrs, slog.String("error", err.Error()))
+				}
+				c.Events.Warn("crawler.fetch.failed", attrs...)
 			}
-			c.Events.Warn("crawler.fetch.failed", attrs...)
 			return cap
 		}
 		if status >= 300 && location != "" {
@@ -401,8 +403,10 @@ func (c *Crawler) fetchPage(ctx context.Context, url, ua string, st *crawlStats)
 		}
 		host := hostOf(url)
 		st.recordHostRetry(host)
-		c.Events.Warn("crawler.fetch.retry",
-			trace.String("domain", host), trace.Int("attempt", attempt+1), trace.String("error", err.Error()))
+		if c.Events != nil {
+			c.Events.Warn("crawler.fetch.retry",
+				slog.String("domain", host), slog.Int("attempt", attempt+1), slog.String("error", err.Error()))
+		}
 		if werr := c.Policy.Wait(ctx, url, attempt+1, st.backoffMS); werr != nil {
 			return body, status, location, err
 		}

@@ -170,6 +170,10 @@ type Engine struct {
 	epoch  int
 	last   Stats
 	met    *metrics
+	// next and wg drive Scan's worker pool. mu serialises Scans, so one
+	// pair serves every epoch and no Scan moves its own to the heap.
+	next atomic.Int64
+	wg   sync.WaitGroup
 }
 
 // NewEngine returns an empty engine; its first Scan is a full scan.
@@ -291,19 +295,12 @@ func (e *Engine) Scan(src Source, m *squat.Matcher, workers int) []squat.Candida
 	// Rescan changed shards on a worker pool. Each shard is owned by
 	// exactly one worker, so shard states are mutated without locks.
 	walks := make([]walk, len(rescan))
-	var next atomic.Int64
-	var wg sync.WaitGroup
+	e.next.Store(0)
 	for w := min(workers, len(rescan)); w > 0; w-- {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			tm := newTailMatcher(m, st.Epoch)
-			for ri := int(next.Add(1)) - 1; ri < len(rescan); ri = int(next.Add(1)) - 1 {
-				walks[ri] = e.shards[rescan[ri]].rescan(src, rescan[ri], tm)
-			}
-		}()
+		e.wg.Add(1)
+		go e.rescanWorker(src, m, st.Epoch, rescan, walks)
 	}
-	wg.Wait()
+	e.wg.Wait()
 
 	// fresh is sized once: grown by append it left as much garbage as it
 	// kept, which a full scan's peak RSS showed.
@@ -345,6 +342,18 @@ func (e *Engine) Scan(src Source, m *squat.Matcher, workers int) []squat.Candida
 	e.epoch, e.last = st.Epoch, st
 	e.report(st)
 	return e.answer
+}
+
+// rescanWorker is one of Scan's pool goroutines: it claims indexes of
+// rescan from e.next until none is left, rescanning each claimed shard at
+// epoch into walks. Each shard is claimed once, so no two workers touch
+// the same shard state.
+func (e *Engine) rescanWorker(src Source, m *squat.Matcher, epoch int, rescan []int, walks []walk) {
+	defer e.wg.Done()
+	tm := newTailMatcher(m, epoch)
+	for ri := int(e.next.Add(1)) - 1; ri < len(rescan); ri = int(e.next.Add(1)) - 1 {
+		walks[ri] = e.shards[rescan[ri]].rescan(src, rescan[ri], tm)
+	}
 }
 
 // report publishes one scan's statistics to the metrics registry.

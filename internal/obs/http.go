@@ -26,7 +26,7 @@ type Route struct {
 //	/metrics   JSON snapshot of the registry
 //	/spans     recent pipeline traces (?n=K limits, newest first)
 //	/debug/pprof/...  the standard Go profiler endpoints
-//	/debug/vars       expvar (includes registries published via PublishExpvar)
+//	/debug/vars       expvar (the runtime's own vars)
 //
 // plus any extra routes the caller mounts. Either of reg/rec may be nil;
 // the corresponding route serves empty data.

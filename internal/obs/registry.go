@@ -16,7 +16,6 @@
 package obs
 
 import (
-	"expvar"
 	"math"
 	"sort"
 	"strings"
@@ -397,21 +396,4 @@ func (s Snapshot) SLORollup(prefix string) []SLOEntry {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
-}
-
-var expvarMu sync.Mutex
-
-// PublishExpvar exposes the registry's snapshot as an expvar under the
-// given name (visible at /debug/vars). Publishing the same name twice is a
-// no-op rather than the expvar panic.
-func (r *Registry) PublishExpvar(name string) {
-	if r == nil {
-		return
-	}
-	expvarMu.Lock()
-	defer expvarMu.Unlock()
-	if expvar.Get(name) != nil {
-		return
-	}
-	expvar.Publish(name, expvar.Func(func() any { return r.Snapshot() }))
 }

@@ -77,7 +77,6 @@ func TestNilRegistrySafe(t *testing.T) {
 	reg.Gauge("y").Set(3)
 	reg.Histogram("z", nil).Observe(1)
 	reg.RegisterFunc("f", func() any { return 1 })
-	reg.PublishExpvar("nil-reg")
 	s := reg.Snapshot()
 	if len(s.Counters) != 0 || len(s.Gauges) != 0 || len(s.Histograms) != 0 {
 		t.Errorf("nil registry snapshot not empty: %+v", s)
@@ -146,11 +145,4 @@ func TestObserveSince(t *testing.T) {
 	if s.Count != 1 || s.Sum < 4 {
 		t.Errorf("ObserveSince recorded %+v, want one ~5ms observation", s)
 	}
-}
-
-func TestPublishExpvarIdempotent(t *testing.T) {
-	reg := NewRegistry()
-	reg.Counter("x").Inc()
-	reg.PublishExpvar("obs-test-registry")
-	reg.PublishExpvar("obs-test-registry") // must not panic
 }

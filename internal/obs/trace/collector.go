@@ -191,7 +191,7 @@ func (c *Collector) Records() []*Record {
 }
 
 // AddEvent buffers an event attributed to a domain (typically routed
-// here by Logger.AttachCollector). Buffers are bounded: at most
+// here by EventHandler). Buffers are bounded: at most
 // maxEventsPerDomain events for each of at most maxEventDomains domains;
 // excess events are dropped.
 func (c *Collector) AddEvent(domain string, ev Event) {

@@ -18,7 +18,7 @@ const SchemaVersion = 2
 // field is deterministic for a given world and configuration — records
 // contain no wall-clock values and no worker-dependent state, so the
 // same run produces byte-identical records at any parallelism. Attached
-// Events have their timestamps zeroed for the same reason.
+// Events carry no timestamp for the same reason.
 type Record struct {
 	// Schema is the record format version (SchemaVersion).
 	Schema int `json:"schema"`
@@ -30,7 +30,7 @@ type Record struct {
 	Cache *CacheEvidence `json:"cache,omitempty"`
 	// Profiles holds per-crawl-profile evidence (web, then mobile).
 	Profiles []ProfileEvidence `json:"profiles,omitempty"`
-	// Events are log events attributed to this domain (timestamps zeroed).
+	// Events are log events attributed to this domain (no timestamps).
 	Events []Event `json:"events,omitempty"`
 }
 

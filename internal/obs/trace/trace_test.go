@@ -3,18 +3,14 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
+	"io"
+	"log/slog"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 )
-
-// SetClock replaces the event clock, pinning TMS values.
-func (l *Logger) SetClock(clock func() float64) {
-	l.core.mu.Lock()
-	defer l.core.mu.Unlock()
-	l.core.clock = clock
-}
 
 // Sampled reports whether domain falls in the 1-in-N head sample, over
 // the string view of the hash the scan path computes on bytes.
@@ -28,70 +24,93 @@ func (c *Collector) Sampled(domain string) bool {
 	return fnv1a(domain)%c.sampleEvery == 0
 }
 
+// newEventLog is the event log cmd/squatphi builds for -events, routed
+// through EventHandler into col.
+func newEventLog(w io.Writer, min slog.Level, col *Collector) *slog.Logger {
+	return slog.New(EventHandler(slog.NewJSONHandler(w, &slog.HandlerOptions{Level: min}), col))
+}
+
 func TestLoggerJSONLines(t *testing.T) {
 	var buf bytes.Buffer
-	log := NewLogger(&buf, LevelDebug)
-	log.SetClock(func() float64 { return 1.5 })
+	log := newEventLog(&buf, slog.LevelDebug, nil)
 
-	log.Info("scan.started", Int("records", 10), String("mode", "full"))
-	log.Component("crawler").Warn("crawler.fetch.retry", String("domain", "a.com"))
+	log.Info("scan.started", slog.Int("records", 10), slog.String("mode", "full"))
+	log.With("component", "crawler").Warn("crawler.fetch.retry", slog.String("domain", "a.com"))
 
 	lines := strings.Split(strings.TrimRight(buf.String(), "\n"), "\n")
 	if len(lines) != 2 {
 		t.Fatalf("got %d lines, want 2: %q", len(lines), buf.String())
 	}
-	var ev Event
-	if err := json.Unmarshal([]byte(lines[0]), &ev); err != nil {
+	var line map[string]any
+	if err := json.Unmarshal([]byte(lines[0]), &line); err != nil {
 		t.Fatalf("line 0 not JSON: %v", err)
 	}
-	if ev.Name != "scan.started" || ev.Level != "info" || ev.TMS != 1.5 {
-		t.Errorf("line 0 = %+v", ev)
+	if line["msg"] != "scan.started" || line["level"] != "INFO" || line["records"] != float64(10) || line["mode"] != "full" {
+		t.Errorf("line 0 = %v", line)
 	}
-	if got := ev.Attrs["records"]; got != float64(10) {
-		t.Errorf("records attr = %v", got)
+	if _, ok := line["component"]; ok {
+		t.Errorf("line 0 has a component it was not given: %v", line)
 	}
-	if err := json.Unmarshal([]byte(lines[1]), &ev); err != nil {
+	line = nil
+	if err := json.Unmarshal([]byte(lines[1]), &line); err != nil {
 		t.Fatalf("line 1 not JSON: %v", err)
 	}
-	if ev.Component != "crawler" || ev.Level != "warn" {
-		t.Errorf("line 1 = %+v", ev)
+	if line["component"] != "crawler" || line["level"] != "WARN" || line["domain"] != "a.com" {
+		t.Errorf("line 1 = %v", line)
 	}
 }
 
 func TestLoggerLevelFilterAndNil(t *testing.T) {
 	var buf bytes.Buffer
-	log := NewLogger(&buf, LevelWarn)
-	log.Debug("drop.debug")
-	log.Info("drop.info")
-	log.Error("keep.error")
+	col := NewCollector(1)
+	log := newEventLog(&buf, slog.LevelWarn, col)
+	log.Debug("drop.debug", slog.String("domain", "a.com"))
+	log.Info("drop.info", slog.String("domain", "a.com"))
+	log.Error("keep.error", slog.String("domain", "a.com"))
 	if n := strings.Count(buf.String(), "\n"); n != 1 {
 		t.Errorf("wrote %d events, want 1 (level filter): %q", n, buf.String())
 	}
+	// The sink's level filter binds the attribution too.
+	if evs := col.EventsFor("a.com"); len(evs) != 1 || evs[0].Name != "keep.error" || evs[0].Level != "error" {
+		t.Errorf("attributed %+v, want the one error event", evs)
+	}
 
-	// Nil receivers and nil component views must be safe no-ops.
-	var nilLog *Logger
-	nilLog.Info("ignored.event")
-	nilLog.Component("x").Warn("ignored.event")
-	nilLog.AttachCollector(nil)
+	// A nil collector attributes nothing but still forwards every record.
+	buf.Reset()
+	nilCol := newEventLog(&buf, slog.LevelDebug, nil).With("component", "x")
+	nilCol.WithGroup("g").Warn("kept.event", slog.String("domain", "a.com"))
+	if !strings.Contains(buf.String(), `"msg":"kept.event"`) {
+		t.Errorf("nil-collector handler dropped the record: %q", buf.String())
+	}
 }
 
 func TestLoggerEventAttribution(t *testing.T) {
 	col := NewCollector(1)
-	log := NewLogger(nil, LevelDebug) // no sink: attribution must still work
-	log.AttachCollector(col)
+	log := newEventLog(io.Discard, slog.LevelDebug, col) // no sink: attribution must still work
+	crawl := log.With("component", "crawler", "run", 7)
 
-	log.Warn("crawler.fetch.retry", String("domain", "bad.com"), Int("attempt", 2))
-	log.Warn("crawler.fetch.retry", Int("attempt", 3)) // no domain attr: not attributed
+	crawl.Warn("crawler.fetch.retry", slog.String("domain", "bad.com"), slog.Int("attempt", 2))
+	crawl.Warn("crawler.fetch.retry", slog.Int("attempt", 3)) // no domain attr: not attributed
+	log.Info("core.detect.flagged", "domain", "bad.com", "web_score", 0.75)
 
 	evs := col.EventsFor("bad.com")
-	if len(evs) != 1 {
-		t.Fatalf("EventsFor = %d events, want 1", len(evs))
+	if len(evs) != 2 {
+		t.Fatalf("EventsFor = %d events, want 2", len(evs))
 	}
-	if evs[0].TMS != 0 {
-		t.Errorf("attributed event TMS = %v, want 0 (records must not carry wall time)", evs[0].TMS)
+	retry := Event{Level: "warn", Component: "crawler", Name: "crawler.fetch.retry",
+		Attrs: map[string]any{"domain": "bad.com", "attempt": int64(2), "run": int64(7)}}
+	flagged := Event{Level: "info", Name: "core.detect.flagged",
+		Attrs: map[string]any{"domain": "bad.com", "web_score": 0.75}}
+	if !reflect.DeepEqual(evs[0], retry) || !reflect.DeepEqual(evs[1], flagged) {
+		t.Errorf("attributed events = %+v, want %+v then %+v", evs, retry, flagged)
 	}
-	if evs[0].Name != "crawler.fetch.retry" || evs[0].Attrs["attempt"] != 2 {
-		t.Errorf("attributed event = %+v", evs[0])
+	// Records carry no wall time: the attributed form has no time key.
+	b, err := json.Marshal(evs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := `{"level":"warn","component":"crawler","event":"crawler.fetch.retry","attrs":{"attempt":2,"domain":"bad.com","run":7}}`; string(b) != want {
+		t.Errorf("attributed JSON = %s, want %s", b, want)
 	}
 }
 
