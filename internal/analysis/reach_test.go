@@ -54,11 +54,14 @@ var programLoader = sync.OnceValues(func() (*Loader, error) {
 // returns "path:line: name" for every declared function no root reaches,
 // in graph order. The roots are every init, every main under a cmd/ or
 // benchmark/ path segment, every address-taken function, every function
-// named in a package-level initialiser, every method that implements an
-// interface (the standard library calls String, Len, ImportFrom, ...
-// through interfaces whose call sites the graph does not load), and
-// keep, every entry of which must name a function in the load. A reached
-// function reaches its callees and the function literals in its body.
+// named in a package-level initialiser, and keep, every entry of which
+// must name a function in the load. A reached function reaches its
+// callees and the function literals in its body. A type built in reached
+// code or a package-level initialiser — a composite literal, new(T) or a
+// conversion T(x) — reaches its methods that implement an interface: the
+// standard library calls String, Len, ImportFrom, ... through interfaces
+// whose call sites the graph does not load. A type nothing builds keeps
+// no method alive that way, and the walk runs until no new type is built.
 func unreachable(t *testing.T, keep map[string]string, patterns ...string) []string {
 	t.Helper()
 	l, err := programLoader()
@@ -93,6 +96,36 @@ func unreachable(t *testing.T, keep map[string]string, patterns ...string) []str
 			queue = append(queue, n)
 		}
 	}
+	ifaceMethods := interfaceMethods(pkgs)
+	built := map[*types.TypeName]bool{}
+	// build marks the interface methods of the named type x builds, if x
+	// is a composite literal, a new or a conversion.
+	build := func(info *types.Info, x ast.Node) {
+		var t types.Type
+		switch x := x.(type) {
+		case *ast.CompositeLit:
+			t = info.TypeOf(x)
+		case *ast.CallExpr:
+			if tv, ok := info.Types[x.Fun]; ok && tv.IsType() {
+				t = tv.Type
+			} else if id, ok := ast.Unparen(x.Fun).(*ast.Ident); ok && len(x.Args) == 1 {
+				if b, ok := info.Uses[id].(*types.Builtin); ok && b.Name() == "new" {
+					t = info.TypeOf(x.Args[0])
+				}
+			}
+		}
+		if p, ok := t.(*types.Pointer); ok {
+			t = p.Elem()
+		}
+		named, ok := t.(*types.Named)
+		if !ok || built[named.Origin().Obj()] {
+			return
+		}
+		built[named.Origin().Obj()] = true
+		for _, fn := range ifaceMethods[named.Origin().Obj()] {
+			mark(g.NodeOf(fn))
+		}
+	}
 	for _, n := range g.Nodes {
 		if n.Decl == nil {
 			continue
@@ -124,13 +157,11 @@ func unreachable(t *testing.T, keep map[string]string, patterns ...string) []str
 					case *ast.FuncLit:
 						mark(litNode[x])
 					}
+					build(p.Info, x)
 					return true
 				})
 			}
 		}
-	}
-	for _, fn := range interfaceMethods(pkgs) {
-		mark(g.NodeOf(fn))
 	}
 	for len(queue) > 0 {
 		n := queue[0]
@@ -143,6 +174,7 @@ func unreachable(t *testing.T, keep map[string]string, patterns ...string) []str
 				if lit, ok := x.(*ast.FuncLit); ok {
 					mark(litNode[lit])
 				}
+				build(n.Unit.Info, x)
 				return true
 			})
 		}
@@ -161,10 +193,11 @@ func unreachable(t *testing.T, keep map[string]string, patterns ...string) []str
 	return dead
 }
 
-// interfaceMethods returns the methods of the loaded packages' named
-// types that implement an interface: a named interface of any package in
-// the import closure, or an interface type written in the loaded code.
-func interfaceMethods(pkgs []*Package) []*types.Func {
+// interfaceMethods returns, by type, the methods of the loaded packages'
+// named types that implement an interface: a named interface of any
+// package in the import closure, or an interface type written in the
+// loaded code.
+func interfaceMethods(pkgs []*Package) map[*types.TypeName][]*types.Func {
 	// Interfaces by the name of their first method, so a type is only
 	// tested against interfaces that share a method name with it.
 	byFirst := map[string][]*types.Interface{}
@@ -199,7 +232,7 @@ func interfaceMethods(pkgs []*Package) []*types.Func {
 			}
 		}
 	}
-	var out []*types.Func
+	out := map[*types.TypeName][]*types.Func{}
 	for _, p := range pkgs {
 		scope := p.Types.Scope()
 		for _, name := range scope.Names() {
@@ -217,7 +250,7 @@ func interfaceMethods(pkgs []*Package) []*types.Func {
 						for j := 0; j < it.NumMethods(); j++ {
 							obj, _, _ := types.LookupFieldOrMethod(typ, true, p.Types, it.Method(j).Name())
 							if fn, ok := obj.(*types.Func); ok {
-								out = append(out, fn.Origin())
+								out[tn] = append(out[tn], fn.Origin())
 							}
 						}
 					}
@@ -235,8 +268,9 @@ func TestReachability(t *testing.T) {
 	t.Run("fixture", func(t *testing.T) {
 		got := unreachable(t, nil, filepath.Join("testdata", "analysis", "reach")+"/...")
 		want := []string{
-			"internal/analysis/testdata/analysis/reach/lib/lib.go:30: lib.Dead",
-			"internal/analysis/testdata/analysis/reach/lib/lib.go:35: lib.(*counter).unused",
+			"internal/analysis/testdata/analysis/reach/lib/lib.go:41: lib.Dead",
+			"internal/analysis/testdata/analysis/reach/lib/lib.go:46: lib.(*counter).unused",
+			"internal/analysis/testdata/analysis/reach/lib/lib.go:52: lib.ghost.String",
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("unreachable = %q, want %q", got, want)

@@ -53,6 +53,14 @@ func (w *benchWorld) add() {
 	w.store.Add(d, dnsx.RandomIP(w.rng))
 }
 
+// repoint applies one epoch of re-points only: existing names, new
+// addresses.
+func (w *benchWorld) repoint() {
+	for i := 0; i < benchChurn; i++ {
+		w.store.Add(w.domains[w.rng.Intn(len(w.domains))], dnsx.RandomIP(w.rng))
+	}
+}
+
 // churn applies one epoch of mixed churn to the store.
 func (w *benchWorld) churn() {
 	for i := 0; i < benchChurn; i++ {
@@ -65,15 +73,23 @@ func (w *benchWorld) churn() {
 }
 
 // BenchmarkWarmEpoch times one warm Engine.Scan after an epoch of churn
-// (the churn itself is applied off the clock), at two shares of squats
-// among the new names: one in eighteen, where every epoch changes the
-// answer and Scan copies it out, and none, where the answer stands and
-// Scan hands back the previous result.
+// (the churn itself is applied off the clock). Mixed churn runs at two
+// shares of squats among the new names: one in eighteen, where every epoch
+// changes the answer and Scan copies it out, and none, where the answer
+// stands and Scan hands back the previous result. The last two cases
+// rescan nothing — an epoch of re-points only, and no churn at all — so
+// they time the fixed cost of a Scan: reading every shard's mark.
 func BenchmarkWarmEpoch(b *testing.B) {
 	for _, bc := range []struct {
 		name       string
 		squatEvery int
-	}{{"squats=1in18", 18}, {"squats=0", 0}} {
+		churn      func(*benchWorld)
+	}{
+		{"squats=1in18", 18, (*benchWorld).churn},
+		{"squats=0", 0, (*benchWorld).churn},
+		{"repoints", 18, (*benchWorld).repoint},
+		{"unchanged", 18, func(*benchWorld) {}},
+	} {
 		b.Run(bc.name, func(b *testing.B) {
 			w := newBenchWorld(b)
 			w.squatEvery = bc.squatEvery
@@ -81,7 +97,7 @@ func BenchmarkWarmEpoch(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				w.churn()
+				bc.churn(w)
 				b.StartTimer()
 				w.engine.Scan(w.store, w.m, 2)
 			}
@@ -144,8 +160,11 @@ func TestLoadAllocBudget(t *testing.T) {
 // 1.25x the new slices it returns, so a per-name structure cannot come
 // back unnoticed. An epoch that changes no candidate — new names none of
 // which is a squat, or re-points only — returns the previous slice and
-// allocates at most 64 KB and 4 KB respectively, so the copy of the
-// answer cannot come back either.
+// allocates at most 24 KB and 4 KB respectively, so neither the copy of
+// the answer nor a name buffer per rescanned shard can come back. The
+// first reads ~15.6 KB (~17.9 KB under -race, where the name buffers'
+// pool drops some of what it is given); the 24 KB leaves that and a
+// third more.
 func TestWarmEpochWalksOnlyNewNames(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a 233K-record store")
@@ -198,11 +217,9 @@ func TestWarmEpochWalksOnlyNewNames(t *testing.T) {
 		w.add()
 	}
 	allocated, same := scan("epoch of new names, none a squat", w.engine, w.store.Len()-before)
-	unchanged("epoch of new names, none a squat", allocated, same, 64<<10)
+	unchanged("epoch of new names, none a squat", allocated, same, 24<<10)
 	w.squatEvery = 18
-	for i := 0; i < benchChurn; i++ {
-		w.store.Add(w.domains[w.rng.Intn(len(w.domains))], dnsx.RandomIP(w.rng))
-	}
+	w.repoint()
 	allocated, same = scan("re-point epoch", w.engine, 0)
 	unchanged("re-point epoch", allocated, same, 4<<10)
 	t.Logf("10 warm epochs allocated %d bytes for %d bytes of new results (%.2fx)", grew, result, float64(grew)/float64(result))

@@ -61,14 +61,17 @@ type Source interface {
 	NumShards() int
 	// ShardNameMark reads one shard's mark. Equal Sums mean (up to hash
 	// collision) the same names, so a shard whose Sum did not move is
-	// skipped.
+	// skipped, and adopts the reading. A reading may be taken without a
+	// lock and need not be of one instant, but its Next and Len must be
+	// no newer than its Sum, so that a skipped shard never adopts a Next
+	// past a name its Sum does not count (dnsx.Store.ShardNameMark).
 	ShardNameMark(shard int) dnsx.ShardMark
 	// TailShard calls fn with every name of one shard from mark point from
 	// on (0 walks the whole shard) and returns the sum of the visited
-	// names' checksum terms with the shard's mark after the walk. On the
+	// names' checksum terms with the shard's mark as of the walk. On the
 	// instance an earlier mark then was read from, the tail from then.Next
-	// is trusted iff visited == now.Sum-then.Sum. The name is valid only
-	// for the call.
+	// is trusted iff visited == now.Sum-then.Sum, so a torn reading costs
+	// a rescan, never a name. The name is valid only for the call.
 	TailShard(shard int, from uint64, fn func(name []byte)) (visited uint64, now dnsx.ShardMark, err error)
 }
 

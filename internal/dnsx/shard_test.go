@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"squatphi/internal/simrand"
@@ -315,6 +316,85 @@ func TestShardNameChecksumConcurrentAdd(t *testing.T) {
 	}
 	wg.Wait()
 	assertSumsMatchRecords(t, s, "after concurrent adds")
+}
+
+// TestShardNameMarkNeverAheadOfSum: one writer adds new names and
+// re-points old ones while readers loop ShardNameMark, which takes no
+// lock. Every reading's Sum must be one the writer's history holds, and
+// its Next and Len no newer than the ones the shard held with that Sum:
+// a reading ahead of its Sum would let a scan that skips the shard adopt a
+// Next past a name the Sum does not count. Under -race it is also the
+// proof that the lock-free read touches nothing a writer writes plainly.
+func TestShardNameMarkNeverAheadOfSum(t *testing.T) {
+	const shards = 2
+	adds := 60_000
+	if testing.Short() {
+		adds = 15_000
+	}
+	s := NewShardedStore(shards)
+	// history[k] maps every Sum shard k held to the mark it held with it.
+	history := make([]map[uint64]ShardMark, shards)
+	for k := range history {
+		history[k] = map[uint64]ShardMark{0: {}}
+	}
+	type reading struct {
+		shard int
+		mark  ShardMark
+	}
+	var done atomic.Bool
+	var wg sync.WaitGroup
+	readings := make([][]reading, 2)
+	for g := range readings {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			last := make([]ShardMark, shards)
+			for !done.Load() {
+				for k := range last {
+					if m := s.ShardNameMark(k); m != last[k] {
+						last[k] = m
+						readings[g] = append(readings[g], reading{k, m})
+					}
+				}
+			}
+		}(g)
+	}
+	r := simrand.New(41)
+	cur := make([]ShardMark, shards)
+	var names []string
+	for i := 0; i < adds; i++ { // Add i takes sequence number i
+		if i%3 == 2 {
+			s.Add(names[r.Intn(len(names))], RandomIP(r)) // re-point: the mark stays
+			continue
+		}
+		d := fmt.Sprintf("n%d-%s.com", i, r.Letters(4))
+		names = append(names, d)
+		k := ShardIndex(d, shards)
+		cur[k] = ShardMark{Sum: cur[k].Sum + nameMix(fnvName(d)), Next: uint64(i) + 1, Len: cur[k].Len + 1}
+		history[k][cur[k].Sum] = cur[k]
+		s.Add(d, RandomIP(r))
+	}
+	done.Store(true)
+	wg.Wait()
+	n := 0
+	for _, rs := range readings {
+		n += len(rs)
+		for _, rd := range rs {
+			held, ok := history[rd.shard][rd.mark.Sum]
+			if !ok {
+				t.Fatalf("shard %d: reading %+v has a Sum the shard never held", rd.shard, rd.mark)
+			}
+			if rd.mark.Next > held.Next || rd.mark.Len > held.Len {
+				t.Fatalf("shard %d: reading %+v is ahead of its Sum, which the shard held with %+v", rd.shard, rd.mark, held)
+			}
+		}
+	}
+	for k := range cur {
+		if got := s.ShardNameMark(k); got != cur[k] {
+			t.Fatalf("shard %d: final mark %+v, writer's %+v", k, got, cur[k])
+		}
+	}
+	t.Logf("%d distinct readings over %d adds", n, adds)
 }
 
 // TestTailShardVisitsOnlyNewNames: a tail walk from an earlier mark visits

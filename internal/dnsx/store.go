@@ -53,16 +53,8 @@ type storeShard struct {
 	// records report the same checksum, which is what lets a delta scanner
 	// skip unchanged shards between snapshot epochs.
 	csum uint64
-	// nsum is the same rolling sum over the shard's domain names alone
-	// (nameMix of each name's FNV-1a): it moves when a name is inserted and
-	// never on a re-point, so it is the key for state that is a function
-	// of names only — the delta scanner's verdicts.
-	nsum uint64
-	// next is one above the largest sequence number a name entered the
-	// shard with: the shard's mark (ShardMark.Next).
-	next uint64
-	// The columns follow what a mark reads (mu, the sums, next and
-	// len(names)), so a mark reads the shard's first 64 bytes only.
+	// The shard's name mark is not here but in Store.marks, so a scan's
+	// partition reads every mark without touching a lock.
 	names  []string // the store's one copy of each name
 	ips    [][4]byte
 	first  []uint64 // ascending when sorted
@@ -174,6 +166,9 @@ func (sh *storeShard) ensureSorted() {
 // computed over a store are reproducible.
 type Store struct {
 	shards []storeShard
+	// marks[i] is shard i's name mark: one contiguous slice, so the 2,048
+	// readings a scan's partition takes walk adjacent memory and no lock.
+	marks  []nameMark
 	seq    atomic.Uint64 // next insertion sequence number
 	length atomic.Int64
 }
@@ -198,7 +193,7 @@ func newSizedStore(n, records int) *Store {
 	if per > 0 {
 		per += 4*int(math.Sqrt(float64(per))) + 8
 	}
-	s := &Store{shards: make([]storeShard, n)}
+	s := &Store{shards: make([]storeShard, n), marks: make([]nameMark, n)}
 	for i := range s.shards {
 		s.shards[i].reserve(per)
 		s.shards[i].sorted = true
@@ -269,7 +264,9 @@ func (s *Store) Add(domain string, ip [4]byte) {
 // the same store state regardless of arrival order: a record's position is
 // its smallest sequence number, its IP the one written with the largest.
 func (s *Store) addAt(seq uint64, domain string, ip [4]byte) {
-	sh, h := s.shardOf(domain)
+	h := fnvName(domain)
+	k := h % uint64(len(s.shards))
+	sh, mk := &s.shards[k], &s.marks[k]
 	sh.mu.Lock()
 	i := sh.find(domain, h)
 	if r := int(sh.slots[i]) - 1; r >= 0 {
@@ -288,11 +285,13 @@ func (s *Store) addAt(seq uint64, domain string, ip [4]byte) {
 		return
 	}
 	sh.csum += recordMix(h, ip)
-	sh.nsum += nameMix(h)
-	if seq < sh.next {
+	// The mark is written Sum, Next, Len; ShardNameMark reads it the other
+	// way round.
+	mk.sum.Add(nameMix(h))
+	if seq < mk.next.Load() {
 		sh.sorted = false
 	} else {
-		sh.next = seq + 1
+		mk.next.Store(seq + 1)
 	}
 	if (len(sh.names)+1)*maxLoadDen > len(sh.slots)*maxLoadNum {
 		sh.resize(64 - sh.shift + 1)
@@ -303,6 +302,7 @@ func (s *Store) addAt(seq uint64, domain string, ip [4]byte) {
 	sh.first = append(sh.first, seq)
 	sh.last = append(sh.last, seq)
 	sh.slots[i] = uint32(len(sh.names))
+	mk.len.Store(uint64(len(sh.names)))
 	sh.mu.Unlock()
 	s.length.Add(1)
 }
@@ -341,55 +341,82 @@ func (s *Store) ShardChecksum(shard int) uint64 {
 	return sh.csum
 }
 
-// ShardMark is one reading of a shard's names, taken under its lock.
+// ShardMark is one reading of a shard's names.
 type ShardMark struct {
 	// Sum is the rolling name checksum: the commutative sum of a finalised
-	// name hash over the shard's records. Equal sums mean (up to hash
-	// collision) equal sets of names whatever they resolve to, so anything
-	// that is a pure function of the names — a match verdict — is
-	// unchanged; ShardChecksum stays the key for what also depends on
+	// name hash (nameMix of its FNV-1a) over the shard's records. It moves
+	// when a name is inserted and never on a re-point, so equal sums mean
+	// (up to hash collision) equal sets of names whatever they resolve to,
+	// and anything that is a pure function of the names — a match verdict
+	// — is unchanged; ShardChecksum stays the key for what also depends on
 	// addresses (snapfmt segment checksums).
 	Sum uint64
-	// Next is above the sequence number of every name in the shard, so a
-	// TailShard from it visits only names inserted after the reading.
+	// Next is one above the largest sequence number a name entered the
+	// shard with, so a TailShard from it visits only names inserted after
+	// the reading.
 	Next uint64
 	// Len is the shard's record count.
 	Len int
 }
 
-// ShardNameMark reads one shard's name checksum and mark together. O(1),
-// like ShardChecksum.
+// nameMark is a shard's ShardMark as the store keeps it: the one copy,
+// written under the shard's write lock and read with or without it.
+type nameMark struct{ sum, next, len atomic.Uint64 }
+
+// load reads the mark Len, then Next, then Sum: the reverse of the order
+// addAt writes it in (see ShardNameMark).
+func (m *nameMark) load() ShardMark {
+	n, next := m.len.Load(), m.next.Load()
+	return ShardMark{Sum: m.sum.Load(), Next: next, Len: int(n)}
+}
+
+// ShardNameMark reads one shard's mark without a lock. O(1), like
+// ShardChecksum, and it never waits on a writer.
+//
+// A reading is not taken at one instant, but its Next and Len are never
+// newer than its Sum. addAt writes a new name's mark as Sum, then Next,
+// then Len, and ShardNameMark loads Len, then Next, then Sum; a load that
+// observes a store observes everything stored before it, so the Sum loaded
+// last already counts the name whose insertion wrote the Next or Len
+// loaded first. A scanner that skips a shard on an unmoved Sum therefore
+// never adopts a Next past a name its Sum does not account for. A torn
+// reading — a Sum newer than its Next — makes the next TailShard from that
+// Next visit a name the Sum already counts, which breaks TailShard's
+// identity: it can cost a rescan, never a missed name.
 func (s *Store) ShardNameMark(shard int) ShardMark {
-	sh := &s.shards[shard]
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	return ShardMark{Sum: sh.nsum, Next: sh.next, Len: len(sh.names)}
+	return s.marks[shard].load()
 }
 
 // TailShard calls fn, in insertion order, with the name of every record of
 // one shard whose sequence number is at least from, and returns the sum of
-// the visited names' checksum terms with the shard's mark, both read under
-// the one read lock the walk holds; from 0 walks the whole shard, whose
-// sum is the mark's own, so no name is hashed. fn gets the name copied
-// into a buffer the walk reuses, valid only for the call. A store never
-// drops a name and a name's sequence number only ever falls, so against an
-// earlier reading then, TailShard(then.Next) visits exactly the names added
-// since if and only if (up to hash collision) visited == now.Sum-then.Sum.
-// The identity fails when a concurrent writer's name arrived with a
-// sequence number below then.Next: the walk cannot see it, the checksum
-// can. fn must not mutate the store. The error is always nil; it is there
-// for the sources that read a file (deltascan.Source).
+// the visited names' checksum terms with the shard's mark, read under the
+// read lock the walk holds, so both are of one instant; from 0 walks the
+// whole shard, whose sum is the mark's own, so no name is hashed. The tail
+// is found by walking back from the end of the shard's sequence column: it
+// is almost always the last few names. fn gets the name copied into a
+// pooled buffer, valid only for the call. A store never drops a name and a
+// name's sequence number only ever falls, so against an earlier reading
+// then, TailShard(then.Next) visits exactly the names added since if and
+// only if (up to hash collision) visited == now.Sum-then.Sum. The identity
+// fails when a concurrent writer's name arrived with a sequence number
+// below then.Next: the walk cannot see it, the checksum can. fn must not
+// mutate the store. The error is always nil; it is there for the sources
+// that read a file (deltascan.Source).
 func (s *Store) TailShard(shard int, from uint64, fn func(name []byte)) (visited uint64, now ShardMark, err error) {
 	sh := &s.shards[shard]
 	sh.ensureSorted()
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	now = ShardMark{Sum: sh.nsum, Next: sh.next, Len: len(sh.names)}
+	now = s.marks[shard].load()
 	start := 0
-	if sh.sorted { // else a writer got in after ensureSorted: filter it all
-		start = sort.Search(len(sh.first), func(i int) bool { return sh.first[i] >= from })
+	if from > 0 && sh.sorted { // unsorted: a writer got in after ensureSorted, so filter it all
+		start = len(sh.first)
+		for start > 0 && sh.first[start-1] >= from {
+			start--
+		}
 	}
-	buf := make([]byte, 0, 64)
+	bp := nameBufs.Get().(*[]byte)
+	buf := *bp
 	for i := start; i < len(sh.names); i++ {
 		if sh.first[i] >= from {
 			if from > 0 {
@@ -399,11 +426,17 @@ func (s *Store) TailShard(shard int, from uint64, fn func(name []byte)) (visited
 			fn(buf)
 		}
 	}
+	*bp = buf
+	nameBufs.Put(bp)
 	if from == 0 {
 		visited = now.Sum
 	}
 	return visited, now, nil
 }
+
+// nameBufs holds the buffers TailShard copies names into, so that a walk
+// allocates none.
+var nameBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // Checksums returns all per-shard checksums. The slice is a copy.
 func (s *Store) Checksums() []uint64 {

@@ -181,8 +181,13 @@ func runStoreModel(t *testing.T, data []byte) {
 		if sums[sh] != content || s.ShardChecksum(sh) != content {
 			t.Fatalf("shard %d: content checksum %x, model %x", sh, sums[sh], content)
 		}
-		if mk := s.ShardNameMark(sh); mk != (ShardMark{Sum: names, Next: next[sh], Len: len(perShard[sh])}) {
+		mk := s.ShardNameMark(sh)
+		if mk != (ShardMark{Sum: names, Next: next[sh], Len: len(perShard[sh])}) {
 			t.Fatalf("shard %d: mark %+v, model sum %x next %d len %d", sh, mk, names, next[sh], len(perShard[sh]))
+		}
+		// Once the writers stop, the lock-free reading is the locked one.
+		if _, locked, _ := s.TailShard(sh, 0, func([]byte) {}); mk != locked {
+			t.Fatalf("shard %d: lock-free mark %+v, locked reading %+v", sh, mk, locked)
 		}
 	}
 
