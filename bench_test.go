@@ -348,6 +348,33 @@ func BenchmarkMatchMissUniverse(b *testing.B) {
 	}
 }
 
+// BenchmarkNewMatcherUniverse times one matcher build over the paper's
+// brand universe: what every squatd boot, CLI and benchmark workload pays
+// before its first lookup. TestNewMatcherAllocBudget is its allocation gate.
+func BenchmarkNewMatcherUniverse(b *testing.B) {
+	sb := brands.Select(brands.DefaultConfig()).SquatBrands()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		squat.NewMatcher(sb)
+	}
+}
+
+// BenchmarkGenerateUniverse times one Generate pass over every brand of
+// the universe: the ~656K candidates webworld and the benchmark's input
+// builders plant.
+func BenchmarkGenerateUniverse(b *testing.B) {
+	sb := brands.Select(brands.DefaultConfig()).SquatBrands()
+	g := squat.NewGenerator()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, br := range sb {
+			g.Generate(br)
+		}
+	}
+}
+
 // --- parallel-spine benchmarks (scan, scoring, forest training) ---
 
 // scanWorkerCounts is the scan benchmarks' worker sweep: serial, half the

@@ -97,12 +97,9 @@ func cmpDomain(a, b cand) int {
 
 // shardState is the engine's memory of one source shard: its candidates in
 // walk order, and the reading of its names (dnsx.ShardMark) they answer
-// for, taken on src. src is nil when the state did not come from a walk of
-// a source this process holds (a fresh or loaded engine), so that only the
-// checksum can vouch for it. Only the worker that owns a shard during a
-// scan touches its state.
+// for, taken on the engine's src. Only the worker that owns a shard during
+// a scan touches its state.
 type shardState struct {
-	src   Source
 	mark  dnsx.ShardMark
 	cands []cand
 }
@@ -164,6 +161,11 @@ type Engine struct {
 	mu     sync.Mutex
 	fp     uint64 // of the matcher that produced shards; meaningless while shards is nil
 	shards []shardState
+	// src is the source every shard's state was read on: each Scan leaves
+	// all of them on its own. It is nil when the states did not come from
+	// a walk of a source this process holds (a fresh or loaded engine), so
+	// that only the checksums can vouch for them.
+	src Source
 	// out is every shard's candidates sorted by domain: the last Scan's
 	// answer. spare is the buffer the next merge writes into.
 	out, spare []cand
@@ -273,20 +275,23 @@ func (e *Engine) Scan(src Source, m *squat.Matcher, workers int) []squat.Candida
 		st.FullScan = true
 		st.Invalidated = e.shards != nil
 		e.shards = make([]shardState, n)
-		e.fp, e.out, e.answer = fp, e.out[:0], nil
+		e.fp, e.src, e.out, e.answer = fp, nil, e.out[:0], nil
 	}
 
 	// Partition shards into skips and rescans on the name checksum: a
 	// verdict is a pure function of the name, so a re-point changes
 	// nothing here. A skipped shard's state answers for the current source
 	// as it stands, so it adopts that source and mark — without that, every
-	// shard would re-match in full after a Load.
+	// shard would re-match in full after a Load. The mark is written only
+	// when it moved, which on a warm epoch it mostly did not.
 	var rescan []int
 	for i := range e.shards {
 		sh := &e.shards[i]
 		now := src.ShardNameMark(i)
 		if !st.FullScan && sh.mark.Sum == now.Sum {
-			sh.src, sh.mark = src, now
+			if sh.mark != now {
+				sh.mark = now
+			}
 			st.ShardsSkipped++
 			st.CandidatesReused += len(sh.cands)
 			continue
@@ -301,7 +306,7 @@ func (e *Engine) Scan(src Source, m *squat.Matcher, workers int) []squat.Candida
 	e.next.Store(0)
 	for w := min(workers, len(rescan)); w > 0; w-- {
 		e.wg.Add(1)
-		go e.rescanWorker(src, m, st.Epoch, rescan, walks)
+		go e.rescanWorker(src, e.src == src, m, st.Epoch, rescan, walks)
 	}
 	e.wg.Wait()
 
@@ -330,8 +335,9 @@ func (e *Engine) Scan(src Source, m *squat.Matcher, workers int) []squat.Candida
 	}
 	st.CacheMisses = st.RecordsWalked
 	if st.Err != nil {
-		e.shards, e.out, e.answer = nil, e.out[:0], nil
+		e.shards, e.src, e.out, e.answer = nil, nil, e.out[:0], nil
 	} else {
+		e.src = src
 		e.merge(fresh, drop)
 	}
 
@@ -349,13 +355,14 @@ func (e *Engine) Scan(src Source, m *squat.Matcher, workers int) []squat.Candida
 
 // rescanWorker is one of Scan's pool goroutines: it claims indexes of
 // rescan from e.next until none is left, rescanning each claimed shard at
-// epoch into walks. Each shard is claimed once, so no two workers touch
-// the same shard state.
-func (e *Engine) rescanWorker(src Source, m *squat.Matcher, epoch int, rescan []int, walks []walk) {
+// epoch into walks; same reports that the shard states were read on src.
+// Each shard is claimed once, so no two workers touch the same shard
+// state.
+func (e *Engine) rescanWorker(src Source, same bool, m *squat.Matcher, epoch int, rescan []int, walks []walk) {
 	defer e.wg.Done()
 	tm := newTailMatcher(m, epoch)
 	for ri := int(e.next.Add(1)) - 1; ri < len(rescan); ri = int(e.next.Add(1)) - 1 {
-		walks[ri] = e.shards[rescan[ri]].rescan(src, rescan[ri], tm)
+		walks[ri] = e.shards[rescan[ri]].rescan(src, same, rescan[ri], tm)
 	}
 }
 
@@ -414,13 +421,13 @@ func newTailMatcher(m *squat.Matcher, epoch int) *tailMatcher {
 }
 
 // rescan brings one shard's state up to date with src. On the source it
-// last read, it matches only the tail inserted since its mark and keeps
+// last read (same), it matches only the tail inserted since its mark and keeps
 // the result if the tail's names account exactly for the move of the
 // shard's checksum; otherwise it re-matches the whole shard. The
 // candidates it finds carry the epoch t was built for.
-func (sh *shardState) rescan(src Source, shard int, t *tailMatcher) walk {
+func (sh *shardState) rescan(src Source, same bool, shard int, t *tailMatcher) walk {
 	t.sh, t.shard, t.matched = sh, int32(shard), 0
-	if sh.src == src {
+	if same {
 		from := len(sh.cands)
 		visited, now, err := src.TailShard(shard, sh.mark.Next, t.match)
 		if err != nil {
@@ -437,7 +444,6 @@ func (sh *shardState) rescan(src Source, shard int, t *tailMatcher) walk {
 	sh.cands = sh.cands[:0]
 	var err error
 	_, sh.mark, err = src.TailShard(shard, 0, t.match)
-	sh.src = src
 	return walk{matched: t.matched, dropped: dropped, err: err}
 }
 

@@ -41,13 +41,15 @@ type labelIndex struct {
 const maxLoadNum, maxLoadDen = 3, 4
 
 // newLabelIndex returns an empty index with slots for at least 1.5×n keys
-// (and never fewer than 8) and its key arrays presized for n.
-func newLabelIndex(n int) *labelIndex {
+// (and never fewer than 8) and its key arrays presized for n keys of
+// arenaBytes bytes in all.
+func newLabelIndex(n, arenaBytes int) *labelIndex {
 	bits := uint(3)
 	for 1<<bits < n+n/2 {
 		bits++
 	}
 	x := &labelIndex{
+		arena:   make([]byte, 0, arenaBytes),
 		offs:    make([]uint32, 1, n+1),
 		entries: make([]fastEntry, 0, n),
 	}
@@ -76,10 +78,10 @@ func (x *labelIndex) find(label []byte, h uint64) uint64 {
 
 // upsert returns a pointer to label's entry, first inserting label with
 // noEntry when it is not yet a key. The label is staged at the arena's
-// tail and hashed there, so the caller needs no byte copy of it; a label
+// tail and hashed there, so it may be a buffer the caller reuses; a label
 // already present is dropped again. The pointer is valid until the next
 // upsert.
-func (x *labelIndex) upsert(label string) *fastEntry {
+func (x *labelIndex) upsert(label []byte) *fastEntry {
 	start := len(x.arena)
 	x.arena = append(x.arena, label...)
 	k := x.arena[start:]
@@ -110,8 +112,8 @@ func (x *labelIndex) resize(bits uint) {
 }
 
 // trim gives the key arrays back the spare capacity the build left in
-// them: the arena grew by appends, and the entries were sized for a bound
-// ~10 % above the key count at the paper's universe.
+// them: they were sized for bounds ~10 % (keys) and ~60 % (key bytes)
+// above what the paper's universe fills.
 func (x *labelIndex) trim() {
 	x.arena, x.offs, x.entries = slices.Clone(x.arena), slices.Clone(x.offs), slices.Clone(x.entries)
 }

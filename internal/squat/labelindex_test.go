@@ -79,7 +79,7 @@ func TestLabelIndexVsMap(t *testing.T) {
 	r := simrand.New(31).Split("labelindex")
 	longest := 0
 	for round := 0; round < 200; round++ {
-		x := newLabelIndex(r.Intn(8))
+		x := newLabelIndex(r.Intn(8), 0)
 		ref := map[string]fastEntry{}
 		key := func() string {
 			b := make([]byte, r.Intn(6))
@@ -97,7 +97,7 @@ func TestLabelIndexVsMap(t *testing.T) {
 				}
 				continue
 			}
-			p := x.upsert(k)
+			p := x.upsert([]byte(k))
 			if want, ok := ref[k]; !ok && *p != noEntry || ok && *p != want {
 				t.Fatalf("round %d: upsert(%q) found %+v, reference (%+v, %v)", round, k, *p, want, ok)
 			}

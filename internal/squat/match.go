@@ -98,29 +98,28 @@ func (m *Matcher) InstrumentTrace(col *trace.Collector) { m.trace = col }
 
 // NewMatcher indexes the given brands for bulk classification.
 func NewMatcher(brands []Brand) *Matcher {
-	// A name of n bytes has at most 80n+37 distinct bits/typo labels;
-	// sizing the index from that bound spares it every growth rehash.
-	hint := 0
+	// A name of n bytes has at most 80n+37 distinct bits/typo labels, of
+	// at most n+1 bytes each; sizing the index from those bounds spares it
+	// every growth rehash and every arena copy.
+	keys, bytes := 0, 0
 	for _, b := range brands {
-		hint += 80*len(b.Name) + 40
+		n := 80*len(b.Name) + 40
+		keys, bytes = keys+n, bytes+n*(len(b.Name)+1)
 	}
-	m := &Matcher{brands: brands, labels: newLabelIndex(hint)}
-	gen := NewGenerator()
+	m := &Matcher{brands: brands, labels: newLabelIndex(keys, bytes)}
 	names := make([]string, len(brands))
+	var label, skel []byte
 	for i, b := range brands {
 		names[i] = b.Name
-		m.labels.upsert(b.Name).name = int32(i)
-		m.labels.upsert(confusables.Skeleton(b.Name)).skel = int32(i)
+		label = append(label[:0], b.Name...)
+		m.labels.upsert(label).name = int32(i)
+		skel = confusables.AppendSkeleton(skel[:0], label)
+		m.labels.upsert(skel).skel = int32(i)
 	}
 	for i, b := range brands {
-		for _, c := range gen.BitFlips(b) {
-			label, _ := SplitETLD(c.Domain)
-			m.addEdit(label, i, Bits)
-		}
-		for _, c := range gen.Typos(b) {
-			label, _ := SplitETLD(c.Domain)
-			m.addEdit(label, i, Typo)
-		}
+		add := func(l []byte, t Type) { m.addEdit(l, i, t) }
+		label = eachBitFlip(label, b.Name, add)
+		label = eachTypo(label, b.Name, add)
 	}
 	m.labels.trim()
 	m.ac = newAhoCorasick(names)
@@ -190,7 +189,7 @@ func (m *Matcher) AttachLM(model *domlm.Model, threshold float64) {
 // name (e.g. the omission typo of "apples" would be "apple") or an existing
 // edit of an earlier-precedence type; equal types keep the first brand.
 // Every brand name is indexed before the first edit, so e.name decides.
-func (m *Matcher) addEdit(label string, brand int, typ Type) {
+func (m *Matcher) addEdit(label []byte, brand int, typ Type) {
 	e := m.labels.upsert(label)
 	if e.name >= 0 || (e.edit >= 0 && Type(e.editType) <= typ) {
 		return

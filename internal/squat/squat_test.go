@@ -53,6 +53,45 @@ func TestSplitETLD(t *testing.T) {
 	}
 }
 
+// splitETLDRef is SplitETLD as it stood before it stopped splitting: the
+// oracle FuzzSplitETLD holds the substring version to.
+func splitETLDRef(domain string) (name, tld string) {
+	domain = strings.TrimSuffix(strings.ToLower(domain), ".")
+	labels := strings.Split(domain, ".")
+	if len(labels) == 1 {
+		return labels[0], ""
+	}
+	if len(labels) >= 3 {
+		two := labels[len(labels)-2] + "." + labels[len(labels)-1]
+		if multiLabelSuffixes[two] {
+			return labels[len(labels)-3], two
+		}
+	}
+	return labels[len(labels)-2], labels[len(labels)-1]
+}
+
+func FuzzSplitETLD(f *testing.F) {
+	for _, d := range []string{"facebook.com", "news.bbc.co.uk", "co.uk", ".co.uk", "x..co.uk", "FACEBOOK.COM.", "..", ".", "", "a.b.c", "bücher.DE", "\xff.com.ua", "xn--fcebook-8va.com"} {
+		f.Add(d)
+	}
+	f.Fuzz(func(t *testing.T, d string) {
+		name, tld := SplitETLD(d)
+		if wantName, wantTLD := splitETLDRef(d); name != wantName || tld != wantTLD {
+			t.Fatalf("SplitETLD(%q) = (%q, %q), reference (%q, %q)", d, name, tld, wantName, wantTLD)
+		}
+	})
+}
+
+// TestSplitETLDZeroAlloc: a lowercase ASCII domain, what LMScore and
+// Explain pass, splits without an allocation, under a two-label TLD too.
+func TestSplitETLDZeroAlloc(t *testing.T) {
+	for _, d := range []string{"mail.google-app.de", "news.bbc.co.uk", "localhost", "facebook.com."} {
+		if n := testing.AllocsPerRun(100, func() { SplitETLD(d) }); n != 0 {
+			t.Errorf("SplitETLD(%q) allocated %.0f times, want 0", d, n)
+		}
+	}
+}
+
 func TestBrandDomain(t *testing.T) {
 	b := NewBrand("google.com.ua")
 	if b.Domain() != "google.com.ua" {

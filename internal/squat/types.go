@@ -87,21 +87,20 @@ var multiLabelSuffixes = map[string]bool{
 // SplitETLD splits a fully-qualified domain into its registrable label and
 // effective TLD, dropping any subdomains. "mail.google-app.de" yields
 // ("google-app", "de"); "news.bbc.co.uk" yields ("bbc", "co.uk").
-// A bare label yields ("label", "").
+// A bare label yields ("label", ""). Both results are substrings of the
+// lowercased domain, so lowercase ASCII input costs no allocation.
 func SplitETLD(domain string) (name, tld string) {
 	domain = strings.TrimSuffix(strings.ToLower(domain), ".")
-	labels := strings.Split(domain, ".")
-	if len(labels) == 1 {
-		return labels[0], ""
+	last := strings.LastIndexByte(domain, '.')
+	if last < 0 {
+		return domain, ""
 	}
 	// Try a two-label effective TLD first.
-	if len(labels) >= 3 {
-		two := labels[len(labels)-2] + "." + labels[len(labels)-1]
-		if multiLabelSuffixes[two] {
-			return labels[len(labels)-3], two
-		}
+	prev := strings.LastIndexByte(domain[:last], '.')
+	if prev >= 0 && multiLabelSuffixes[domain[prev+1:]] {
+		return domain[strings.LastIndexByte(domain[:prev], '.')+1 : prev], domain[prev+1:]
 	}
-	return labels[len(labels)-2], labels[len(labels)-1]
+	return domain[prev+1 : last], domain[last+1:]
 }
 
 // Candidate is a generated or matched squatting domain for a brand.

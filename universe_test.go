@@ -1,6 +1,8 @@
 package squatphi
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"os"
 	"runtime"
 	"strings"
@@ -61,6 +63,42 @@ func TestUniverseIndex(t *testing.T) {
 	}
 }
 
+// TestUniverseGenerator pins the Generator's output over the real brand
+// universe from outside: the count of candidates and a SHA-256 over one
+// "domain|type|brand domain" line per candidate, in order, for Generate
+// and for each of the three edit families it builds from an enumerator.
+// The digests were recorded from the generator that still built every
+// variant as a string and deduplicated through maps (commit 9528820).
+// webworld's squats and the benchmark's planted inputs are drawn from
+// these sequences, so a reordering changes both.
+func TestUniverseGenerator(t *testing.T) {
+	sb := brands.Select(brands.DefaultConfig()).SquatBrands()
+	g := squat.NewGenerator()
+	for _, tc := range []struct {
+		name   string
+		gen    func(squat.Brand) []squat.Candidate
+		n      int
+		digest string
+	}{
+		{"Generate", g.Generate, 656311, "361d8195c1d6fa9ae6fc63b404d027743d3d4071d8a6488d931bf883b8fa5989"},
+		{"Typos", g.Typos, 493083, "329f68f3640ff07a508199c871de816ae83c3b9bf1112093ece453d17a4faa38"},
+		{"BitFlips", g.BitFlips, 29299, "7e730fd4947c7cada18f453daae75b496644c2cf9885ae98d29858f652c62643"},
+		{"Homographs", g.Homographs, 59917, "59a0c243f5b796a6f7acd9b6a832c23db3bad517321ee2b4d75f6a72e060c337"},
+	} {
+		h := sha256.New()
+		n := 0
+		for _, b := range sb {
+			for _, c := range tc.gen(b) {
+				n++
+				fmt.Fprintf(h, "%s|%d|%s\n", c.Domain, c.Type, c.Brand.Domain())
+			}
+		}
+		if digest := fmt.Sprintf("%x", h.Sum(nil)); n != tc.n || digest != tc.digest {
+			t.Errorf("%s: %d candidates, digest %s; want %d, %s", tc.name, n, digest, tc.n, tc.digest)
+		}
+	}
+}
+
 // universeMatcherHeapBudget bounds the live heap one matcher over the
 // paper's brand universe retains. The label index dominates it: the
 // matcher retains 23.5 MB with the index as an open-addressed table over
@@ -89,6 +127,33 @@ func TestUniverseMatcherHeap(t *testing.T) {
 	t.Logf("NewMatcher over %d brands retains %.1f MB", len(sb), retained/1e6)
 	if retained > universeMatcherHeapBudget {
 		t.Errorf("NewMatcher retains %.1f MB of heap, want ≤ %.0f MB", retained/1e6, universeMatcherHeapBudget/1e6)
+	}
+}
+
+// The allocation budget of one NewMatcher over the paper's brand universe.
+// A build writes every bits and typo label of every brand (~490K distinct)
+// straight from a reused buffer into the label index, so what it allocates
+// is the index's own arrays, the combo automaton and the gate: 918 objects
+// and 50 MB. The string generator it replaced allocated 1.09M objects and
+// 224 MB (commit 9528820); a string per label coming back fails the count
+// by orders of magnitude, and counts do not drift the way time does.
+const (
+	newMatcherAllocBudget = 2000
+	newMatcherByteBudget  = 64e6
+)
+
+// TestNewMatcherAllocBudget holds one universe build to its allocation
+// budget. make bench-check runs it.
+func TestNewMatcherAllocBudget(t *testing.T) {
+	sb := brands.Select(brands.DefaultConfig()).SquatBrands()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	runtime.KeepAlive(squat.NewMatcher(sb))
+	runtime.ReadMemStats(&after)
+	objects, bytes := after.Mallocs-before.Mallocs, after.TotalAlloc-before.TotalAlloc
+	t.Logf("NewMatcher over %d brands: %d allocations, %.1f MB", len(sb), objects, float64(bytes)/1e6)
+	if objects > newMatcherAllocBudget || float64(bytes) > newMatcherByteBudget {
+		t.Errorf("NewMatcher allocated %d objects and %.1f MB, want ≤ %d and ≤ %.0f MB", objects, float64(bytes)/1e6, newMatcherAllocBudget, newMatcherByteBudget/1e6)
 	}
 }
 
