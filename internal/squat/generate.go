@@ -2,7 +2,9 @@ package squat
 
 import (
 	"bytes"
+	"slices"
 	"strings"
+	"sync"
 	"unicode/utf8"
 
 	"squatphi/internal/confusables"
@@ -58,46 +60,39 @@ func NewGenerator() *Generator {
 // types generate is listed once, under the first type in the order
 // homograph, bits, typo, combo, wrongTLD.
 func (g *Generator) Generate(brand Brand) []Candidate {
-	n := homographBound(brand.Name) + editBound(brand.Name) + 2*len(g.affixes()) + len(g.tlds())
-	s := newCandidateSet(brand, n)
-	s.addHomographs()
-	s.addBitFlips()
-	s.addTypos()
-	for _, cs := range [][]Candidate{g.Combos(brand), g.WrongTLDs(brand)} {
-		for _, c := range cs {
-			if _, dup := s.seen[c.Domain]; !dup {
-				s.keep(c)
+	return collect(brand, func(s *candidateSet) {
+		s.addHomographs()
+		s.addBitFlips()
+		s.addTypos()
+		for _, cs := range [][]Candidate{g.Combos(brand), g.WrongTLDs(brand)} {
+			for _, c := range cs {
+				if _, dup := s.seen[c.Domain]; !dup {
+					s.keep(c)
+				}
 			}
 		}
-	}
-	return s.out
+	})
 }
 
 // Homographs generates homograph squatting candidates: ASCII lookalikes
 // (faceb00k, rn for m) and IDN substitutions encoded with punycode
 // (xn--fcebook-8va.com).
 func (g *Generator) Homographs(brand Brand) []Candidate {
-	s := newCandidateSet(brand, homographBound(brand.Name))
-	s.addHomographs()
-	return s.out
+	return collect(brand, (*candidateSet).addHomographs)
 }
 
 // BitFlips generates bits squatting candidates: domains whose name differs
 // from the brand by a single flipped bit that still yields a legal
 // domain character (Nikiforakis et al., paper §3.1).
 func (g *Generator) BitFlips(brand Brand) []Candidate {
-	s := newCandidateSet(brand, 8*len(brand.Name))
-	s.addBitFlips()
-	return s.out
+	return collect(brand, (*candidateSet).addBitFlips)
 }
 
 // Typos generates typo squatting candidates using the four mutations from
 // the paper: insertion, omission, repetition, and vowel swap (reordering
 // two consecutive characters).
 func (g *Generator) Typos(brand Brand) []Candidate {
-	s := newCandidateSet(brand, editBound(brand.Name))
-	s.addTypos()
-	return s.out
+	return collect(brand, (*candidateSet).addTypos)
 }
 
 // The label enumerators below are the one definition of the bits, typo
@@ -219,26 +214,6 @@ func eachHomograph(buf []byte, name string, yield func(label []byte, t Type)) []
 	return buf
 }
 
-// editBound bounds the labels eachBitFlip and eachTypo together yield for
-// name: per byte at most 8 flips, 37 insertions, 36 replacements, one
-// omission, one repetition and one transposition, and 37 insertions at the
-// end.
-func editBound(name string) int { return 84*len(name) + 37 }
-
-// homographBound bounds the labels eachHomograph yields for name.
-func homographBound(name string) int {
-	n := 0
-	for i := 0; i < len(name); i++ {
-		if name[i] < utf8.RuneSelf {
-			n += len(homographSubs[name[i]])
-		}
-	}
-	for _, b := range bulkSubs {
-		n += len(b.subs)
-	}
-	return n
-}
-
 // isEditLabel reports whether a bits or typo edit of name is a label worth
 // listing: not empty, not name itself, and neither led nor ended by a
 // hyphen.
@@ -291,9 +266,26 @@ type candidateSet struct {
 	label, domain []byte
 }
 
-// newCandidateSet returns an empty set sized for about n candidates.
-func newCandidateSet(brand Brand, n int) *candidateSet {
-	return &candidateSet{brand: brand, seen: make(map[string]struct{}, n), out: make([]Candidate, 0, n)}
+// candidateSets recycles sets between calls, so that a Generator method
+// allocates its result and the domains it keeps, and no map, list or
+// buffer it throws away.
+var candidateSets = sync.Pool{New: func() any { return &candidateSet{seen: map[string]struct{}{}} }}
+
+// collect runs add over an empty set for brand and returns what it
+// listed in a slice of its own, nil when nothing.
+func collect(brand Brand, add func(s *candidateSet)) []Candidate {
+	s := candidateSets.Get().(*candidateSet)
+	s.brand = brand
+	add(s)
+	var out []Candidate
+	if len(s.out) > 0 {
+		out = slices.Clone(s.out)
+	}
+	clear(s.seen)
+	clear(s.out) // the pool must not pin the domains
+	s.out = s.out[:0]
+	candidateSets.Put(s)
+	return out
 }
 
 // keep lists c, whose domain is not listed yet.
@@ -358,8 +350,12 @@ func (s *candidateSet) addHomographs() {
 // Combos generates combo squatting candidates: the brand name concatenated
 // with an affix via a hyphen, attached at the head or the tail.
 func (g *Generator) Combos(brand Brand) []Candidate {
+	affixes := g.Affixes
+	if affixes == nil {
+		affixes = comboAffixes
+	}
 	var out []Candidate
-	for _, a := range g.affixes() {
+	for _, a := range affixes {
 		if a == brand.Name {
 			continue
 		}
@@ -374,30 +370,18 @@ func (g *Generator) Combos(brand Brand) []Candidate {
 // WrongTLDs generates wrongTLD candidates: the brand name unchanged under a
 // different effective TLD.
 func (g *Generator) WrongTLDs(brand Brand) []Candidate {
+	tlds := g.TLDs
+	if tlds == nil {
+		tlds = alternateTLDs
+	}
 	var out []Candidate
-	for _, tld := range g.tlds() {
+	for _, tld := range tlds {
 		if tld == brand.TLD {
 			continue
 		}
 		out = append(out, Candidate{Domain: brand.Name + "." + tld, Type: WrongTLD, Brand: brand})
 	}
 	return out
-}
-
-// affixes and tlds are the wordlists in use: the Generator's own, or the
-// defaults where it leaves them nil.
-func (g *Generator) affixes() []string {
-	if g.Affixes == nil {
-		return comboAffixes
-	}
-	return g.Affixes
-}
-
-func (g *Generator) tlds() []string {
-	if g.TLDs == nil {
-		return alternateTLDs
-	}
-	return g.TLDs
 }
 
 func isDomainChar(c byte) bool {
