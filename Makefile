@@ -47,7 +47,7 @@ test-short:
 	$(GO) test -short ./...
 
 # Race detector + vet across the whole tree (CI gate for the concurrent
-# paths: obs registry/spans, crawler pool, DNS server/prober, sharded
+# paths: obs registry, crawler pool, DNS server/prober, sharded
 # store, scan/score pools). The race detector is 5-20x slower than native;
 # the heavyweight packages (core, experiments) need more than the default
 # 10m per-package budget on small machines.
@@ -59,8 +59,8 @@ race: chaos
 # shared structures scan and serve workers read concurrently (the matcher's
 # label index and gate, the model's scoring table, the scan pools, the
 # deltascan shard state, the squatd shards, the sharded store and the
-# snapshot mapping the scan workers read, the metrics registry and span
-# collector, the crawler pool and the detection scoring its visit hook runs
+# snapshot mapping the scan workers read, the metrics registry, the
+# crawler pool and the detection scoring its visit hook runs
 # on the crawl workers; deltascan's Scans racing Store.Add writers), short
 # mode, one run.
 # `race` above is the full, slow one.

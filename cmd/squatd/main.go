@@ -18,7 +18,7 @@
 //	POST /verdicts            bulk: JSON array of domains
 //	POST /update              streaming record updates
 //	GET  /healthz             {"shards":N} once warmed and serving
-//	/metrics /spans /debug/pprof   the obs debug surface
+//	/metrics /debug/pprof   the obs debug surface
 //
 // SIGINT/SIGTERM shut the daemon down gracefully: the listener drains
 // in-flight requests, the delta-scan spill is saved atomically (so the
@@ -137,7 +137,7 @@ func main() {
 	// that before anything collects it.
 	runtime.GC()
 
-	dbg, err := obs.Serve(*addr, reg, nil, coord.Routes()...)
+	dbg, err := obs.Serve(*addr, reg, coord.Routes()...)
 	if err != nil {
 		log.Fatal(err)
 	}

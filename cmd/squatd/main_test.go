@@ -14,7 +14,8 @@ import (
 // over its own listener, then the shutdown path a signal takes (drain →
 // spill → metrics flush). main must return (a failed step ends in
 // log.Fatal, which exits the test binary non-zero), the spill must load,
-// and the flushed metrics must count the self-lookup.
+// and the flushed metrics must count the self-lookup and carry the
+// runtime samples.
 func TestServeSmoke(t *testing.T) {
 	dir := t.TempDir()
 	spill := filepath.Join(dir, "squatd.spill")
@@ -34,10 +35,14 @@ func TestServeSmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 	var snap struct {
-		Counters map[string]int64 `json:"counters"`
+		Counters map[string]int64   `json:"counters"`
+		Gauges   map[string]float64 `json:"gauges"`
 	}
 	if err := json.Unmarshal(raw, &snap); err != nil {
 		t.Fatal(err)
+	}
+	if _, ok := snap.Gauges["runtime.goroutines"]; !ok {
+		t.Fatalf("flushed snapshot has no runtime sample: gauges %v", snap.Gauges)
 	}
 	if got := snap.Counters["serve.lookups"]; got < 1 {
 		t.Fatalf("serve.lookups = %d, want >= 1 (the self-lookup)", got)

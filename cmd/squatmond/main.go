@@ -5,9 +5,10 @@
 // landing in an authoritative zone each round; the monitor confirms them by
 // active probing (the ActiveDNS methodology) before matching.
 //
-// Every stage reports to the shared metrics registry, each round records a
-// nested trace (round -> probe/match/crawl/classify), and -debug-addr
-// serves /metrics, /spans and pprof live.
+// Every stage reports to the shared metrics registry, each round is a
+// runtime/trace task with regions inside it (probe, match, crawler.crawl,
+// classify), and -debug-addr serves /metrics and pprof live; capture the
+// rounds' timeline from /debug/pprof/trace.
 //
 // Usage:
 //
@@ -26,7 +27,7 @@ import (
 	"log"
 	"os"
 	"os/signal"
-	"strconv"
+	"runtime/trace"
 	"syscall"
 	"time"
 
@@ -58,7 +59,7 @@ func main() {
 	interval := flag.Duration("interval", 0, "pause between rounds")
 	reportPath := flag.String("report", "", "append alerts as JSONL to this file (default stdout)")
 	newPerRound := flag.Int("new", 400, "world registrations arriving per round (plus 50% random-noise names)")
-	debugAddr := flag.String("debug-addr", "", "serve /metrics, /spans and pprof on this address (e.g. :6060)")
+	debugAddr := flag.String("debug-addr", "", "serve /metrics and pprof (/debug/pprof/trace for the round timeline) on this address (e.g. :6060)")
 	metricsPath := flag.String("metrics", "", "write the final metrics snapshot to this file (default <report>.metrics.json when -report is set)")
 	flag.Parse()
 
@@ -79,17 +80,16 @@ func main() {
 	// the next stage boundary and the normal flush path (metrics
 	// snapshot) still runs — a monitor killed from the terminal leaves the
 	// same artifacts as one that ran to completion.
-	ctx, stop := signal.NotifyContext(obs.WithRecorder(context.Background(), p.Trace),
-		os.Interrupt, syscall.SIGTERM)
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
 	if *debugAddr != "" {
-		dbg, err := obs.Serve(*debugAddr, reg, p.Trace)
+		dbg, err := obs.Serve(*debugAddr, reg)
 		if err != nil {
 			log.Fatal(err)
 		}
 		defer dbg.Close()
-		log.Printf("debug endpoint on http://%s (/metrics, /spans, /debug/pprof)", dbg.Addr())
+		log.Printf("debug endpoint on http://%s (/metrics, /debug/pprof)", dbg.Addr())
 	}
 
 	out := os.Stdout
@@ -140,8 +140,8 @@ monitor:
 		if ctx.Err() != nil {
 			break
 		}
-		roundCtx, span := obs.StartSpan(ctx, "round")
-		span.SetAttr("round", strconv.Itoa(round))
+		roundCtx, task := trace.NewTask(ctx, "round")
+		trace.Logf(roundCtx, "round", "%d", round)
 		start := time.Now()
 
 		var batch []string
@@ -164,19 +164,20 @@ monitor:
 		}
 		mNew.Add(int64(len(batch)))
 
-		probeCtx, probeSpan := obs.StartSpan(roundCtx, "probe")
-		records, err := prober.Probe(probeCtx, batch)
-		probeSpan.SetAttr("resolved", strconv.Itoa(len(records)))
-		probeSpan.EndWith(err)
+		region := trace.StartRegion(roundCtx, "probe")
+		records, err := prober.Probe(roundCtx, batch)
+		trace.Logf(roundCtx, "resolved", "%d", len(records))
+		region.End()
 		if err != nil {
+			trace.Log(roundCtx, "error", err.Error())
 			if ctx.Err() != nil { // interrupted mid-probe: flush, don't fatal
-				span.End()
+				task.End()
 				break monitor
 			}
 			log.Fatal(err)
 		}
 
-		_, matchSpan := obs.StartSpan(roundCtx, "match")
+		region = trace.StartRegion(roundCtx, "match")
 		var domains []string
 		byDomain := map[string]squat.Candidate{}
 		for _, rec := range records {
@@ -185,11 +186,11 @@ monitor:
 				byDomain[cand.Domain] = cand
 			}
 		}
-		matchSpan.SetAttr("candidates", strconv.Itoa(len(domains)))
-		matchSpan.End()
+		trace.Logf(roundCtx, "candidates", "%d", len(domains))
+		region.End()
 		mCandidates.Add(int64(len(domains)))
 
-		// The crawler opens its own child span under the round. Each
+		// The crawler opens its own region in the round's task. Each
 		// domain's pages are classified on its crawl worker into
 		// per-index slots (-1: not scored) and their pixels dropped there;
 		// the alerts are then encoded serially in crawl order.
@@ -205,13 +206,13 @@ monitor:
 		})
 		if err != nil {
 			if ctx.Err() != nil { // interrupted mid-crawl: flush, don't fatal
-				span.End()
+				task.End()
 				break monitor
 			}
 			log.Fatal(err)
 		}
 
-		_, classifySpan := obs.StartSpan(roundCtx, "classify")
+		region = trace.StartRegion(roundCtx, "classify")
 		roundAlerts := 0
 		for i, res := range results {
 			for pi, profile := range []string{"web", "mobile"} {
@@ -229,13 +230,12 @@ monitor:
 				roundAlerts++
 			}
 		}
-		classifySpan.SetAttr("alerts", strconv.Itoa(roundAlerts))
-		classifySpan.End()
+		trace.Logf(roundCtx, "alerts", "%d", roundAlerts)
+		region.End()
 		mAlerts.Add(int64(roundAlerts))
 		mRounds.Inc()
 		hRound.ObserveSince(start)
-		span.SetAttr("alerts", strconv.Itoa(roundAlerts))
-		span.End()
+		task.End()
 
 		rtt := reg.Histogram("dnsx.probe.rtt_ms", nil).Snapshot()
 		log.Printf("round %d: %d new registrations, %d candidates, %d alerts (wall %s, probe RTT p50 %.2fms, alerts total %d)",

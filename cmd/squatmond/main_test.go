@@ -13,7 +13,7 @@ import (
 // temporary report (`make monitor-smoke`): main must return (a fatal
 // error exits the test binary non-zero), every report line must decode
 // as an Alert, and the flushed metrics snapshot must count the rounds and
-// the alerts. Three rounds, because this world's first alerts arrive in
+// the alerts and carry the runtime samples. Three rounds, because this world's first alerts arrive in
 // round 3: with fewer the decode check would have nothing to check.
 func TestMonitorSmoke(t *testing.T) {
 	if testing.Short() {
@@ -55,10 +55,14 @@ func TestMonitorSmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 	var snap struct {
-		Counters map[string]int64 `json:"counters"`
+		Counters map[string]int64   `json:"counters"`
+		Gauges   map[string]float64 `json:"gauges"`
 	}
 	if err := json.Unmarshal(raw, &snap); err != nil {
 		t.Fatal(err)
+	}
+	if _, ok := snap.Gauges["runtime.goroutines"]; !ok {
+		t.Fatalf("flushed snapshot has no runtime sample: gauges %v", snap.Gauges)
 	}
 	if got := snap.Counters["squatmond.rounds"]; got != 3 {
 		t.Fatalf("squatmond.rounds = %d, want 3", got)

@@ -49,7 +49,7 @@ func main() {
 	seed := flag.Uint64("seed", 1175, "world seed")
 	trees := flag.Int("trees", 40, "random forest size")
 	noise := flag.Int("dnsnoise", 30000, "background DNS records")
-	debugAddr := flag.String("debug-addr", "", "serve /metrics, /spans and pprof on this address (e.g. :6060)")
+	debugAddr := flag.String("debug-addr", "", "serve /metrics, /debug/verdict and pprof (/debug/pprof/trace for the stage timeline) on this address (e.g. :6060)")
 	explain := flag.String("explain", "", "comma-separated domains to explain after detection (verdict provenance, human-readable)")
 	traceOut := flag.String("trace-out", "", "write the provenance trace store (gzip+JSONL, readable with squatexplain) to this file")
 	eventsOut := flag.String("events", "", "write the structured JSONL event log to this file (- for stderr)")
@@ -125,13 +125,13 @@ func main() {
 	}()
 
 	if *debugAddr != "" {
-		dbg, err := obs.Serve(*debugAddr, p.Obs, p.Trace,
+		dbg, err := obs.Serve(*debugAddr, p.Obs,
 			obs.Route{Pattern: "/debug/verdict", Handler: trace.VerdictHandler(p.Lookup)})
 		if err != nil {
 			log.Fatal(err)
 		}
 		defer dbg.Close()
-		log.Printf("debug endpoint on http://%s (/metrics, /spans, /debug/verdict, /debug/pprof)", dbg.Addr())
+		log.Printf("debug endpoint on http://%s (/metrics, /debug/verdict, /debug/pprof)", dbg.Addr())
 	}
 
 	log.Printf("world: %d squatting domains, %d brands", len(p.World.SquattingDomains), len(p.World.Brands.Brands))
@@ -148,7 +148,7 @@ func main() {
 
 	cands := p.ScanDNS()
 	log.Printf("DNS scan: %d records -> %d squatting candidates (%.0f records/sec)",
-		p.DNSSnapshot().Len(), len(cands), p.Obs.Snapshot().Gauges["core.scan_dns.records_per_sec"])
+		p.DNSSnapshot().Len(), len(cands), p.Obs.Gauge("core.scan_dns.records_per_sec").Value())
 	counts := map[squat.Type]int{}
 	for _, c := range cands {
 		counts[c.Type]++

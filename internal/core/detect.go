@@ -57,7 +57,7 @@ func (d *Detection) ConfirmedUnion() map[string]bool {
 // of both profiles and verifies the flagged ones against the oracle
 // (paper §6.1: classify, then manually confirm).
 func (p *Pipeline) DetectInWild(ctx context.Context, clf *Classifier, snapshot int) (*Detection, error) {
-	ctx, done := p.stageSpan(ctx, "detect")
+	ctx, done := p.stageTask(ctx, "detect")
 	det, err := p.detectInWild(ctx, clf, snapshot)
 	if det != nil {
 		p.Obs.Counter("core.detect.flagged").Add(int64(len(det.FlaggedWeb) + len(det.FlaggedMobile)))
@@ -144,7 +144,7 @@ func (p *Pipeline) pageScores(clf *Classifier, r *crawler.Result) [2]float64 {
 // snapshot and re-classifies them, returning per-snapshot live-phishing
 // counts per profile (Figure 17).
 func (p *Pipeline) MonitorLiveness(ctx context.Context, clf *Classifier, confirmed []string) (web, mobile []int, err error) {
-	ctx, done := p.stageSpan(ctx, "liveness")
+	ctx, done := p.stageTask(ctx, "liveness")
 	defer func() { done(err) }()
 	web = make([]int, webworld.Snapshots)
 	mobile = make([]int, webworld.Snapshots)

@@ -43,7 +43,7 @@ func (g *GroundTruth) Counts() (pos, neg int) {
 // of squatting domains and labels them with the verification oracle.
 // maxBenignSquat bounds the extra negatives (paper: 1,565).
 func (p *Pipeline) BuildGroundTruth(ctx context.Context, maxBenignSquat int) (*GroundTruth, error) {
-	ctx, done := p.stageSpan(ctx, "ground_truth")
+	ctx, done := p.stageTask(ctx, "ground_truth")
 	gt, err := p.buildGroundTruth(ctx, maxBenignSquat)
 	if gt != nil {
 		pos, neg := gt.Counts()
@@ -169,7 +169,7 @@ func (p *Pipeline) forestFactory() func() ml.Classifier {
 // cross-validates, and fits the final random forest on all samples
 // (paper §5.2/§5.3).
 func (p *Pipeline) TrainClassifier(gt *GroundTruth, opts features.Options) *Classifier {
-	_, done := p.stageSpan(context.Background(), "train")
+	_, done := p.stageTask(context.Background(), "train")
 	defer done(nil)
 	ex, X, y := p.fitExtractor(gt, opts)
 	factory := p.forestFactory()

@@ -18,6 +18,7 @@ import (
 	"log/slog"
 	"math"
 	"runtime"
+	rtrace "runtime/trace"
 	"sync"
 	"time"
 
@@ -107,11 +108,9 @@ type Pipeline struct {
 	// Config.DomLM). It is immutable and shared by every scan worker.
 	LM *domlm.Model
 
-	// Obs is the metrics registry all pipeline components report to and
-	// Trace the ring-buffer recorder of recent stage-span trees; both are
+	// Obs is the metrics registry all pipeline components report to;
 	// always non-nil and ready to serve via obs.Serve.
-	Obs   *obs.Registry
-	Trace *obs.Recorder
+	Obs *obs.Registry
 	// Prov is the verdict-provenance collector: head-sampled scan marks
 	// plus always-on evidence records for flagged verdicts. Always
 	// non-nil; persist it with trace.Collector.WriteStore.
@@ -162,7 +161,6 @@ func New(cfg Config) (*Pipeline, error) {
 		Matcher:    squat.NewMatcher(world.Brands.SquatBrands()),
 		Blacklists: blacklist.NewService(),
 		Obs:        reg,
-		Trace:      obs.NewRecorder(32),
 		Prov:       trace.NewCollector(cfg.TraceSampleEvery),
 		Events:     noEvents,
 		delta:      deltascan.NewEngine(),
@@ -199,24 +197,25 @@ var noEvents = slog.New(slog.NewTextHandler(io.Discard, &slog.HandlerOptions{Lev
 // Close shuts down the world server.
 func (p *Pipeline) Close() error { return p.Server.Close() }
 
-// stageSpan opens a span for a named pipeline stage, recording into the
-// pipeline's tracer (as a child when ctx already carries a stage span) and
-// into the "core.stage.<name>_ms" histogram. The returned func must be
-// called when the stage ends, with the stage's error if any.
-func (p *Pipeline) stageSpan(ctx context.Context, name string) (context.Context, func(error)) {
-	ctx = obs.WithRecorder(ctx, p.Trace)
-	ctx, span := obs.StartSpan(ctx, name)
+// stageTask opens a runtime/trace task for a named pipeline stage (a
+// subtask when ctx already carries a stage's task) and times it into the
+// "core.stage.<name>_ms" histogram. The returned func must be called when
+// the stage ends, with the stage's error if any; the error is logged on
+// the task.
+func (p *Pipeline) stageTask(ctx context.Context, name string) (context.Context, func(error)) {
+	ctx, task := rtrace.NewTask(ctx, name)
 	sw := obs.StartStopwatch()
 	return ctx, func(err error) {
+		defer task.End()
 		d := sw.Elapsed()
 		p.Obs.Histogram("core.stage."+name+"_ms", obs.MillisBuckets).
 			Observe(float64(d) / float64(time.Millisecond))
 		p.stageMu.Lock()
 		p.stageDur[name] = d
 		p.stageMu.Unlock()
-		span.EndWith(err)
 		attrs := []any{slog.String("stage", name), slog.Float64("ms", float64(d)/float64(time.Millisecond))}
 		if err != nil {
+			rtrace.Log(ctx, "error", err.Error())
 			attrs = append(attrs, slog.String("error", err.Error()))
 			p.Events.Error("core.stage.failed", attrs...)
 			return
@@ -258,7 +257,7 @@ func (p *Pipeline) scoreWorkers() int {
 // domain of the world planted among background noise.
 func (p *Pipeline) DNSSnapshot() *dnsx.Store {
 	if p.snapshot == nil {
-		_, done := p.stageSpan(context.Background(), "dns_snapshot")
+		_, done := p.stageTask(context.Background(), "dns_snapshot")
 		spec := dnsx.SnapshotSpec{
 			Planted:      p.World.DNSDomains(),
 			NoiseRecords: p.Cfg.DNSNoiseRecords,
@@ -318,8 +317,8 @@ func ScanSnapshot(snap *snapfmt.Snapshot, m *squat.Matcher, workers int, reg *ob
 // every worker count.
 func (p *Pipeline) ScanDNS() []squat.Candidate {
 	if p.candidates == nil {
-		snapshot := p.DNSSnapshot() // built under its own stage span
-		_, done := p.stageSpan(context.Background(), "scan_dns")
+		snapshot := p.DNSSnapshot() // built under its own stage task
+		_, done := p.stageTask(context.Background(), "scan_dns")
 		sw := obs.StartStopwatch()
 		out := p.delta.Scan(snapshot, p.Matcher, p.scanWorkers())
 		if secs := sw.Seconds(); secs > 0 {
@@ -455,7 +454,7 @@ func (p *Pipeline) CrawlDomains(ctx context.Context, snapshot int, domains []str
 // timed and degraded-counted as stage (core.stage.<stage>_ms,
 // core.degraded.<stage>).
 func (p *Pipeline) crawlStage(ctx context.Context, stage string, snapshot int, domains []string, visit func(i int, r *crawler.Result)) ([]crawler.Result, error) {
-	ctx, done := p.stageSpan(ctx, stage)
+	ctx, done := p.stageTask(ctx, stage)
 	p.Server.SetSnapshot(snapshot)
 	results, err := p.crawlerByProfile.Crawl(ctx, domains, visit)
 	done(err)

@@ -17,6 +17,7 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"runtime/trace"
 	"strings"
 	"sync"
 	"time"
@@ -249,13 +250,9 @@ func (c *Crawler) retries() int { return retry.Resolve(c.Retries, 1) }
 // must be safe for concurrent calls on distinct indices.
 func (c *Crawler) Crawl(ctx context.Context, domains []string, visit func(i int, r *Result)) ([]Result, error) {
 	st := c.statsInit()
-	ctx, span := obs.StartSpan(ctx, "crawler.crawl")
-	span.SetAttr("domains", fmt.Sprint(len(domains)))
-	start := time.Now()
-	defer func() {
-		span.SetAttr("elapsed", time.Since(start).Round(time.Millisecond).String())
-		span.End()
-	}()
+	region := trace.StartRegion(ctx, "crawler.crawl")
+	defer region.End()
+	trace.Logf(ctx, "domains", "%d", len(domains))
 
 	results := make([]Result, len(domains))
 	jobs := make(chan int)
@@ -288,7 +285,7 @@ func (c *Crawler) Crawl(ctx context.Context, domains []string, visit func(i int,
 			close(jobs)
 			wg.Wait()
 			st.pending.Set(0)
-			span.Fail(ctx.Err())
+			trace.Log(ctx, "error", ctx.Err().Error())
 			return results, ctx.Err()
 		}
 	}

@@ -8,7 +8,6 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"strconv"
 	"time"
 )
 
@@ -23,14 +22,14 @@ type Route struct {
 // NewMux builds the debug handler tree:
 //
 //	/          index of routes
-//	/metrics   JSON snapshot of the registry
-//	/spans     recent pipeline traces (?n=K limits, newest first)
-//	/debug/pprof/...  the standard Go profiler endpoints
+//	/metrics   JSON snapshot of the registry and the runtime samples
+//	/debug/pprof/...  the standard Go profiler endpoints; /trace captures
+//	                  the runtime/trace tasks and regions of the stages
 //	/debug/vars       expvar (the runtime's own vars)
 //
-// plus any extra routes the caller mounts. Either of reg/rec may be nil;
-// the corresponding route serves empty data.
-func NewMux(reg *Registry, rec *Recorder, extra ...Route) *http.ServeMux {
+// plus any extra routes the caller mounts. reg may be nil; /metrics then
+// serves an empty snapshot.
+func NewMux(reg *Registry, extra ...Route) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path != "/" {
@@ -40,7 +39,6 @@ func NewMux(reg *Registry, rec *Recorder, extra ...Route) *http.ServeMux {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		fmt.Fprint(w, "squatphi debug endpoint\n\n"+
 			"/metrics      metrics registry snapshot (JSON)\n"+
-			"/spans        recent pipeline traces (JSON, ?n=K)\n"+
 			"/debug/pprof  Go profiler\n"+
 			"/debug/vars   expvar\n")
 		for _, rt := range extra {
@@ -48,22 +46,10 @@ func NewMux(reg *Registry, rec *Recorder, extra ...Route) *http.ServeMux {
 		}
 	})
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, reg.Snapshot())
-	})
-	mux.HandleFunc("/spans", func(w http.ResponseWriter, r *http.Request) {
-		var traces []SpanSnapshot
-		if rec != nil {
-			traces = rec.Traces()
-		}
-		if nStr := r.URL.Query().Get("n"); nStr != "" {
-			if n, err := strconv.Atoi(nStr); err == nil && n >= 0 && n < len(traces) {
-				traces = traces[:n]
-			}
-		}
-		if traces == nil {
-			traces = []SpanSnapshot{}
-		}
-		writeJSON(w, traces)
+		w.Header().Set("Content-Type", "application/json")
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		_ = enc.Encode(reg.Snapshot())
 	})
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -77,13 +63,6 @@ func NewMux(reg *Registry, rec *Recorder, extra ...Route) *http.ServeMux {
 		}
 	}
 	return mux
-}
-
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
 }
 
 // Server timeout policy. The debug port used to run a zero-value
@@ -131,12 +110,12 @@ type DebugServer struct {
 
 // Serve starts the debug endpoint on addr (e.g. ":6060" or
 // "127.0.0.1:0"). Callers must Close (or Shutdown) it.
-func Serve(addr string, reg *Registry, rec *Recorder, extra ...Route) (*DebugServer, error) {
+func Serve(addr string, reg *Registry, extra ...Route) (*DebugServer, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("obs: listen %s: %w", addr, err)
 	}
-	srv := NewServer(NewMux(reg, rec, extra...))
+	srv := NewServer(NewMux(reg, extra...))
 	go func() { _ = srv.Serve(ln) }()
 	return &DebugServer{srv: srv, ln: ln}, nil
 }

@@ -15,14 +15,8 @@ func TestDebugEndpoints(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("dnsx.server.queries").Add(5)
 	reg.Histogram("probe.rtt_ms", nil).Observe(1.5)
-	rec := NewRecorder(4)
-	ctx := WithRecorder(context.Background(), rec)
-	runCtx, root := StartSpan(ctx, "round")
-	_, child := StartSpan(runCtx, "crawl")
-	child.End()
-	root.End()
 
-	srv := httptest.NewServer(NewMux(reg, rec))
+	srv := httptest.NewServer(NewMux(reg))
 	defer srv.Close()
 
 	t.Run("metrics", func(t *testing.T) {
@@ -34,30 +28,14 @@ func TestDebugEndpoints(t *testing.T) {
 		if snap.Histograms["probe.rtt_ms"].Count != 1 {
 			t.Errorf("histograms = %v", snap.Histograms)
 		}
-	})
-
-	t.Run("spans", func(t *testing.T) {
-		var traces []SpanSnapshot
-		getJSON(t, srv.URL+"/spans", &traces)
-		if len(traces) != 1 || traces[0].Name != "round" {
-			t.Fatalf("traces = %+v", traces)
-		}
-		if len(traces[0].Children) != 1 || traces[0].Children[0].Name != "crawl" {
-			t.Errorf("children = %+v", traces[0].Children)
-		}
-	})
-
-	t.Run("spans-limit", func(t *testing.T) {
-		var traces []SpanSnapshot
-		getJSON(t, srv.URL+"/spans?n=0", &traces)
-		if len(traces) != 0 {
-			t.Errorf("n=0 returned %d traces", len(traces))
+		if snap.Gauges["runtime.goroutines"] < 1 {
+			t.Errorf("runtime samples missing from gauges: %v", snap.Gauges)
 		}
 	})
 
 	t.Run("index", func(t *testing.T) {
 		body := get(t, srv.URL+"/")
-		if !strings.Contains(body, "/metrics") || !strings.Contains(body, "/spans") {
+		if !strings.Contains(body, "/metrics") || !strings.Contains(body, "/debug/pprof") {
 			t.Errorf("index missing routes: %q", body)
 		}
 	})
@@ -82,21 +60,19 @@ func TestDebugEndpoints(t *testing.T) {
 }
 
 func TestNilMux(t *testing.T) {
-	srv := httptest.NewServer(NewMux(nil, nil))
+	srv := httptest.NewServer(NewMux(nil))
 	defer srv.Close()
 	var snap Snapshot
 	getJSON(t, srv.URL+"/metrics", &snap)
-	var traces []SpanSnapshot
-	getJSON(t, srv.URL+"/spans", &traces)
-	if len(traces) != 0 {
-		t.Errorf("nil recorder served traces: %+v", traces)
+	if len(snap.Counters) != 0 || len(snap.Gauges) != 0 {
+		t.Errorf("nil registry served metrics: %+v", snap)
 	}
 }
 
 func TestServe(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("x").Inc()
-	d, err := Serve("127.0.0.1:0", reg, NewRecorder(2))
+	d, err := Serve("127.0.0.1:0", reg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +109,7 @@ func TestServerTimeoutsSet(t *testing.T) {
 func TestGracefulShutdownDrainsInFlight(t *testing.T) {
 	entered := make(chan struct{})
 	release := make(chan struct{})
-	d, err := Serve("127.0.0.1:0", NewRegistry(), nil, Route{
+	d, err := Serve("127.0.0.1:0", NewRegistry(), Route{
 		Pattern: "/slow",
 		Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			close(entered)

@@ -1,7 +1,8 @@
 // Package obs is the pipeline-wide observability layer: a concurrency-safe
-// metrics registry (counters, gauges, fixed-bucket histograms), lightweight
-// stage spans with a ring-buffer trace recorder, and a debug HTTP endpoint
-// exposing both plus pprof.
+// metrics registry (counters, gauges, fixed-bucket histograms) whose
+// snapshots carry the Go runtime's own health samples, and a debug HTTP
+// endpoint exposing it plus pprof. Stage, crawl and round timelines are
+// runtime/trace tasks and regions, captured at /debug/pprof/trace.
 //
 // The paper's system processed a 224M-record DNS snapshot and ~1M crawled
 // pages; knowing where time and errors go is a precondition for sharding or
@@ -324,7 +325,10 @@ type Snapshot struct {
 	Values     map[string]any               `json:"values,omitempty"`
 }
 
-// Snapshot captures every metric. Safe to call while writers are active.
+// Snapshot captures every metric, plus the runtime samples as gauges (see
+// readRuntime). Safe to call while writers are active. Each call reads the
+// runtime's metrics, so it belongs at /metrics, a final flush or an
+// artifact, never on a hot path.
 func (r *Registry) Snapshot() Snapshot {
 	s := Snapshot{
 		Counters:   map[string]int64{},
@@ -359,6 +363,7 @@ func (r *Registry) Snapshot() Snapshot {
 	for k, v := range gauges {
 		s.Gauges[k] = v.Value()
 	}
+	readRuntime(s.Gauges)
 	for k, v := range hists {
 		s.Histograms[k] = v.Snapshot()
 	}

@@ -1,5 +1,7 @@
 package squat
 
+import "slices"
+
 // ahoCorasick is a byte-level Aho-Corasick automaton used to find brand
 // names inside domain labels in a single pass. Scanning 702 brand names
 // against hundreds of millions of DNS labels with strings.Contains would be
@@ -13,7 +15,13 @@ type ahoCorasick struct {
 }
 
 func newAhoCorasick(patterns []string) *ahoCorasick {
-	ac := &ahoCorasick{pats: patterns}
+	n := trieStates(patterns)
+	ac := &ahoCorasick{
+		next:   make([][256]int32, 0, n),
+		fail:   make([]int32, 0, n),
+		output: make([][]int32, 0, n),
+		pats:   patterns,
+	}
 	ac.addState() // root
 	for pi, p := range patterns {
 		s := int32(0)
@@ -28,6 +36,25 @@ func newAhoCorasick(patterns []string) *ahoCorasick {
 	}
 	ac.build()
 	return ac
+}
+
+// trieStates counts the states of the trie over patterns, root included:
+// in sorted order each distinct pattern adds one state per byte past its
+// common prefix with the one before it. The automaton's 1 KB rows are
+// allocated once at this size instead of grown by append.
+func trieStates(patterns []string) int {
+	sorted := slices.Clone(patterns)
+	slices.Sort(sorted)
+	n, prev := 1, ""
+	for _, p := range sorted {
+		common := 0
+		for common < len(p) && common < len(prev) && p[common] == prev[common] {
+			common++
+		}
+		n += len(p) - common
+		prev = p
+	}
+	return n
 }
 
 func (ac *ahoCorasick) addState() int32 {

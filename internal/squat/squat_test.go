@@ -402,6 +402,16 @@ func TestAhoCorasickFindsAllOccurrences(t *testing.T) {
 	}
 }
 
+// TestAhoCorasickSizedExactly: the automaton's rows are allocated once, at
+// the trie's state count, for patterns that repeat and prefix each other.
+func TestAhoCorasickSizedExactly(t *testing.T) {
+	ac := newAhoCorasick([]string{"hers", "he", "she", "his", "he", "h", "shell"})
+	// root, h, he, her, hers, hi, his, s, sh, she, shel, shell
+	if len(ac.next) != 12 || cap(ac.next) != len(ac.next) {
+		t.Fatalf("automaton has %d states in rows of capacity %d, want 12 in 12", len(ac.next), cap(ac.next))
+	}
+}
+
 func TestAhoCorasickEarlyStop(t *testing.T) {
 	ac := newAhoCorasick([]string{"a"})
 	n := 0

@@ -133,13 +133,15 @@ func TestUniverseMatcherHeap(t *testing.T) {
 // The allocation budget of one NewMatcher over the paper's brand universe.
 // A build writes every bits and typo label of every brand (~490K distinct)
 // straight from a reused buffer into the label index, so what it allocates
-// is the index's own arrays, the combo automaton and the gate: 918 objects
-// and 50 MB. The string generator it replaced allocated 1.09M objects and
-// 224 MB (commit 9528820); a string per label coming back fails the count
-// by orders of magnitude, and counts do not drift the way time does.
+// is the index's own arrays, the combo automaton and the gate: 888 objects
+// and 38.5 MB, with the automaton's 1 KB rows allocated once at its state
+// count (grown by append they made it 929 objects and 50.1 MB). The
+// string generator it replaced allocated 1.09M objects and 224 MB (commit
+// 9528820); a string per label coming back fails the count by orders of
+// magnitude, and counts do not drift the way time does.
 const (
 	newMatcherAllocBudget = 2000
-	newMatcherByteBudget  = 64e6
+	newMatcherByteBudget  = 52e6
 )
 
 // TestNewMatcherAllocBudget holds one universe build to its allocation
