@@ -33,30 +33,32 @@ func TestStageTasksTraced(t *testing.T) {
 	if err := trace.Start(&buf); err != nil {
 		t.Skipf("tracing already on: %v", err)
 	}
+	defer trace.Stop() // on a failed step; Stop is a no-op once stopped
 	ctx := context.Background()
 	p.ScanDNS()
 	gt, err := p.BuildGroundTruth(ctx, 60)
-	if err == nil {
-		var det *Detection
-		clf := p.TrainClassifier(gt, features.AllFeatures())
-		if det, err = p.DetectInWild(ctx, clf, 0); err == nil {
-			var confirmed []string
-			for d := range det.ConfirmedUnion() {
-				confirmed = append(confirmed, d)
-			}
-			_, _, err = p.MonitorLiveness(ctx, clf, confirmed)
-		}
+	if err != nil {
+		t.Fatal(err)
+	}
+	clf := p.TrainClassifier(gt, features.AllFeatures())
+	det, err := p.DetectInWild(ctx, clf, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var confirmed []string
+	for d := range det.ConfirmedUnion() {
+		confirmed = append(confirmed, d)
+	}
+	if _, _, err := p.MonitorLiveness(ctx, clf, confirmed); err != nil {
+		t.Fatal(err)
 	}
 	cancelled, cancel := context.WithCancel(ctx)
 	cancel()
 	_, crawlErr := p.CrawlDomains(cancelled, 0, p.CandidateDomains())
-	trace.Stop()
-	if err != nil {
-		t.Fatal(err)
-	}
 	if crawlErr == nil {
 		t.Fatal("a crawl under a cancelled context did not fail")
 	}
+	trace.Stop()
 
 	// The trace's string table holds each task and region name and each
 	// log key and message once, length-prefixed; the prefix keeps "crawl"
